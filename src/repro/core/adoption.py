@@ -106,8 +106,13 @@ def run_adoption_experiment(
         )
     plan = PopulationPlan(config, seed)
     if plant_popular:
+        # Plant only when there are enough adopters to move and every
+        # target rank exists (ranks run 1..num_domains).
         needed = len(PAPER_NOLISTING_RANKS)
-        if plan.count_in(DomainCategory.NOLISTING) >= needed:
+        if (
+            plan.count_in(DomainCategory.NOLISTING) >= needed
+            and max(PAPER_NOLISTING_RANKS) <= config.num_domains
+        ):
             plan.plant(PAPER_NOLISTING_RANKS)
 
     from ..runner.shards import adoption_shard_task

@@ -52,6 +52,12 @@ def plant_ranks(
     rank_holder: Dict[int, object] = {
         truth.alexa_rank: truth for truth in domains
     }
+    for rank in ranks:
+        if rank not in rank_holder:
+            raise ValueError(
+                f"no domain holds rank {rank}: cannot plant outside the "
+                f"population's {num_domains} ranks"
+            )
 
     # First evict accidental adopters from the popular band: in a population
     # of this size the rank space is small relative to the real internet's,

@@ -24,6 +24,7 @@ identical to a serial run.
 from __future__ import annotations
 
 import enum
+import functools
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -276,6 +277,50 @@ class PlannedDomain:
     alexa_rank: int
 
 
+def _category_counts(
+    num_domains: int, mix: Tuple[Tuple[str, float], ...]
+) -> Tuple[int, ...]:
+    """Apportion domains to categories with largest-remainder rounding.
+
+    ``mix`` holds ``(category value, fraction)`` pairs; the counts come back
+    indexed by category code (:data:`CATEGORY_ORDER`).
+    """
+    raw = {value: num_domains * fraction for value, fraction in mix}
+    counts = {value: int(share) for value, share in raw.items()}
+    shortfall = num_domains - sum(counts.values())
+    by_remainder = sorted(raw, key=lambda value: (counts[value] - raw[value], value))
+    for value in by_remainder[:shortfall]:
+        counts[value] += 1
+    return tuple(counts.get(category.value, 0) for category in CATEGORY_ORDER)
+
+
+@functools.lru_cache(maxsize=1)
+def _plan_columns(
+    seed: int, num_domains: int, mix: Tuple[Tuple[str, float], ...]
+) -> Tuple[bytes, memoryview, Tuple[int, ...]]:
+    """Derive a plan's O(n) columns: category codes, ranks, category counts.
+
+    Memoized on exactly what the columns depend on — not on chunk size,
+    outage rates or address space — so a coordinator and every shard it
+    runs in-process share one derivation, and forked workers inherit it.
+    The columns are immutable (``bytes``, a read-only ``memoryview`` and a
+    tuple), so no holder can change another's plan.
+    """
+    counts = _category_counts(num_domains, mix)
+    root = RandomStream(seed, "population")
+    # Codes are laid out in canonical category order, so the plan does not
+    # depend on the mix dict's insertion order.  The shuffles' draws depend
+    # only on the length, so populations are bit-identical to the
+    # pre-columnar object layout.
+    codes = array("B")
+    for code, count in enumerate(counts):
+        codes.extend([code] * count)
+    root.split("order").shuffle(codes)
+    ranks = array("I", range(1, num_domains + 1))
+    root.split("ranks").shuffle(ranks)
+    return codes.tobytes(), memoryview(ranks).toreadonly(), counts
+
+
 class PopulationPlan:
     """Deterministic per-domain plan shared by every worker.
 
@@ -285,46 +330,26 @@ class PopulationPlan:
     derive the same plan from ``(config, seed)``, so chunk ``k`` means the
     same domains everywhere.
 
-    The plan's authoritative storage is *columnar*: an ``array('B')`` of
-    category codes and an ``array('I')`` of ranks.  :class:`PlannedDomain`
-    objects are materialized lazily (and at most once) when somebody asks
-    for :attr:`domains`; the batched engines and worker-side generators
-    read :meth:`chunk_rows` instead and never pay for the object layer.
-    A category index and the ground-truth counts are built once here —
-    categories never change after planning, so they need no invalidation;
-    the name->rank map is cached and dropped by :meth:`plant`.
+    The plan's authoritative storage is *columnar*: a ``bytes`` column of
+    category codes, a read-only ``memoryview`` of ranks and a tuple of
+    per-category counts.  They come from :func:`_plan_columns`, a
+    one-entry, process-local memo keyed on ``(seed, num_domains, mix)``,
+    so every plan of one population in a process shares them; they are
+    read-only, so no plan can change another's.  :class:`PlannedDomain`
+    objects are materialized lazily (and at most once) per plan when
+    somebody asks for :attr:`domains` — planting re-ranks those objects
+    only; the batched engines and worker-side generators read
+    :meth:`chunk_rows` instead and never pay for the object layer.  The
+    name->rank map is cached and dropped by :meth:`plant`.
     """
 
     def __init__(self, config: PopulationConfig, seed: int) -> None:
         self.config = config
         self.seed = seed
-        root = RandomStream(seed, "population")
-
-        counts = self._category_counts(config)
-        codes = array("B")
-        # Canonical category order: the plan must not depend on the mix
-        # dict's insertion order, or a worker rebuilding the config from
-        # canonical params would lay out a different population.  Shuffling
-        # the code column draws exactly what shuffling the old object list
-        # drew (the draws depend only on the length), so populations are
-        # bit-identical to the pre-columnar layout.
-        for category in sorted(counts, key=lambda c: c.value):
-            codes.extend([CATEGORY_CODE[category]] * counts[category])
-        root.split("order").shuffle(codes)
-
-        ranks = array("I", range(1, config.num_domains + 1))
-        root.split("ranks").shuffle(ranks)
-
-        self._codes = codes
-        self._ranks = ranks
-        self._counts: Dict[DomainCategory, int] = {
-            category: counts.get(category, 0) for category in DomainCategory
-        }
-        self._index_by_category: Dict[DomainCategory, "array[int]"] = {
-            category: array("I") for category in CATEGORY_ORDER
-        }
-        for index, code in enumerate(codes):
-            self._index_by_category[CATEGORY_ORDER[code]].append(index)
+        mix = tuple(sorted((c.value, fraction) for c, fraction in config.mix.items()))
+        self._codes, self._ranks, self._counts = _plan_columns(
+            seed, config.num_domains, mix
+        )
         self._domains: Optional[List[PlannedDomain]] = None
         self._rank_cache: Optional[Dict[str, int]] = None
 
@@ -349,29 +374,9 @@ class PopulationPlan:
             ]
         return self._domains
 
-    @staticmethod
-    def _category_counts(config: PopulationConfig) -> Dict[DomainCategory, int]:
-        """Apportion domains to categories with largest-remainder rounding."""
-        n = config.num_domains
-        raw = {c: n * frac for c, frac in config.mix.items()}
-        counts = {c: int(v) for c, v in raw.items()}
-        shortfall = n - sum(counts.values())
-        by_remainder = sorted(
-            raw, key=lambda c: (counts[c] - raw[c], c.value)
-        )
-        for category in by_remainder[:shortfall]:
-            counts[category] += 1
-        return counts
-
     @property
     def num_chunks(self) -> int:
         return self.config.num_chunks
-
-    def chunk(self, chunk_index: int) -> List[PlannedDomain]:
-        """The planned domains of chunk ``chunk_index`` (object view)."""
-        self._check_chunk(chunk_index)
-        size = self.config.chunk_size
-        return self.domains[chunk_index * size: (chunk_index + 1) * size]
 
     def chunk_rows(self, chunk_index: int) -> List[Tuple[int, str, DomainCategory, int]]:
         """Chunk contents as cheap ``(index, name, category, rank)`` rows.
@@ -403,16 +408,14 @@ class PopulationPlan:
 
     def truth_counts(self) -> Dict[DomainCategory, int]:
         """Exact category counts, precomputed at planning time."""
-        return dict(self._counts)
-
-    def domains_in(self, category: DomainCategory) -> List[PlannedDomain]:
-        """Planned domains of one category, via the one-time index."""
-        domains = self.domains
-        return [domains[i] for i in self._index_by_category[category]]
+        return {
+            category: self._counts[CATEGORY_CODE[category]]
+            for category in DomainCategory
+        }
 
     def count_in(self, category: DomainCategory) -> int:
         """Category cardinality without materializing any objects."""
-        return self._counts[category]
+        return self._counts[CATEGORY_CODE[category]]
 
     def rank_of(self) -> Dict[str, int]:
         """Domain name -> current Alexa rank (reflects any planting).
@@ -461,10 +464,6 @@ class SyntheticInternet:
     chunks:
         Chunk indices to generate; ``None`` builds the full population.
         Use :meth:`shard` for the explicit worker-side constructor.
-    plan:
-        Pre-computed :class:`PopulationPlan` to reuse (must match
-        ``(config, seed)``); avoids re-planning when the caller already
-        holds one.
     """
 
     def __init__(
@@ -472,7 +471,6 @@ class SyntheticInternet:
         config: PopulationConfig,
         seed: int,
         chunks: Optional[Sequence[int]] = None,
-        plan: Optional[PopulationPlan] = None,
     ) -> None:
         self.config = config
         self.seed = seed
@@ -501,7 +499,7 @@ class SyntheticInternet:
                 f"{config.num_domains} domains in chunks of {config.chunk_size}"
             )
         self._pool = AddressPool(network)
-        self.plan = plan if plan is not None else PopulationPlan(config, seed)
+        self.plan = PopulationPlan(config, seed)
         if chunks is None:
             self.chunk_indices: List[int] = list(range(self.plan.num_chunks))
         else:

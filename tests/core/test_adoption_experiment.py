@@ -54,6 +54,18 @@ class TestAdoptionExperiment:
         assert a.summary.counts == b.summary.counts
 
 
+@pytest.mark.parametrize("engine", ["object", "batch", "columnar"])
+@pytest.mark.parametrize("num_domains", [870, 903])
+def test_planting_skipped_when_a_target_rank_is_missing(num_domains, engine):
+    # Enough nolisting domains to plant, but rank 904 does not exist yet.
+    planted = run_adoption_experiment(num_domains=num_domains, engine=engine)
+    unplanted = run_adoption_experiment(
+        num_domains=num_domains, engine=engine, plant_popular=False
+    )
+    assert planted.crosscheck == unplanted.crosscheck
+    assert planted.summary.total_domains == num_domains
+
+
 class TestTwoScanAblation:
     def test_single_scan_has_false_positives(self):
         counts = single_scan_false_positives(

@@ -64,6 +64,13 @@ class TestPlanting:
         with pytest.raises(ValueError):
             plant_popular_nolisting(internet)
 
+    def test_raises_naming_a_rank_outside_the_population(self):
+        internet = build_internet(num_domains=900)  # 5 nolisting domains
+        before = [t.alexa_rank for t in internet.domains]
+        with pytest.raises(ValueError, match="rank 904"):
+            plant_popular_nolisting(internet)
+        assert [t.alexa_rank for t in internet.domains] == before
+
 
 class TestCrossCheck:
     def test_matches_paper_buckets(self):
