@@ -23,6 +23,15 @@ def _workers_arg(value: str) -> int:
     return count
 
 
+def _domains_arg(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"domain count must be >= 1, got {count}"
+        )
+    return count
+
+
 def _fault_rate_arg(value: str) -> float:
     rate = float(value)
     if not 0.0 <= rate <= 1.0:
@@ -626,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("adoption", help="Figure 2: nolisting adoption scan")
-    p.add_argument("--domains", type=int, default=20000)
+    p.add_argument("--domains", type=_domains_arg, default=20000)
     p.add_argument(
         "--engine",
         choices=("object", "batch", "columnar"),
@@ -652,7 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
         "internet-scale",
         help="what-if deployment sweep at internet scale",
     )
-    p.add_argument("--domains", type=int, default=50000)
+    p.add_argument("--domains", type=_domains_arg, default=50000)
     p.add_argument("--messages", type=int, default=400)
     p.add_argument(
         "--engine",

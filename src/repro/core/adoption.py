@@ -86,9 +86,9 @@ def run_adoption_experiment(
     chunk into outcome equivalence classes (see :mod:`repro.scan.batch`)
     and produces bit-identical results at a fraction of the cost;
     ``"columnar"`` holds each chunk as parallel fixed-width columns and
-    vectorizes the fault-free accounting (see :mod:`repro.scan.columnar`),
-    delegating faulted or glue-eliding payloads to the batch replay —
-    results are bit-identical in every case.
+    vectorizes the fault-free accounting, glue elision included (see
+    :mod:`repro.scan.columnar`), delegating only faulted payloads to the
+    batch replay — results are bit-identical in every case.
 
     ``fault_rate`` turns on measurement-infrastructure faults: each scan
     additionally suffers host outages, port-25 flaps and DNS

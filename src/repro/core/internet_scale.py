@@ -78,6 +78,16 @@ def _family_blocked_probability(
     return min(blocked, 1.0)
 
 
+def _check_num_domains(num_domains: int) -> None:
+    """Reject an empty receiver internet before any work starts.
+
+    The wave targets a random receiver domain per message, so with no
+    domains there is nothing to deliver to.
+    """
+    if num_domains < 1:
+        raise ValueError(f"num_domains must be >= 1, got {num_domains}")
+
+
 def run_internet_scale(
     num_domains: int = 60,
     greylisting_rate: float = 0.3,
@@ -116,6 +126,7 @@ def run_internet_scale(
     """
     if engine not in ("object", "batch", "columnar"):
         raise ValueError(f"unknown internet-scale engine {engine!r}")
+    _check_num_domains(num_domains)
     if not 0.0 <= greylisting_rate + nolisting_rate <= 1.0:
         raise ValueError("deployment rates must sum to at most 1")
     if engine in ("batch", "columnar"):
@@ -546,6 +557,7 @@ def sweep_deployment_rates(
 
     if engine not in ("object", "batch", "columnar"):
         raise ValueError(f"unknown internet-scale engine {engine!r}")
+    _check_num_domains(num_domains)
     if rates is None:
         rates = [(0.0, 0.0), (0.2, 0.05), (0.5, 0.1), (0.8, 0.2)]
     payloads = [

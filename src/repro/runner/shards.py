@@ -37,9 +37,10 @@ def adoption_shard_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     returns the identical result without building zones or probes;
     ``engine: "columnar"`` routes it through the columnar engine
     (:func:`repro.scan.columnar.columnar_adoption_shard`), which
-    vectorizes the fault-free accounting over the chunk's columns.  The
-    key is only present when batching, so object-path payloads keep their
-    pre-batch cache identity.
+    vectorizes the fault-free accounting over the chunk's columns, at any
+    glue-elision rate, and hands faulted payloads to the batch engine.
+    The key is only present when batching, so object-path payloads keep
+    their pre-batch cache identity.
     """
     if payload.get("engine") == "batch":
         from ..scan.batch import batched_adoption_shard

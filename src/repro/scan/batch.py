@@ -136,6 +136,29 @@ def _replay_chunk(
     return specs
 
 
+def elided_glue(
+    elision_root: RandomStream,
+    scan_index: int,
+    name: str,
+    carrying: int,
+    glue_elision_rate: float,
+) -> int:
+    """How many of a domain's ``carrying`` glue records one capture drops.
+
+    The draw contract of :meth:`~repro.scan.scanner.DNSScanner.
+    iter_observations`: one uniform per glue-carrying MX record, in record
+    order, from the per-domain stream ``"elision:<scan>:<name>"``; a draw
+    below the rate elides that record's glue.  Only the count matters
+    downstream (the parallel re-resolve repairs every elided record), and
+    an answer carrying no glue consumes no draws, so its stream is never
+    seeded.
+    """
+    if carrying == 0:
+        return 0
+    stream = elision_root.split(f"elision:{scan_index}:{name}")
+    return sum(1 for draw in stream.random_block(carrying) if draw < glue_elision_rate)
+
+
 def _scan_shape(
     spec: _DomainSpec,
     scan_index: int,
@@ -151,42 +174,35 @@ def _scan_shape(
         if kind is not None:
             return ("mxfault", kind), 0
 
-    # Which records' glue survives the capture (A-query faults, then the
-    # scanner's elision stream — one draw per glue-carrying record, in
-    # record order, exactly as DNSScanner.scan consumes them).  Provider
-    # pool exchangers live in their own zone, so their glue A query can
+    # How many records' glue reaches the capture: A-query faults remove
+    # some, then the scanner's elision stream drops more.  Provider pool
+    # exchangers live in their own zone, so their glue A query can
     # additionally hit that zone's lame delegation — a fault the domain's
-    # own MX query never sees.
+    # own MX query never sees.  Ghost exchanges never carry any glue.
     pool_lame = (
         faults is not None
         and spec.pool_apex is not None
         and faults.zone_lame(spec.pool_apex)
     )
-    glue_present: List[bool] = []
-    for hostname, _, address in spec.records:
-        if address is None:
-            glue_present.append(False)  # ghost exchange: never any glue
-        elif pool_lame:
-            glue_present.append(False)
-        elif faults is not None and faults.dns_fault(hostname, scan_index):
-            glue_present.append(False)
-        else:
-            glue_present.append(True)
-    if elision_root is not None:
-        elision_rng = elision_root.split(f"elision:{scan_index}:{spec.name}")
-        for i, present in enumerate(glue_present):
-            if present and elision_rng.random() < glue_elision_rate:
-                glue_present[i] = False
+    carrying = 0
+    if not pool_lame:
+        for hostname, _, address in spec.records:
+            if address is None:
+                continue
+            if faults is not None and faults.dns_fault(hostname, scan_index):
+                continue
+            carrying += 1
 
     n_records = len(spec.records)
     # The parallel re-resolve repairs every non-ghost record against a
-    # healthy resolver, so post-repair resolution == "has an A record".
+    # healthy resolver, so post-repair resolution == "has an A record",
+    # and every resolvable record that lacked glue counts as repaired.
     n_resolved = sum(1 for (_, _, address) in spec.records if address is not None)
-    repaired = sum(
-        1
-        for (_, _, address), present in zip(spec.records, glue_present)
-        if address is not None and not present
-    )
+    repaired = n_resolved - carrying
+    if elision_root is not None:
+        repaired += elided_glue(
+            elision_root, scan_index, spec.name, carrying, glue_elision_rate
+        )
 
     if n_records < 2 or n_resolved < 2:
         # ONE_MX / MISCONFIGURED shapes never consult the banner grab.

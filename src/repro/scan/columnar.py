@@ -400,23 +400,28 @@ def columnar_adoption_shard(
 ) -> Dict[str, Any]:
     """Columnar equivalent of :func:`repro.scan.batch.batched_adoption_shard`.
 
-    Fault-free, elision-free scans are a pure function of the chunk's
-    columns, so the whole chunk collapses to ``unique(packed keys)`` —
-    vectorized under NumPy — and the *real* classifiers run once per
-    distinct key.  Faulted or glue-eliding payloads depend on per-domain
-    RNG streams that are inherently sequential; those delegate to the
+    A fault-free scan's shapes, classes and coverage figures are a pure
+    function of the chunk's columns, so the whole chunk collapses to
+    ``unique(packed keys)`` — vectorized under NumPy — and the *real*
+    classifiers run once per distinct key.  Glue elision does not change
+    that: those figures read the captures after the parallel re-resolve
+    has restored every elided glue record, so elision moves only
+    ``repaired``, counted per glue-carrying domain by
+    :func:`_elided_in_chunk`.  Faulted payloads depend on which glue and
+    which listeners each fault removed, per domain; those delegate to the
     batch replay engine, which produces the identical result.
     """
     from ..core.adoption import _TRUTH_TO_CLASS
     from .batch import _shape_verdict, batched_adoption_shard
     from .detect import DomainClass, SingleScanVerdict, classify_two_scans
 
-    if payload.get("faults") is not None or float(payload["glue_elision_rate"]) > 0:
+    if payload.get("faults") is not None:
         return batched_adoption_shard(payload, counters)
 
     config = population_from_params(payload["population"])
     seed = int(payload["seed"])
     chunk_index = int(payload["chunk"])
+    glue_elision_rate = float(payload["glue_elision_rate"])
     plan = PopulationPlan(config, seed)
     chunk = build_columnar_chunk(plan, config, seed, chunk_index)
 
@@ -473,6 +478,7 @@ def columnar_adoption_shard(
             nolisting_keys.append(key)
 
     nolisting_domains = _members_of(chunk, plan, packed, nolisting_keys)
+    repaired = _elided_in_chunk(chunk, plan, seed, glue_elision_rate)
 
     if counters is not None:
         counters.members += chunk.n
@@ -485,10 +491,42 @@ def columnar_adoption_shard(
         "flapped": int(flapped),
         "servers": int(servers_covered),
         "addresses": int(addresses_covered),
-        "repaired": 0,  # no elision and no faults -> nothing to re-resolve
+        # Without faults every record the re-resolve repairs lost its glue
+        # to elision alone.
+        "repaired": repaired,
         "confusion": {k: int(v) for k, v in confusion.items()},
         "nolisting_domains": sorted(nolisting_domains),
     }
+
+
+def _elided_in_chunk(
+    chunk: ColumnarChunk, plan: PopulationPlan, seed: int, glue_elision_rate: float
+) -> int:
+    """Glue records a fault-free chunk's two captures elide.
+
+    Without faults every non-ghost MX record carries glue, so a domain's
+    glue-carrying count is its ``mx_count`` — except a dangling domain's
+    ghost exchange, which carries none (and a no-MX domain has no records
+    at all).  The per-domain draws are :func:`repro.scan.batch.
+    elided_glue`'s, the contract the batch replay shares.
+    """
+    from .batch import elided_glue
+
+    if glue_elision_rate <= 0:
+        return 0
+    elision_root = RandomStream(seed, "adoption-scan")
+    elided = 0
+    for i, (topology, carrying) in enumerate(
+        zip(chunk.topology.tolist(), chunk.mx_count.tolist())
+    ):
+        if topology == TOPO_DANGLING or not carrying:
+            continue
+        name = plan.name_of(chunk.start + i)
+        for scan_index in (0, 1):
+            elided += elided_glue(
+                elision_root, scan_index, name, carrying, glue_elision_rate
+            )
+    return elided
 
 
 def _members_of(

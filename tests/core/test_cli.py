@@ -65,6 +65,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--fault-rate", "1.5", "adoption"])
 
+    @pytest.mark.parametrize("command", ["adoption", "internet-scale"])
+    @pytest.mark.parametrize("domains", ["0", "-3"])
+    def test_non_positive_domains_rejected(self, command, domains, capsys):
+        # A usage error (exit 2), not a traceback from deep in the run.
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--domains", domains])
+        assert exc.value.code == 2
+        assert "domain count must be >= 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_mta_survey(self, capsys):

@@ -56,3 +56,19 @@ class TestInternetScale:
     def test_rate_validation(self):
         with pytest.raises(ValueError):
             run_internet_scale(greylisting_rate=0.9, nolisting_rate=0.3)
+
+    @pytest.mark.parametrize("engine", ["object", "batch", "columnar"])
+    @pytest.mark.parametrize("num_domains", [0, -3])
+    def test_empty_internet_rejected(self, engine, num_domains):
+        with pytest.raises(ValueError, match="num_domains"):
+            run_internet_scale(num_domains=num_domains, engine=engine)
+
+    def test_sweep_rejects_empty_internet_before_running(self, monkeypatch):
+        import repro.runner.pool as pool
+
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("the sweep ran before validating num_domains")
+
+        monkeypatch.setattr(pool, "run_tasks", no_tasks)
+        with pytest.raises(ValueError, match="num_domains"):
+            sweep_deployment_rates(num_domains=0)

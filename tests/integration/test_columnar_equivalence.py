@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.adoption import run_adoption_experiment
 from repro.core.internet_scale import run_internet_scale, sweep_deployment_rates
+from repro.scan.alexa import PAPER_NOLISTING_RANKS
 from repro.scan.profiles import profile_config
 
 
@@ -39,14 +40,45 @@ class TestAdoptionEquivalence:
         )
         _assert_adoption_equal(obj, col)
 
-    def test_batch_identical_at_10k_vectorized(self):
-        # glue_elision_rate=0 and no faults is the fully vectorized path
-        # (no delegation to the batch replay) — compared against the batch
+    @pytest.mark.parametrize("glue_elision_rate", [0.0, 0.1])
+    def test_batch_identical_at_10k_vectorized(self, glue_elision_rate):
+        # Without faults every payload stays on the vectorized path, with
+        # or without glue elision (0.1 is the experiment's default) — no
+        # delegation to the batch replay — compared against the batch
         # engine at a size the object path need not run at.
-        kwargs = dict(num_domains=10_000, seed=13, glue_elision_rate=0.0)
+        kwargs = dict(
+            num_domains=10_000, seed=13, glue_elision_rate=glue_elision_rate
+        )
         bat = run_adoption_experiment(engine="batch", **kwargs)
         col = run_adoption_experiment(engine="columnar", **kwargs)
         _assert_adoption_equal(bat, col)
+
+    @pytest.mark.parametrize("plant_popular", [True, False])
+    @pytest.mark.parametrize("glue_elision_rate", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("profile", ["figure2", "provider-consolidated"])
+    def test_object_identical_under_glue_elision(
+        self, profile, glue_elision_rate, plant_popular
+    ):
+        # Elision only moves ``repaired``, which the columnar path counts
+        # from the same per-domain streams the object scanner draws.
+        config = profile_config(profile, num_domains=1200)
+        kwargs = dict(
+            seed=17,
+            config=config,
+            glue_elision_rate=glue_elision_rate,
+            plant_popular=plant_popular,
+        )
+        obj = run_adoption_experiment(engine="object", **kwargs)
+        col = run_adoption_experiment(engine="columnar", **kwargs)
+        _assert_adoption_equal(obj, col)
+        assert col.repaired_mx_records > 0
+        if glue_elision_rate == 1.0:
+            # Every glue record of both captures is elided and repaired.
+            assert col.repaired_mx_records == 2 * col.summary.addresses_covered
+        if plant_popular:
+            assert set(PAPER_NOLISTING_RANKS) <= set(
+                col.crosscheck.ranked_adopters
+            )
 
     @pytest.mark.parametrize("fault_seed", [77, 3])
     def test_identical_under_fault_injection(self, fault_seed):

@@ -8,6 +8,8 @@ deployment column must replay the object path's draws exactly.
 
 import pytest
 
+from repro.faults.model import FaultConfig, fault_params
+from repro.scan.batch import elided_glue
 from repro.scan.columnar import (
     DEPLOY_GREYLISTED,
     DEPLOY_NOLISTED,
@@ -33,6 +35,7 @@ from repro.scan.population import (
     provider_pool_apex,
 )
 from repro.scan.profiles import PROFILE_CODE, PROFILES, profile_config
+from repro.scan.scanner import DNSScanner
 from repro.sim.rng import RandomStream
 
 #: A config that exercises every topology branch: self-hosted multi-MX,
@@ -124,17 +127,80 @@ class TestFallbackBackend:
                 continue
             assert [int(x) for x in a] == [int(x) for x in b]
 
-    def test_fallback_shard_identical(self, monkeypatch):
+    @pytest.mark.parametrize("glue_elision_rate", [0.0, 0.1])
+    def test_fallback_shard_identical(self, monkeypatch, glue_elision_rate):
         config = profile_config("provider-consolidated", num_domains=500)
         payload = {
             "population": population_params(config),
             "seed": 11,
-            "glue_elision_rate": 0.0,
+            "glue_elision_rate": glue_elision_rate,
             "chunk": 0,
         }
         with_numpy = columnar_adoption_shard(dict(payload))
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         assert columnar_adoption_shard(dict(payload)) == with_numpy
+
+
+class TestGlueElision:
+    """Fault-free elision stays columnar; only faults reach the batch replay."""
+
+    @staticmethod
+    def _payload(**extra):
+        config = profile_config("provider-consolidated", num_domains=500)
+        return {
+            "population": population_params(config),
+            "seed": 11,
+            "glue_elision_rate": 0.1,
+            "chunk": 0,
+            **extra,
+        }
+
+    def test_elision_never_delegates(self, monkeypatch):
+        from repro.scan import batch
+
+        def refuse(payload, counters=None):
+            raise AssertionError("fault-free payload replayed by the batch engine")
+
+        monkeypatch.setattr(batch, "batched_adoption_shard", refuse)
+        assert columnar_adoption_shard(self._payload())["repaired"] > 0
+
+    def test_faults_still_delegate(self, monkeypatch):
+        from repro.scan import batch
+
+        replay = batch.batched_adoption_shard
+        calls = []
+
+        def spy(payload, counters=None):
+            calls.append(payload["chunk"])
+            return replay(payload, counters)
+
+        monkeypatch.setattr(batch, "batched_adoption_shard", spy)
+        payload = self._payload(
+            faults=fault_params(FaultConfig.uniform(0.05, seed=3))
+        )
+        assert columnar_adoption_shard(payload) == replay(payload)
+        assert calls == [0]
+
+    @pytest.mark.parametrize("scan_index", [0, 1])
+    def test_elided_glue_matches_scanner(self, scan_index):
+        # The shared per-domain draw contract against the object scanner:
+        # every exchange the capture left without an address but that has
+        # an A record lost its glue to elision.
+        config = PopulationConfig(**POOLED)
+        internet = SyntheticInternet.shard(config, 42, [0])
+        root = RandomStream(42, "adoption-scan")
+        scanner = DNSScanner(internet, glue_elision_rate=0.5, rng=root)
+        capture = {o.domain: o for o in scanner.iter_observations(scan_index)}
+        elided_total = 0
+        for truth in internet.domains:
+            carrying = sum(1 for _, _, addr in truth.mx_hosts if addr is not None)
+            elided = elided_glue(root, scan_index, truth.name, carrying, 0.5)
+            captured = sum(
+                1 for record in capture[truth.name].mx if record.address is not None
+            )
+            assert captured == carrying - elided, truth.name
+            elided_total += elided
+        assert elided_total > 0
 
 
 class TestDeploymentStreaming:
