@@ -8,6 +8,7 @@ also available as a library call.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -30,6 +31,24 @@ def _domains_arg(value: str) -> int:
             f"domain count must be >= 1, got {count}"
         )
     return count
+
+
+def _messages_arg(value: str) -> int:
+    count = int(value)
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"message count must be >= 1, got {count}"
+        )
+    return count
+
+
+def _threshold_arg(value: str) -> float:
+    seconds = float(value)
+    if not 0.0 <= seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"threshold must be finite and >= 0 seconds, got {seconds}"
+        )
+    return seconds
 
 
 def _fault_rate_arg(value: str) -> float:
@@ -686,13 +705,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mta_survey)
 
     p = sub.add_parser("kelihos", help="Figures 3-4: Kelihos vs greylisting")
-    p.add_argument("--threshold", type=float, default=300.0)
-    p.add_argument("--messages", type=int, default=100)
+    p.add_argument("--threshold", type=_threshold_arg, default=300.0)
+    p.add_argument("--messages", type=_messages_arg, default=100)
     p.set_defaults(func=_cmd_kelihos)
 
     p = sub.add_parser("deployment", help="Figure 5: benign delivery delays")
-    p.add_argument("--threshold", type=float, default=300.0)
-    p.add_argument("--messages", type=int, default=2000)
+    p.add_argument("--threshold", type=_threshold_arg, default=300.0)
+    p.add_argument("--messages", type=_messages_arg, default=2000)
     p.set_defaults(func=_cmd_deployment)
 
     p = sub.add_parser("synergy", help="greylisting x blacklisting synergy")

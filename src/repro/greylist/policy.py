@@ -21,6 +21,7 @@ those events.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
@@ -111,8 +112,8 @@ class GreylistPolicy(ConnectionPolicy):
         store_backend: str = "memory",
         store_path: Optional[str] = None,
     ) -> None:
-        if delay < 0:
-            raise ValueError("greylisting delay must be non-negative")
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and non-negative, got {delay!r}")
         if network_prefix is not None and not 0 <= network_prefix <= 32:
             raise ValueError(f"invalid network prefix {network_prefix}")
         if auto_whitelist_clients < 0:

@@ -17,8 +17,9 @@ keeps resetting the greylist triplet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..greylist.policy import GreylistPolicy
 from ..greylist.whitelist import Whitelist
@@ -50,9 +51,9 @@ def _mta_spec(name: str) -> ProviderSpec:
 
 SpecFactory = Callable[[RandomStream], ProviderSpec]
 
-
-def _fixed(spec: ProviderSpec) -> SpecFactory:
-    return lambda rng: spec
+#: A sender-mix entry's behaviour: one fixed spec for every message, or a
+#: factory that draws each message's spec from its own stream.
+SenderSpec = Union[ProviderSpec, SpecFactory]
 
 
 def _sparse_notifier(rng: RandomStream) -> ProviderSpec:
@@ -79,34 +80,33 @@ def _impatient_mta(rng: RandomStream) -> ProviderSpec:
     )
 
 
-def _no_retry(rng: RandomStream) -> ProviderSpec:
-    """Broken notification scripts that never retry (and lose their mail)."""
-    return ProviderSpec(
-        name="no-retry",
-        retry_ages=(),
-        ip_pool_size=1,
-        continuation_interval=None,
-        max_attempts=1,
-    )
+#: Broken notification scripts that never retry (and lose their mail).
+_NO_RETRY = ProviderSpec(
+    name="no-retry",
+    retry_ages=(),
+    ip_pool_size=1,
+    continuation_interval=None,
+    max_attempts=1,
+)
 
 
-#: Default benign-traffic mixture: (kind label, weight, spec factory).
-DEFAULT_SENDER_MIX: Tuple[Tuple[str, float, SpecFactory], ...] = (
-    ("mta:postfix", 0.20, _fixed(_mta_spec("postfix"))),
-    ("mta:sendmail", 0.12, _fixed(_mta_spec("sendmail"))),
-    ("mta:exim", 0.09, _fixed(_mta_spec("exim"))),
-    ("mta:qmail", 0.07, _fixed(_mta_spec("qmail"))),
-    ("mta:courier", 0.07, _fixed(_mta_spec("courier"))),
-    ("mta:exchange", 0.09, _fixed(_mta_spec("exchange"))),
-    ("webmail:gmail.com", 0.04, _fixed(PROVIDER_BY_NAME["gmail.com"])),
-    ("webmail:yahoo.co.uk", 0.04, _fixed(PROVIDER_BY_NAME["yahoo.co.uk"])),
-    ("webmail:mail.ru", 0.03, _fixed(PROVIDER_BY_NAME["mail.ru"])),
-    ("webmail:gmx.com", 0.03, _fixed(PROVIDER_BY_NAME["gmx.com"])),
-    ("webmail:mail.com", 0.03, _fixed(PROVIDER_BY_NAME["mail.com"])),
-    ("webmail:qq.com", 0.02, _fixed(PROVIDER_BY_NAME["qq.com"])),
+#: Default benign-traffic mixture: (kind label, weight, sender spec).
+DEFAULT_SENDER_MIX: Tuple[Tuple[str, float, SenderSpec], ...] = (
+    ("mta:postfix", 0.20, _mta_spec("postfix")),
+    ("mta:sendmail", 0.12, _mta_spec("sendmail")),
+    ("mta:exim", 0.09, _mta_spec("exim")),
+    ("mta:qmail", 0.07, _mta_spec("qmail")),
+    ("mta:courier", 0.07, _mta_spec("courier")),
+    ("mta:exchange", 0.09, _mta_spec("exchange")),
+    ("webmail:gmail.com", 0.04, PROVIDER_BY_NAME["gmail.com"]),
+    ("webmail:yahoo.co.uk", 0.04, PROVIDER_BY_NAME["yahoo.co.uk"]),
+    ("webmail:mail.ru", 0.03, PROVIDER_BY_NAME["mail.ru"]),
+    ("webmail:gmx.com", 0.03, PROVIDER_BY_NAME["gmx.com"]),
+    ("webmail:mail.com", 0.03, PROVIDER_BY_NAME["mail.com"]),
+    ("webmail:qq.com", 0.02, PROVIDER_BY_NAME["qq.com"]),
     ("sparse-notifier", 0.09, _sparse_notifier),
     ("impatient-mta", 0.05, _impatient_mta),
-    ("no-retry", 0.03, _no_retry),
+    ("no-retry", 0.03, _NO_RETRY),
 )
 
 
@@ -117,13 +117,15 @@ class DeploymentConfig:
     threshold: float = 300.0
     duration_days: float = 120.0           # January-April 2015
     num_messages: int = 2000
-    sender_mix: Sequence[Tuple[str, float, SpecFactory]] = DEFAULT_SENDER_MIX
+    sender_mix: Sequence[Tuple[str, float, SenderSpec]] = DEFAULT_SENDER_MIX
     whitelist: Optional[Whitelist] = None
     address_space: str = "172.16.0.0/12"
 
     def __post_init__(self) -> None:
-        if self.threshold < 0:
-            raise ValueError("threshold must be non-negative")
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(
+                f"threshold must be finite and non-negative, got {self.threshold!r}"
+            )
         if self.num_messages < 1:
             raise ValueError("need at least one message")
         if not self.sender_mix:
@@ -191,11 +193,14 @@ class UniversityDeployment:
         )
 
         for index, arrival in enumerate(arrivals):
-            kind, _, factory = self.config.sender_mix[
+            kind, _, spec = self.config.sender_mix[
                 mix_rng.weighted_index(weights)
             ]
             kind_counts[kind] = kind_counts.get(kind, 0) + 1
-            spec = factory(spec_rng.split(f"msg{index}"))
+            if not isinstance(spec, ProviderSpec):
+                # Only a factory draws.  A split depends on nothing but
+                # (seed, label), so skipping it for fixed specs moves no draw.
+                spec = spec(spec_rng.split(f"msg{index}"))
             addresses = pool.allocate_many(spec.ip_pool_size)
             if kind.startswith("webmail:"):
                 # Real provider domain, so provider whitelists can match.

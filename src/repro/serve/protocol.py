@@ -41,6 +41,7 @@ it.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Dict, Iterator, List, Optional
 
@@ -104,14 +105,19 @@ class PolicyRequest:
 
     @property
     def stamp(self) -> Optional[float]:
-        """Virtual-time stamp (replay extension); ``None`` when absent."""
+        """Virtual-time stamp (replay extension); ``None`` when absent.
+
+        A stamp that is not a finite number counts as absent: the clock
+        it drives rejects non-finite time.
+        """
         raw = self.attrs.get("stamp")
         if raw is None:
             return None
         try:
-            return float(raw)
+            stamp = float(raw)
         except ValueError:
             return None
+        return stamp if math.isfinite(stamp) else None
 
     def __repr__(self) -> str:
         return (

@@ -12,6 +12,8 @@ milliseconds while preserving all relative delays exactly.
 
 from __future__ import annotations
 
+from math import inf
+
 
 class ClockError(Exception):
     """Raised on an illegal clock manipulation (e.g. moving time backwards)."""
@@ -30,8 +32,8 @@ class Clock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start at negative time {start!r}")
+        if not 0 <= start < inf:
+            raise ClockError(f"clock must start at a finite, non-negative time, got {start!r}")
         self._now = float(start)
 
     @property
@@ -42,19 +44,21 @@ class Clock:
     def advance_to(self, when: float) -> None:
         """Move the clock forward to ``when``.
 
-        Raises :class:`ClockError` if ``when`` lies in the past; advancing to
-        the current time is a no-op and is allowed (simultaneous events).
+        Raises :class:`ClockError` if ``when`` lies in the past or is not
+        finite; advancing to the current time is a no-op and is allowed
+        (simultaneous events).
         """
-        if when < self._now:
+        if not self._now <= when < inf:
             raise ClockError(
-                f"cannot move clock backwards from {self._now} to {when}"
+                f"cannot move clock from {self._now} to {when}: time must be "
+                f"finite and must not move backwards"
             )
         self._now = float(when)
 
     def advance_by(self, delta: float) -> None:
-        """Move the clock forward by ``delta`` seconds (must be >= 0)."""
-        if delta < 0:
-            raise ClockError(f"cannot advance clock by negative delta {delta}")
+        """Move the clock forward by ``delta`` seconds (finite, >= 0)."""
+        if not 0 <= delta < inf:
+            raise ClockError(f"clock delta must be finite and non-negative, got {delta}")
         self._now += float(delta)
 
     def __repr__(self) -> str:

@@ -12,12 +12,12 @@ themselves on this queue.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, Optional
 
-from .clock import Clock, ClockError
+from .clock import Clock
 
 EventCallback = Callable[[], Any]
 
@@ -26,37 +26,28 @@ class SchedulerError(Exception):
     """Raised on illegal scheduler operations."""
 
 
-@dataclass(frozen=True, slots=True)
 class EventHandle:
     """Opaque handle returned by :meth:`EventScheduler.schedule_at`.
 
-    Holding the handle allows the caller to cancel the event before it fires.
+    The handle *is* the scheduled event: the heap holds ``(when, seq,
+    handle)`` tuples and never compares handles, so handles compare and
+    hash by identity.  Holding one allows the caller to cancel the event
+    before it fires.
     """
 
-    when: float
-    seq: int
-    label: str = field(compare=False, default="")
-
-
-class _Entry:
-    """Internal heap entry; mutable so cancellation can tombstone it."""
-
-    __slots__ = ("when", "seq", "callback", "label", "cancelled")
+    __slots__ = ("when", "label", "callback", "_scheduler")
 
     def __init__(
-        self, when: float, seq: int, callback: EventCallback, label: str
+        self, when: float, label: str, callback: EventCallback, scheduler: EventScheduler
     ) -> None:
         self.when = when
-        self.seq = seq
-        self.callback = callback
         self.label = label
-        self.cancelled = False
+        self.callback = callback
+        # The scheduler it is pending in; None once it fired or was cancelled.
+        self._scheduler: Optional[EventScheduler] = scheduler
 
-    def sort_key(self) -> tuple:
-        return (self.when, self.seq)
-
-    def __lt__(self, other: "_Entry") -> bool:
-        return self.sort_key() < other.sort_key()
+    def __repr__(self) -> str:
+        return f"EventHandle(when={self.when!r}, label={self.label!r})"
 
 
 class EventScheduler:
@@ -101,8 +92,7 @@ class EventScheduler:
             )
         self.clock = clock if clock is not None else Clock()
         self.compact_min_tombstones = int(compact_min_tombstones)
-        self._heap: list[_Entry] = []
-        self._entries: dict[tuple, _Entry] = {}
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._events_processed = 0
         self._running = False
@@ -115,40 +105,40 @@ class EventScheduler:
         self, when: float, callback: EventCallback, label: str = ""
     ) -> EventHandle:
         """Schedule ``callback`` to run at absolute time ``when``."""
-        if when < self.clock.now:
+        if not self.clock.now <= when < inf:
             raise SchedulerError(
-                f"cannot schedule event at {when} before current time "
-                f"{self.clock.now}"
+                f"cannot schedule event at {when}: the time must be finite "
+                f"and not before the current time {self.clock.now}"
             )
         seq = next(self._seq)
-        entry = _Entry(when, seq, callback, label)
-        heapq.heappush(self._heap, entry)
-        self._entries[(when, seq)] = entry
-        return EventHandle(when=when, seq=seq, label=label)
+        handle = EventHandle(when, label, callback, self)
+        heappush(self._heap, (when, seq, handle))
+        return handle
 
     def schedule_in(
         self, delay: float, callback: EventCallback, label: str = ""
     ) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
-        if delay < 0:
-            raise SchedulerError(f"negative delay {delay}")
+        if not 0 <= delay < inf:
+            raise SchedulerError(
+                f"delay must be finite and non-negative, got {delay}"
+            )
         return self.schedule_at(self.clock.now + delay, callback, label)
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a pending event.
 
-        Returns ``True`` if the event was pending and is now cancelled,
-        ``False`` if it already fired or was already cancelled.
+        Returns ``True`` if the event was pending in this scheduler and is
+        now cancelled, ``False`` if it already fired, was already cancelled
+        or belongs to another scheduler.
         """
-        entry = self._entries.get((handle.when, handle.seq))
-        if entry is None or entry.cancelled:
+        if handle._scheduler is not self:
             return False
-        entry.cancelled = True
-        del self._entries[(handle.when, handle.seq)]
+        handle._scheduler = None
         self._tombstones += 1
         if (
             self._tombstones >= self.compact_min_tombstones
-            and self._tombstones * 2 > len(self._entries)
+            and self._tombstones * 2 > self.pending
         ):
             self._compact()
         return True
@@ -160,8 +150,8 @@ class EventScheduler:
         schedule/cancel churn workload (MTA retry timers that almost always
         get cancelled) they would otherwise accumulate without bound.
         """
-        self._heap = [entry for entry in self._heap if not entry.cancelled]
-        heapq.heapify(self._heap)
+        self._heap = [item for item in self._heap if item[2]._scheduler is not None]
+        heapify(self._heap)
         self._tombstones = 0
 
     # ------------------------------------------------------------------
@@ -171,18 +161,9 @@ class EventScheduler:
         """Fire the single next pending event.
 
         Returns ``True`` if an event fired, ``False`` if the queue is empty.
+        This is ``run(max_events=1)``, so it is not re-entrant either.
         """
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
-                self._tombstones -= 1
-                continue
-            del self._entries[(entry.when, entry.seq)]
-            self.clock.advance_to(entry.when)
-            self._events_processed += 1
-            entry.callback()
-            return True
-        return False
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains (or limits are hit).
@@ -192,7 +173,8 @@ class EventScheduler:
         until:
             Stop once the next event would fire strictly after this time; the
             clock is then advanced to ``until`` so post-run reads see the full
-            horizon.
+            horizon (unless ``max_events`` stopped the run with an event
+            still due by ``until``).
         max_events:
             Safety valve for runaway self-rescheduling loops.
 
@@ -201,32 +183,38 @@ class EventScheduler:
         if self._running:
             raise SchedulerError("scheduler is not re-entrant")
         self._running = True
+        horizon = inf if until is None else until
+        limit = inf if max_events is None else max_events
+        advance_to = self.clock.advance_to
         processed = 0
         try:
-            while self._heap:
-                if max_events is not None and processed >= max_events:
+            while processed < limit:
+                # Re-read every time: a cancel() inside the last callback
+                # may have compacted, and so rebound, the heap.
+                heap = self._heap
+                if not heap:
                     break
-                nxt = self._peek()
-                if nxt is None:
+                item = heappop(heap)
+                when, _, handle = item
+                if handle._scheduler is None:
+                    self._tombstones -= 1
+                    continue
+                if when > horizon:
+                    heappush(heap, item)
                     break
-                if until is not None and nxt.when > until:
-                    break
-                self.step()
+                handle._scheduler = None
+                advance_to(when)
+                self._events_processed += 1
                 processed += 1
+                handle.callback()
         finally:
             self._running = False
-        if until is not None and until > self.clock.now:
-            try:
+        if until is not None and self.clock.now < until < inf:
+            # Not past an event that max_events left due before ``until``.
+            next_time = self.next_event_time()
+            if next_time is None or next_time > until:
                 self.clock.advance_to(until)
-            except ClockError:  # pragma: no cover - guarded above
-                pass
         return processed
-
-    def _peek(self) -> Optional[_Entry]:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-            self._tombstones -= 1
-        return self._heap[0] if self._heap else None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -239,7 +227,7 @@ class EventScheduler:
     @property
     def pending(self) -> int:
         """Number of events still queued (excluding cancelled tombstones)."""
-        return len(self._entries)
+        return len(self._heap) - self._tombstones
 
     @property
     def events_processed(self) -> int:
@@ -263,8 +251,11 @@ class EventScheduler:
 
     def next_event_time(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` when idle."""
-        entry = self._peek()
-        return entry.when if entry is not None else None
+        heap = self._heap
+        while heap and heap[0][2]._scheduler is None:
+            heappop(heap)
+            self._tombstones -= 1
+        return heap[0][0] if heap else None
 
     def __repr__(self) -> str:
         return (

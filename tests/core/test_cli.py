@@ -74,6 +74,22 @@ class TestParser:
         assert exc.value.code == 2
         assert "domain count must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["kelihos", "deployment"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--messages", "0", "message count must be >= 1"),
+            ("--messages", "-3", "message count must be >= 1"),
+            ("--threshold", "-1", "threshold must be finite and >= 0"),
+            ("--threshold", "nan", "threshold must be finite and >= 0"),
+        ],
+    )
+    def test_bad_greylist_inputs_rejected(self, command, flag, value, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCommands:
     def test_mta_survey(self, capsys):

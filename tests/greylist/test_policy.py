@@ -89,6 +89,12 @@ class TestCoreSemantics:
         with pytest.raises(ValueError):
             GreylistPolicy(clock=clock, delay=-1)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, clock, delay):
+        # These used to pass, then die at the first deferral.
+        with pytest.raises(ValueError, match="delay must be finite and non-negative"):
+            GreylistPolicy(clock=clock, delay=delay)
+
 
 class TestWhitelisting:
     def test_static_whitelist_bypasses(self, clock):

@@ -1,5 +1,7 @@
 """Tests for the synthetic university deployment (the Figure 5 substrate)."""
 
+import hashlib
+
 import pytest
 
 from repro.greylist.whitelist import default_provider_whitelist
@@ -8,6 +10,8 @@ from repro.maillog.university import (
     DeploymentConfig,
     UniversityDeployment,
 )
+from repro.sim.rng import RandomStream
+from repro.webmail.provider import ProviderSpec
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +24,12 @@ class TestConfigValidation:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             DeploymentConfig(threshold=-1)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_rejects_non_finite_threshold(self, threshold):
+        # These used to pass, then die at the first deferral.
+        with pytest.raises(ValueError, match="threshold must be finite and non-negative"):
+            DeploymentConfig(threshold=threshold)
 
     def test_rejects_zero_messages(self):
         with pytest.raises(ValueError):
@@ -111,3 +121,61 @@ class TestWhitelistAblation:
         result = UniversityDeployment(config, seed=5).run()
         for log in result.delivered:
             assert log.attempts >= 2
+
+
+def _deployment_digest(result) -> str:
+    return hashlib.sha256(repr((
+        [(log.message_key, log.sender_kind, log.attempt_times, log.delivered)
+         for log in result.logs],
+        sorted(result.kind_counts.items()),
+        result.delivery_delays(),
+        [
+            (e.timestamp, str(e.triplet), e.action.value, e.attempt_number, e.triplet_age)
+            for e in result.policy.events
+        ],
+    )).encode()).hexdigest()
+
+
+def _count_splits(monkeypatch) -> list:
+    labels = []
+    split = RandomStream.split
+
+    def counting_split(self, label):
+        labels.append(label)
+        return split(self, label)
+
+    monkeypatch.setattr(RandomStream, "split", counting_split)
+    return labels
+
+
+class TestBitIdentity:
+    # Recorded when every sender, fixed or not, split its own stream;
+    # any change to a draw, the event order or a decision moves them.
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (7, "34f874d902218f7bdbe2cf43a48d6c7530f435b9fa66a3c4c166f22d7e4b7849"),
+            (23, "12e653fcf3587a7f154df80dc14330a1ed8cd618e72d0a03b48dc816518180e5"),
+        ],
+    )
+    def test_figure5_deployment_pinned(self, seed, digest):
+        result = UniversityDeployment(DeploymentConfig(num_messages=2000), seed=seed).run()
+        assert _deployment_digest(result) == digest
+
+    def test_only_drawing_senders_split_a_stream(self, monkeypatch):
+        labels = _count_splits(monkeypatch)
+        result = UniversityDeployment(DeploymentConfig(num_messages=400), seed=5).run()
+        drawing = [
+            f"msg{index}"
+            for index, log in enumerate(result.logs)
+            if log.sender_kind in ("sparse-notifier", "impatient-mta")
+        ]
+        assert drawing
+        assert labels == ["arrivals", "mix", "specs"] + drawing
+
+    def test_fixed_spec_mix_splits_no_message_stream(self, monkeypatch):
+        labels = _count_splits(monkeypatch)
+        fixed = [entry for entry in DEFAULT_SENDER_MIX if isinstance(entry[2], ProviderSpec)]
+        config = DeploymentConfig(num_messages=300, sender_mix=fixed)
+        UniversityDeployment(config, seed=5).run()
+        assert labels == ["arrivals", "mix", "specs"]

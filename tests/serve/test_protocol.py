@@ -172,6 +172,11 @@ class TestRequestAccessors:
     def test_stamp_malformed_is_none(self):
         assert PolicyRequest({"stamp": "not-a-float"}).stamp is None
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "1e400"])
+    def test_stamp_non_finite_is_none(self, raw):
+        # An infinite stamp used to move the replay clock to infinity.
+        assert PolicyRequest({"stamp": raw}).stamp is None
+
     def test_missing_accessors_default_empty(self):
         request = PolicyRequest({})
         assert request.request == ""

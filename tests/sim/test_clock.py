@@ -41,6 +41,17 @@ class TestClock:
         with pytest.raises(ClockError):
             Clock().advance_by(-0.1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ClockError):
+            Clock(start=bad)
+        clock = Clock(start=2.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(bad)
+        with pytest.raises(ClockError):
+            clock.advance_by(bad)
+        assert clock.now == 2.0
+
     def test_repr_contains_time(self):
         assert "7.000" in repr(Clock(start=7.0))
 

@@ -32,6 +32,18 @@ class TestScheduling:
         with pytest.raises(SchedulerError):
             sched.schedule_in(-1.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, sched, bad):
+        # A NaN event used to fire first, at clock.now == nan.
+        sched.clock.advance_to(1.0)
+        with pytest.raises(SchedulerError):
+            sched.schedule_at(bad, lambda: None)
+        with pytest.raises(SchedulerError):
+            sched.schedule_in(bad, lambda: None)
+        assert sched.heap_size == 0
+        assert sched.run() == 0
+        assert sched.now == 1.0
+
     def test_events_fire_in_time_order(self, sched):
         fired = []
         sched.schedule_at(3.0, lambda: fired.append("c"))
@@ -78,6 +90,22 @@ class TestCancellation:
         sched.run()
         assert sched.cancel(handle) is False
 
+    def test_foreign_handle_cancels_nothing(self, sched):
+        # Both events are the first ever scheduled at 1.0, so they share
+        # (when, seq); handles compare by identity, and only the owner's
+        # handle may cancel each.
+        other = EventScheduler(Clock())
+        fired = []
+        mine = sched.schedule_at(1.0, lambda: fired.append("mine"))
+        theirs = other.schedule_at(1.0, lambda: fired.append("theirs"))
+        assert mine != theirs and len({mine, theirs}) == 2
+        assert sched.cancel(theirs) is False
+        assert other.cancel(mine) is False
+        assert (sched.pending, other.pending) == (1, 1)
+        sched.run()
+        other.run()
+        assert fired == ["mine", "theirs"]
+
     def test_pending_excludes_cancelled(self, sched):
         handle = sched.schedule_at(1.0, lambda: None)
         sched.schedule_at(2.0, lambda: None)
@@ -101,6 +129,23 @@ class TestRunLimits:
         sched.schedule_at(5.0, lambda: fired.append(5))
         sched.run(until=5.0)
         assert fired == [5]
+
+    def test_run_until_with_max_events_keeps_due_events(self, sched):
+        # max_events stops the run with an event still due before the
+        # horizon: the clock must not jump past it (the next run used to
+        # fail moving the clock backwards).
+        fired = []
+        for t in (1.0, 2.0, 9.0):
+            sched.schedule_at(t, lambda t=t: fired.append(t))
+        assert sched.run(until=5.0, max_events=1) == 1
+        assert sched.now == 1.0
+        assert sched.run(until=5.0) == 1
+        assert (fired, sched.now) == ([1.0, 2.0], 5.0)
+
+    def test_run_until_infinity_drains(self, sched):
+        sched.schedule_at(3.0, lambda: None)
+        assert sched.run(until=float("inf")) == 1
+        assert sched.now == 3.0
 
     def test_max_events_bounds_runaway(self, sched):
         def loop():
