@@ -1,43 +1,14 @@
-"""Microbenchmarks of the equivalence-class batch engines.
+"""Microbenchmark of synergy's equivalence-class batch engine.
 
-These pin the throughput of the batched paths themselves (the object
-engines are covered by the experiment benches); the CI regression gate
-compares them against the committed ``BENCH_0.json`` baseline.
+This pins the throughput of the batched synergy path itself (the object
+engine is covered by the experiment benches); the CI regression gate
+compares it against the committed ``BENCH_0.json`` baseline.  The adoption
+scan and the internet-scale sweep run on the columnar engine, benched in
+``test_perf_columnar.py``.
 """
 
-from repro.core.adoption import run_adoption_experiment
-from repro.core.internet_scale import run_internet_scale
 from repro.core.synergy import run_synergy_experiment
 from repro.sim.batch import SessionOutcomeCache
-
-
-def test_perf_batch_adoption(benchmark):
-    """Batched adoption scan: classify 2,000 domains without zones/probes."""
-
-    def run():
-        result = run_adoption_experiment(
-            num_domains=2000, seed=7, engine="batch"
-        )
-        return result.summary.total_domains
-
-    assert benchmark(run) == 2000
-
-
-def test_perf_batch_internet_scale(benchmark):
-    """Batched spam wave over a 50,000-domain internet."""
-
-    def run():
-        result = run_internet_scale(
-            num_domains=50_000,
-            greylisting_rate=0.5,
-            nolisting_rate=0.1,
-            messages=400,
-            seed=61,
-            engine="batch",
-        )
-        return result.spam_sent
-
-    assert benchmark(run) == 400
 
 
 def test_perf_batch_synergy(benchmark):

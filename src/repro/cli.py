@@ -122,10 +122,7 @@ def _cmd_internet_scale(args: argparse.Namespace) -> int:
                 )
                 for r in results
             ],
-            title=(
-                f"Spam blocked as deployment grows "
-                f"({args.domains} domains, {args.engine} engine)"
-            ),
+            title=f"Spam blocked as deployment grows ({args.domains} domains)",
         )
     )
     return 0
@@ -657,11 +654,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domains", type=_domains_arg, default=20000)
     p.add_argument(
         "--engine",
-        choices=("object", "batch", "columnar"),
-        default="object",
+        choices=("object", "columnar"),
+        default="columnar",
         help=(
-            "shard implementation: per-object simulation, batch "
-            "equivalence-class engine, or columnar (vectorized) engine"
+            "shard implementation: columnar (vectorized) engine, or the "
+            "per-object simulation it is checked against"
         ),
     )
     p.add_argument(
@@ -681,14 +678,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="what-if deployment sweep at internet scale",
     )
     p.add_argument("--domains", type=_domains_arg, default=50000)
-    p.add_argument("--messages", type=int, default=400)
+    p.add_argument("--messages", type=_messages_arg, default=400)
     p.add_argument(
         "--engine",
-        choices=("object", "batch", "columnar"),
-        default="batch",
+        choices=("object", "columnar"),
+        default="columnar",
         help=(
-            "per-object simulation, equivalence-class batch engine, or "
-            "streaming columnar engine (fixed memory budget at any scale)"
+            "streaming columnar engine (fixed memory budget at any scale), "
+            "or the per-object simulation it is checked against"
         ),
     )
     p.set_defaults(func=_cmd_internet_scale)
@@ -698,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_defenses)
 
     p = sub.add_parser("webmail", help="Table III: webmail retry behaviour")
-    p.add_argument("--threshold", type=float, default=21600.0)
+    p.add_argument("--threshold", type=_threshold_arg, default=21600.0)
     p.set_defaults(func=_cmd_webmail)
 
     p = sub.add_parser("mta-survey", help="Table IV: MTA retry schedules")

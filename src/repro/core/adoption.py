@@ -73,7 +73,7 @@ def run_adoption_experiment(
     cache: Optional[ResultCache] = None,
     fault_rate: float = 0.0,
     fault_seed: Optional[int] = None,
-    engine: str = "object",
+    engine: str = "columnar",
 ) -> AdoptionExperimentResult:
     """Run the full adoption measurement end to end.
 
@@ -81,14 +81,13 @@ def run_adoption_experiment(
     (``0`` means one per CPU); results are identical for any value.
     ``cache`` memoizes completed chunks on disk.
 
-    ``engine`` selects the shard implementation: ``"object"`` builds and
-    scans the full synthetic world per chunk; ``"batch"`` collapses each
-    chunk into outcome equivalence classes (see :mod:`repro.scan.batch`)
-    and produces bit-identical results at a fraction of the cost;
-    ``"columnar"`` holds each chunk as parallel fixed-width columns and
-    vectorizes the fault-free accounting, glue elision included (see
-    :mod:`repro.scan.columnar`), delegating only faulted payloads to the
-    batch replay — results are bit-identical in every case.
+    ``engine`` selects the shard implementation.  ``"columnar"``, the
+    default, holds each chunk as parallel fixed-width columns and
+    vectorizes the fault-free accounting, glue elision included; faulted
+    chunks are replayed domain by domain from the same columns (see
+    :mod:`repro.scan.columnar` and :mod:`repro.scan.batch`).
+    ``"object"`` is the oracle: it builds and scans the full synthetic
+    world per chunk.  Results are bit-identical either way.
 
     ``fault_rate`` turns on measurement-infrastructure faults: each scan
     additionally suffers host outages, port-25 flaps and DNS
@@ -97,7 +96,7 @@ def run_adoption_experiment(
     per scan from ``fault_seed`` (default: ``seed``).  This exercises the
     transient failures the paper's two-scan protocol exists to filter.
     """
-    if engine not in ("object", "batch", "columnar"):
+    if engine not in ("object", "columnar"):
         raise ValueError(f"unknown adoption engine {engine!r}")
     if config is None:
         config = PopulationConfig(
@@ -135,9 +134,9 @@ def run_adoption_experiment(
             # Only present when enabled, so fault-free runs keep hitting
             # cache entries written before faults existed.
             **({"faults": faults} if faults is not None else {}),
-            # Same reasoning: object-path payloads stay byte-identical to
-            # their pre-batch-engine cache keys.
-            **({"engine": engine} if engine != "object" else {}),
+            # Same reasoning: default-engine payloads keep the key the
+            # object engine's payloads had while it was the default.
+            **({"engine": engine} if engine != "columnar" else {}),
         }
         for chunk in range(plan.num_chunks)
     ]

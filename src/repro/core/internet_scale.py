@@ -88,6 +88,18 @@ def _check_num_domains(num_domains: int) -> None:
         raise ValueError(f"num_domains must be >= 1, got {num_domains}")
 
 
+def _check_rates(greylisting_rate: float, nolisting_rate: float) -> None:
+    """Reject deployment rates that are not a share of the domains."""
+    for name, rate in (
+        ("greylisting_rate", greylisting_rate),
+        ("nolisting_rate", nolisting_rate),
+    ):
+        if not 0.0 <= rate <= 1.0:  # NaN fails both comparisons
+            raise ValueError(f"{name} must lie in [0, 1], got {rate}")
+    if greylisting_rate + nolisting_rate > 1.0:
+        raise ValueError("deployment rates must sum to at most 1")
+
+
 def run_internet_scale(
     num_domains: int = 60,
     greylisting_rate: float = 0.3,
@@ -96,7 +108,7 @@ def run_internet_scale(
     greylist_delay: float = 300.0,
     seed: int = 61,
     horizon: float = 400000.0,
-    engine: str = "object",
+    engine: str = "columnar",
     session_cache: Optional[SessionOutcomeCache] = None,
     counters: Optional[BatchCounters] = None,
     chunk_domains: int = 100_000,
@@ -109,33 +121,30 @@ def run_internet_scale(
     backends are bit-for-bit equivalent, so results are identical for
     any choice — which the backend-equivalence suite asserts.
 
-    ``engine="object"`` simulates every DNS lookup, connection and SMTP
-    dialogue on the event scheduler; ``engine="batch"`` collapses the wave
-    into (family x deployment) equivalence classes, drives one *real*
-    session per class (memoized in ``session_cache``, a
+    ``engine="columnar"``, the default, collapses the wave into (family x
+    deployment) equivalence classes, drives one *real* session per class
+    (memoized in ``session_cache``, a
     :class:`~repro.sim.batch.SessionOutcomeCache`) and replays only the
-    per-message retry-delay draws — producing the identical result.
-    ``engine="columnar"`` additionally *streams* the receiver internet's
+    per-message retry-delay draws.  It *streams* the receiver internet's
     deployment column in chunks of ``chunk_domains`` (see
     :func:`repro.scan.columnar.stream_deployment_chunks`), retaining only
     the targeted entries — peak memory is one chunk plus the wave,
     independent of ``num_domains``, which is what lifts the sweep to 10M
-    domains.  ``counters``, a :class:`~repro.sim.batch.BatchCounters`, is
-    filled with the batched run's collapse accounting when given; the
-    cache and counter knobs are ignored by the object engine.
+    domains.  ``engine="object"`` is the oracle: it simulates every DNS
+    lookup, connection and SMTP dialogue on the event scheduler, and
+    produces the identical result.  ``counters``, a
+    :class:`~repro.sim.batch.BatchCounters`, is filled with the columnar
+    run's collapse accounting when given; the cache, counter and chunk
+    knobs are ignored by the object engine.
+
+    Both deployment rates must lie in [0, 1] and sum to at most 1.
     """
-    if engine not in ("object", "batch", "columnar"):
+    if engine not in ("object", "columnar"):
         raise ValueError(f"unknown internet-scale engine {engine!r}")
     _check_num_domains(num_domains)
-    if not 0.0 <= greylisting_rate + nolisting_rate <= 1.0:
-        raise ValueError("deployment rates must sum to at most 1")
-    if engine in ("batch", "columnar"):
-        run = (
-            _run_internet_scale_batched
-            if engine == "batch"
-            else _run_internet_scale_columnar
-        )
-        return run(
+    _check_rates(greylisting_rate, nolisting_rate)
+    if engine == "columnar":
+        return _run_internet_scale_columnar(
             num_domains=num_domains,
             greylisting_rate=greylisting_rate,
             nolisting_rate=nolisting_rate,
@@ -205,7 +214,7 @@ def run_internet_scale(
         per_family_sent[family.name] += 1
         # One private retry-randomness stream per message: tasks stay
         # independent of scheduler interleaving, which is what lets the
-        # batch engine replay them without running the event loop.
+        # columnar engine replay them without running the event loop.
         bots[family.name].assign(
             Message(
                 sender=f"spam{index}@botnet.example",
@@ -303,7 +312,7 @@ def _resolve_wave(
 ) -> tuple:
     """Resolve every message of a replayed wave through session playbooks.
 
-    The shared core of the batch and columnar engines:
+    The core of the columnar engine:
 
     * a nolisted target blocks primary-only senders at the TCP layer (no
       session exists to cache) and is an open door for everyone else;
@@ -318,8 +327,7 @@ def _resolve_wave(
     per message (unique senders), and no other state couples messages, so
     outcomes depend only on (family, deployment kind, retry-draw stream) —
     which is exactly what is replayed.  ``deployment_of`` maps a target
-    domain index to its deployment kind; the batch engine backs it with
-    the full replayed list, the columnar engine with the streamed chunks'
+    domain index to its deployment kind, backed by the streamed chunks'
     targeted entries only.
     """
     from ..sim.batch import EquivalenceClassIndex
@@ -414,60 +422,6 @@ def _resolve_wave(
     return per_family_sent, per_family_delivered
 
 
-def _run_internet_scale_batched(
-    num_domains: int,
-    greylisting_rate: float,
-    nolisting_rate: float,
-    messages: int,
-    greylist_delay: float,
-    seed: int,
-    horizon: float,
-    session_cache: Optional[SessionOutcomeCache] = None,
-    counters: Optional[BatchCounters] = None,
-    chunk_domains: int = 100_000,
-    store_backend: str = "memory",
-) -> InternetScaleResult:
-    """The equivalence-class engine behind ``engine="batch"``.
-
-    Replays the object path's deployment, family-mix and target draws
-    verbatim, holding the full deployment list in memory, then resolves
-    each message through :func:`_resolve_wave`.  ``chunk_domains`` is
-    accepted for signature parity with the columnar engine and ignored.
-    """
-    rng = RandomStream(seed, "internet-scale")
-
-    # --- replay of the deployment draws (one uniform roll per domain) ----
-    deploy_rng = rng.split("deployments")
-    deployments: List[str] = []
-    for _ in range(num_domains):
-        roll = deploy_rng.random()
-        if roll < nolisting_rate:
-            deployments.append(_NOLISTED)
-        elif roll < nolisting_rate + greylisting_rate:
-            deployments.append(_GREYLISTED)
-        else:
-            deployments.append(_PLAIN)
-
-    wave = _replay_wave(rng, messages, num_domains)
-    per_family_sent, per_family_delivered = _resolve_wave(
-        wave,
-        deployments.__getitem__,
-        rng,
-        greylist_delay,
-        horizon,
-        session_cache,
-        counters,
-        store_backend=store_backend,
-    )
-    return _assemble_result(
-        num_domains,
-        greylisting_rate,
-        nolisting_rate,
-        per_family_sent,
-        per_family_delivered,
-    )
-
-
 def _run_internet_scale_columnar(
     num_domains: int,
     greylisting_rate: float,
@@ -483,13 +437,13 @@ def _run_internet_scale_columnar(
 ) -> InternetScaleResult:
     """The streaming engine behind ``engine="columnar"``.
 
-    Identical draws, identical results — different memory shape.  The wave
-    is replayed first (its streams are independent of the deployment
-    stream), which pins down the handful of *targeted* domain indices;
-    the deployment column is then streamed through in ``chunk_domains``
-    chunks (:func:`repro.scan.columnar.stream_deployment_chunks`, bulk
-    Python draws + vectorized binning) and only the targeted cells are
-    retained.  Peak memory is O(chunk + messages), independent of
+    The object path's draws, replayed, give its results without its
+    simulation.  The wave is replayed first (its streams are independent
+    of the deployment stream), which pins down the handful of *targeted*
+    domain indices; the deployment column is then streamed through in
+    ``chunk_domains`` chunks (:func:`repro.scan.columnar.
+    stream_deployment_chunks`, bulk Python draws + vectorized binning) and
+    only the targeted cells are retained.  Peak memory is O(chunk + messages), independent of
     ``num_domains`` — the property the memory-budget benchmark pins.
     """
     from ..scan.columnar import stream_deployment_chunks
@@ -539,27 +493,30 @@ def sweep_deployment_rates(
     workers: int = 1,
     cache=None,
     num_domains: int = 60,
-    engine: str = "object",
+    engine: str = "columnar",
     store_backend: str = "memory",
 ) -> List[InternetScaleResult]:
     """Block rate as deployment grows — the "what if adoption rose" curve.
 
     Each (greylisting, nolisting) grid point is an independent simulation,
     so the sweep fans them over ``workers`` processes; ``cache`` memoizes
-    completed points across invocations.  ``engine="batch"`` runs each
-    point on the equivalence-class engine — identical results at a
-    fraction of the cost; ``engine="columnar"`` additionally streams the
-    deployment column in fixed-size chunks, which is what pushes
-    ``num_domains`` to internet scale (10M+) under a fixed memory budget.
+    completed points across invocations.  ``engine="columnar"``, the
+    default, streams the deployment column in fixed-size chunks, which is
+    what pushes ``num_domains`` to internet scale (10M+) under a fixed
+    memory budget; ``engine="object"`` runs every point on the oracle,
+    with identical results.  Every grid point's rates are validated before
+    any point runs.
     """
     from ..runner.pool import run_tasks
     from ..runner.shards import internet_scale_task
 
-    if engine not in ("object", "batch", "columnar"):
+    if engine not in ("object", "columnar"):
         raise ValueError(f"unknown internet-scale engine {engine!r}")
     _check_num_domains(num_domains)
     if rates is None:
         rates = [(0.0, 0.0), (0.2, 0.05), (0.5, 0.1), (0.8, 0.2)]
+    for grey, nolist in rates:
+        _check_rates(grey, nolist)
     payloads = [
         {
             "num_domains": num_domains,
@@ -567,9 +524,9 @@ def sweep_deployment_rates(
             "nolisting_rate": nolist,
             "messages": messages,
             "seed": seed,
-            # Only present when batching, so object-path payloads keep
-            # their pre-batch-engine cache identity.
-            **({"engine": engine} if engine != "object" else {}),
+            # Only present off the default, so columnar payloads keep the
+            # key the object engine's payloads had while it was the default.
+            **({"engine": engine} if engine != "columnar" else {}),
             # Same idiom: the key exists only off the default backend, so
             # memory-backend payloads keep their pre-backend cache identity.
             **(

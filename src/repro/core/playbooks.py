@@ -1,8 +1,9 @@
 """Session playbooks: one *real* SMTP dialogue per outcome class.
 
-The batched experiment engines (:func:`repro.core.internet_scale.
-run_internet_scale` and :func:`repro.core.synergy.run_synergy_experiment`
-with ``engine="batch"``) replace per-message SMTP dialogues with
+The equivalence-class engines — :func:`repro.core.internet_scale.
+run_internet_scale` on its default ``engine="columnar"`` and
+:func:`repro.core.synergy.run_synergy_experiment` with ``engine="batch"``
+— replace per-message SMTP dialogues with
 :class:`~repro.sim.batch.SessionPlaybook` lookups.  Each playbook is
 produced here by driving the real server-side state machine
 (:class:`~repro.smtp.server.SMTPSession` with real policy objects) through

@@ -32,28 +32,21 @@ def adoption_shard_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     Fault draws are keyed by ``(fault seed, kind, scan index, name)``, so
     the chunk decomposition cannot change which domains or addresses fail.
 
-    ``engine: "batch"`` routes the payload through the equivalence-class
-    batch engine (:func:`repro.scan.batch.batched_adoption_shard`), which
-    returns the identical result without building zones or probes;
-    ``engine: "columnar"`` routes it through the columnar engine
+    Without an ``engine`` key the payload runs on the columnar engine
     (:func:`repro.scan.columnar.columnar_adoption_shard`), which
-    vectorizes the fault-free accounting over the chunk's columns, at any
-    glue-elision rate, and hands faulted payloads to the batch engine.
-    The key is only present when batching, so object-path payloads keep
-    their pre-batch cache identity.
+    vectorizes fault-free chunks and replays faulted ones.
+    ``engine: "object"`` runs the oracle below instead: it builds and
+    scans the full synthetic world and returns the identical result.  The
+    key is only present off the default, so columnar payloads keep the
+    cache identity object payloads had before the columnar default.
     """
-    if payload.get("engine") == "batch":
-        from ..scan.batch import batched_adoption_shard
-
-        return batched_adoption_shard(
-            {k: v for k, v in payload.items() if k != "engine"}
-        )
-    if payload.get("engine") == "columnar":
+    engine = payload.get("engine", "columnar")
+    if engine == "columnar":
         from ..scan.columnar import columnar_adoption_shard
 
-        return columnar_adoption_shard(
-            {k: v for k, v in payload.items() if k != "engine"}
-        )
+        return columnar_adoption_shard(payload)
+    if engine != "object":
+        raise ValueError(f"unknown adoption engine {engine!r}")
 
     from ..faults.model import FaultPlan, fault_from_params
     from ..scan.detect import DomainClass
@@ -161,10 +154,11 @@ def deployment_seed_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One what-if grid point of the internet-scale synthesis.
 
-    ``engine: "batch"`` routes the point through the equivalence-class
-    engine; the key is only present when batching, so object-path payloads
-    keep their pre-batch cache identity.  ``store_backend`` follows the
-    same idiom: present only off the default memory backend.
+    ``engine: "object"`` runs the point on the per-object oracle; without
+    the key it runs on the columnar engine, the default, so columnar
+    payloads keep the cache identity object payloads had before the
+    columnar default.  ``store_backend`` follows the same idiom: present
+    only off the default memory backend.
     """
     from ..core.internet_scale import run_internet_scale
 
@@ -174,7 +168,7 @@ def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         nolisting_rate=float(payload["nolisting_rate"]),
         messages=int(payload["messages"]),
         seed=int(payload["seed"]),
-        engine=str(payload.get("engine", "object")),
+        engine=str(payload.get("engine", "columnar")),
         store_backend=str(payload.get("store_backend", "memory")),
     )
     return {

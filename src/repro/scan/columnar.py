@@ -1,14 +1,13 @@
-"""Columnar struct-of-arrays pipeline for the internet-scale path.
+"""Columnar struct-of-arrays pipeline: the fast engine.
 
-The object path materializes one :class:`~repro.scan.population.DomainTruth`
-(plus zones, address objects and probe state) per domain; the batch engine
-(PR 5) dropped the zones but still builds a Python object per domain.  At
-internet scale neither fits: 10M domains of per-domain objects is gigabytes
-of heap.  This module holds the population as **parallel columns** — one
-small fixed-width cell per domain for rank, ground-truth category, MX
-topology, outage schedule, provider pool and generator profile — built one
-~100k-domain chunk at a time, so peak memory is bounded by the chunk size,
-not the population size.
+The object path (the oracle) materializes one
+:class:`~repro.scan.population.DomainTruth` (plus zones, address objects
+and probe state) per domain.  At internet scale that does not fit: 10M
+domains of per-domain objects is gigabytes of heap.  This module holds the
+population as **parallel columns** — one small fixed-width cell per domain
+for rank, ground-truth category, MX topology, outage schedule, provider
+pool and generator profile — built one ~100k-domain chunk at a time, so
+peak memory is bounded by the chunk size, not the population size.
 
 Columns are NumPy arrays when NumPy is importable (and ``REPRO_NO_NUMPY``
 is unset); otherwise the pure-Python :mod:`array` module provides the same
@@ -38,7 +37,6 @@ from ..net.address import IPv4Network
 from ..sim.rng import RandomStream
 from .population import (
     CATEGORY_CODE,
-    CATEGORY_ORDER,
     DomainCategory,
     PopulationConfig,
     PopulationPlan,
@@ -395,108 +393,59 @@ def _shape_of_key(key: int, scan_index: int) -> Tuple[Any, ...]:
     return (mx_count, mx_count, primary_up, True)
 
 
-def columnar_adoption_shard(
-    payload: Dict[str, Any], counters=None
-) -> Dict[str, Any]:
-    """Columnar equivalent of :func:`repro.scan.batch.batched_adoption_shard`.
+def _outcome_of_key(key: int) -> Tuple[Any, ...]:
+    """The outcome class (see :mod:`repro.scan.batch`) of one packed key.
+
+    A dangling domain's ghost exchange counts as a server without an
+    address; a no-MX domain has neither.
+    """
+    topology = key & _TOPO_BITS
+    mx_count = (key >> _MXC_SHIFT) & 7
+    return (
+        (key >> _CAT_SHIFT) & 7,
+        _shape_of_key(key, 0),
+        _shape_of_key(key, 1),
+        mx_count,
+        0 if topology == TOPO_DANGLING else mx_count,
+    )
+
+
+def columnar_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The fast engine's adoption shard: the object path's result, vectorized.
 
     A fault-free scan's shapes, classes and coverage figures are a pure
     function of the chunk's columns, so the whole chunk collapses to
-    ``unique(packed keys)`` — vectorized under NumPy — and the *real*
-    classifiers run once per distinct key.  Glue elision does not change
-    that: those figures read the captures after the parallel re-resolve
-    has restored every elided glue record, so elision moves only
-    ``repaired``, counted per glue-carrying domain by
-    :func:`_elided_in_chunk`.  Faulted payloads depend on which glue and
-    which listeners each fault removed, per domain; those delegate to the
-    batch replay engine, which produces the identical result.
+    ``unique(packed keys)`` — vectorized under NumPy — and
+    :func:`repro.scan.batch.classify_and_tally` runs the *real* classifiers
+    once per distinct key.  Glue elision does not change that: those
+    figures read the captures after the parallel re-resolve has restored
+    every elided glue record, so elision moves only ``repaired``, counted
+    per glue-carrying domain by :func:`_elided_in_chunk`.  Faulted payloads
+    depend on which glue and which listeners each fault removed, per
+    domain; those go to the faulted-shard replay,
+    :func:`repro.scan.batch.batched_adoption_shard`, which feeds the same
+    fold.
     """
-    from ..core.adoption import _TRUTH_TO_CLASS
-    from .batch import _shape_verdict, batched_adoption_shard
-    from .detect import DomainClass, SingleScanVerdict, classify_two_scans
+    from .batch import batched_adoption_shard, classify_and_tally
 
     if payload.get("faults") is not None:
-        return batched_adoption_shard(payload, counters)
+        return batched_adoption_shard(payload)
 
     config = population_from_params(payload["population"])
     seed = int(payload["seed"])
-    chunk_index = int(payload["chunk"])
-    glue_elision_rate = float(payload["glue_elision_rate"])
     plan = PopulationPlan(config, seed)
-    chunk = build_columnar_chunk(plan, config, seed, chunk_index)
-
+    chunk = build_columnar_chunk(plan, config, seed, int(payload["chunk"]))
     packed = _pack_outcome_keys(chunk)
-    cardinality = _unique_counts(packed)
-
-    shape_memo: Dict[Tuple[Any, ...], SingleScanVerdict] = {}
-    representative_runs = 0
-
-    def verdict_of(shape: Tuple[Any, ...]) -> SingleScanVerdict:
-        nonlocal representative_runs
-        verdict = shape_memo.get(shape)
-        if verdict is None:
-            verdict = _shape_verdict(shape)
-            shape_memo[shape] = verdict
-            representative_runs += 1
-        return verdict
-
-    pair_memo: Dict[Tuple[SingleScanVerdict, SingleScanVerdict], DomainClass] = {}
-    counts = {c: 0 for c in DomainClass}
-    total = flapped = servers_covered = addresses_covered = 0
-    confusion = {"correct": 0, "wrong": 0}
-    nolisting_keys: List[int] = []
-
-    for key, members in cardinality.items():
-        topology = key & _TOPO_BITS
-        mx_count = (key >> _MXC_SHIFT) & 7
-        category = CATEGORY_ORDER[(key >> _CAT_SHIFT) & 7]
-        shape_a = _shape_of_key(key, 0)
-        shape_b = _shape_of_key(key, 1)
-        verdict_a = verdict_of(shape_a)
-        verdict_b = verdict_of(shape_b)
-        pair = (verdict_a, verdict_b)
-        domain_class = pair_memo.get(pair)
-        if domain_class is None:
-            domain_class = classify_two_scans(
-                "representative.example", verdict_a, verdict_b
-            ).domain_class
-            pair_memo[pair] = domain_class
-            representative_runs += 1
-        total += members
-        counts[domain_class] += members
-        if verdict_a != verdict_b:
-            flapped += members
-        servers = mx_count if topology != TOPO_NO_MX else 0
-        addresses = 0 if topology in (TOPO_NO_MX, TOPO_DANGLING) else mx_count
-        servers_covered += servers * members
-        addresses_covered += addresses * members
-        if domain_class is _TRUTH_TO_CLASS[category]:
-            confusion["correct"] += members
-        else:
-            confusion["wrong"] += members
-        if domain_class is DomainClass.NOLISTING:
-            nolisting_keys.append(key)
-
-    nolisting_domains = _members_of(chunk, plan, packed, nolisting_keys)
-    repaired = _elided_in_chunk(chunk, plan, seed, glue_elision_rate)
-
-    if counters is not None:
-        counters.members += chunk.n
-        counters.classes += len(cardinality)
-        counters.representative_runs += representative_runs
-
-    return {
-        "total": int(total),
-        "counts": {c.value: int(counts.get(c, 0)) for c in DomainClass},
-        "flapped": int(flapped),
-        "servers": int(servers_covered),
-        "addresses": int(addresses_covered),
+    return classify_and_tally(
+        (
+            (_outcome_of_key(key), members, key)
+            for key, members in _unique_counts(packed).items()
+        ),
         # Without faults every record the re-resolve repairs lost its glue
         # to elision alone.
-        "repaired": repaired,
-        "confusion": {k: int(v) for k, v in confusion.items()},
-        "nolisting_domains": sorted(nolisting_domains),
-    }
+        _elided_in_chunk(chunk, plan, seed, float(payload["glue_elision_rate"])),
+        lambda keys: _members_of(chunk, plan, packed, keys),
+    )
 
 
 def _elided_in_chunk(
@@ -508,7 +457,7 @@ def _elided_in_chunk(
     glue-carrying count is its ``mx_count`` — except a dangling domain's
     ghost exchange, which carries none (and a no-MX domain has no records
     at all).  The per-domain draws are :func:`repro.scan.batch.
-    elided_glue`'s, the contract the batch replay shares.
+    elided_glue`'s, the contract the faulted replay shares.
     """
     from .batch import elided_glue
 

@@ -54,7 +54,7 @@ class TestAdoptionExperiment:
         assert a.summary.counts == b.summary.counts
 
 
-@pytest.mark.parametrize("engine", ["object", "batch", "columnar"])
+@pytest.mark.parametrize("engine", ["object", "columnar"])
 @pytest.mark.parametrize("num_domains", [870, 903])
 def test_planting_skipped_when_a_target_rank_is_missing(num_domains, engine):
     # Enough nolisting domains to plant, but rank 904 does not exist yet.

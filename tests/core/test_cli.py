@@ -45,6 +45,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["adoption", "--engine", "warp"])
 
+    @pytest.mark.parametrize("command", ["adoption", "internet-scale"])
+    def test_engine_defaults_to_columnar(self, command):
+        assert build_parser().parse_args([command]).engine == "columnar"
+
+    @pytest.mark.parametrize("command", ["adoption", "internet-scale"])
+    def test_retired_batch_engine_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--engine", "batch"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batch'" in capsys.readouterr().err
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -89,6 +100,22 @@ class TestParser:
             main([command, flag, value])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_internet_scale_empty_wave_rejected(self, value, capsys):
+        # A wave with no spam used to print a table of 0.00 % rows.
+        with pytest.raises(SystemExit) as exc:
+            main(["internet-scale", "--messages", value])
+        assert exc.value.code == 2
+        assert "message count must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_webmail_bad_threshold_rejected(self, value, capsys):
+        # Used to die with a ValueError traceback from GreylistPolicy.
+        with pytest.raises(SystemExit) as exc:
+            main(["webmail", "--threshold", value])
+        assert exc.value.code == 2
+        assert "threshold must be finite and >= 0" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -140,29 +167,24 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Using nolisting" in out
 
-    def test_adoption_batch_engine_matches_object(self, capsys):
-        assert main(["--seed", "42", "adoption", "--domains", "1000"]) == 0
-        object_out = capsys.readouterr().out
-        assert (
-            main(
-                [
-                    "--seed",
-                    "42",
-                    "adoption",
-                    "--domains",
-                    "1000",
-                    "--engine",
-                    "batch",
-                ]
-            )
-            == 0
-        )
-        assert capsys.readouterr().out == object_out
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["adoption", "--domains", "1000"],
+            ["internet-scale", "--domains", "300", "--messages", "150"],
+        ],
+        ids=["adoption", "internet-scale"],
+    )
+    def test_object_engine_prints_what_the_default_prints(self, command, capsys):
+        assert main(["--seed", "42", *command]) == 0
+        default_out = capsys.readouterr().out
+        assert main(["--seed", "42", *command, "--engine", "object"]) == 0
+        assert capsys.readouterr().out == default_out
 
     def test_internet_scale(self, capsys):
         assert main(["internet-scale", "--domains", "5000", "--messages", "200"]) == 0
         out = capsys.readouterr().out
-        assert "Greylisting" in out and "batch engine" in out
+        assert "Greylisting" in out and "(5000 domains)" in out
 
     def test_profile_report_on_stderr(self, capsys):
         assert main(["--profile", "mta-survey"]) == 0

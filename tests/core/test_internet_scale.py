@@ -57,11 +57,38 @@ class TestInternetScale:
         with pytest.raises(ValueError):
             run_internet_scale(greylisting_rate=0.9, nolisting_rate=0.3)
 
-    @pytest.mark.parametrize("engine", ["object", "batch", "columnar"])
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
     @pytest.mark.parametrize("num_domains", [0, -3])
     def test_empty_internet_rejected(self, engine, num_domains):
         with pytest.raises(ValueError, match="num_domains"):
             run_internet_scale(num_domains=num_domains, engine=engine)
+
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    @pytest.mark.parametrize(
+        "field, rates",
+        [
+            ("greylisting_rate", dict(greylisting_rate=-0.5, nolisting_rate=0.6)),
+            ("nolisting_rate", dict(greylisting_rate=0.6, nolisting_rate=-0.5)),
+            ("greylisting_rate", dict(greylisting_rate=1.5, nolisting_rate=0.0)),
+            ("greylisting_rate", dict(greylisting_rate=float("nan"), nolisting_rate=0.1)),
+            ("nolisting_rate", dict(greylisting_rate=0.1, nolisting_rate=float("nan"))),
+        ],
+    )
+    def test_rate_outside_unit_interval_rejected(self, engine, field, rates):
+        # -0.5 + 0.6 passes the sum check alone; each rate is a share.
+        with pytest.raises(ValueError, match=field):
+            run_internet_scale(messages=20, engine=engine, **rates)
+
+    @pytest.mark.parametrize("rates", [(-0.5, 0.6), (0.2, float("nan"))])
+    def test_sweep_rejects_bad_rate_before_running(self, monkeypatch, rates):
+        import repro.runner.pool as pool
+
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("the sweep ran before validating its rates")
+
+        monkeypatch.setattr(pool, "run_tasks", no_tasks)
+        with pytest.raises(ValueError, match="rate"):
+            sweep_deployment_rates(rates=[(0.1, 0.1), rates])
 
     def test_sweep_rejects_empty_internet_before_running(self, monkeypatch):
         import repro.runner.pool as pool

@@ -94,26 +94,30 @@ class TestExperimentWithFaults:
             seed=SEED,
             fault_rate=FAULT_RATE,
             workers=1,
+            engine="object",
         )
         assert result.confusion["wrong"] <= TOLERANCE
         baseline = run_adoption_experiment(
-            num_domains=NUM_DOMAINS, seed=SEED, workers=1
+            num_domains=NUM_DOMAINS, seed=SEED, workers=1, engine="object"
         )
         assert baseline.confusion["wrong"] == 0
 
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_count_invariant_with_faults(self, workers):
+    def test_worker_count_invariant_with_faults(self, workers, engine):
         serial = run_adoption_experiment(
             num_domains=NUM_DOMAINS,
             seed=SEED,
             fault_rate=FAULT_RATE,
             workers=1,
+            engine=engine,
         )
         parallel = run_adoption_experiment(
             num_domains=NUM_DOMAINS,
             seed=SEED,
             fault_rate=FAULT_RATE,
             workers=workers,
+            engine=engine,
         )
         assert parallel.summary.counts == serial.summary.counts
         assert parallel.summary.flapped == serial.summary.flapped

@@ -200,8 +200,9 @@ class TestExperimentLevelEquivalence:
             )
             assert result == reference, name
 
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_deployment_sweep_backends_and_workers(self, workers):
+    def test_deployment_sweep_backends_and_workers(self, workers, engine):
         """Shard-runner leg: every backend x worker count, one answer."""
         from repro.core.internet_scale import sweep_deployment_rates
 
@@ -211,6 +212,7 @@ class TestExperimentLevelEquivalence:
             seed=19,
             num_domains=30,
             workers=1,
+            engine=engine,
         )
         for name in BACKEND_NAMES:
             results = sweep_deployment_rates(
@@ -219,9 +221,10 @@ class TestExperimentLevelEquivalence:
                 seed=19,
                 num_domains=30,
                 workers=workers,
+                engine=engine,
                 store_backend=name,
             )
-            assert results == reference, (name, workers)
+            assert results == reference, (name, workers, engine)
 
     def test_synergy_all_backends(self):
         from repro.core.synergy import run_synergy_experiment

@@ -19,25 +19,32 @@ from repro.scan.population import (
 WORKER_COUNTS = (1, 2, 4)
 
 
+@pytest.fixture(scope="module", params=["object", "columnar"])
+def engine(request):
+    return request.param
+
+
 @pytest.fixture(scope="module")
-def serial_adoption():
-    return run_adoption_experiment(num_domains=1200, seed=17)
+def serial_adoption(engine):
+    return run_adoption_experiment(num_domains=1200, seed=17, engine=engine)
 
 
 class TestAdoptionDeterminism:
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_workers_do_not_change_result(self, serial_adoption, workers):
-        run = run_adoption_experiment(num_domains=1200, seed=17, workers=workers)
+    def test_workers_do_not_change_result(self, serial_adoption, engine, workers):
+        run = run_adoption_experiment(
+            num_domains=1200, seed=17, engine=engine, workers=workers
+        )
         assert run == serial_adoption
 
-    def test_cached_rerun_identical(self, serial_adoption, tmp_path):
+    def test_cached_rerun_identical(self, serial_adoption, engine, tmp_path):
         cache = ResultCache(root=tmp_path)
         cold = run_adoption_experiment(
-            num_domains=1200, seed=17, workers=2, cache=cache
+            num_domains=1200, seed=17, engine=engine, workers=2, cache=cache
         )
         assert cache.stores > 0
         warm = run_adoption_experiment(
-            num_domains=1200, seed=17, workers=2, cache=cache
+            num_domains=1200, seed=17, engine=engine, workers=2, cache=cache
         )
         assert cache.hits >= cache.stores
         assert cold == serial_adoption

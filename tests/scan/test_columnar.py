@@ -142,7 +142,7 @@ class TestFallbackBackend:
 
 
 class TestGlueElision:
-    """Fault-free elision stays columnar; only faults reach the batch replay."""
+    """Fault-free elision stays columnar; only faults reach the replay."""
 
     @staticmethod
     def _payload(**extra):
@@ -158,8 +158,8 @@ class TestGlueElision:
     def test_elision_never_delegates(self, monkeypatch):
         from repro.scan import batch
 
-        def refuse(payload, counters=None):
-            raise AssertionError("fault-free payload replayed by the batch engine")
+        def refuse(payload):
+            raise AssertionError("fault-free payload went to the faulted replay")
 
         monkeypatch.setattr(batch, "batched_adoption_shard", refuse)
         assert columnar_adoption_shard(self._payload())["repaired"] > 0
@@ -170,9 +170,9 @@ class TestGlueElision:
         replay = batch.batched_adoption_shard
         calls = []
 
-        def spy(payload, counters=None):
+        def spy(payload):
             calls.append(payload["chunk"])
-            return replay(payload, counters)
+            return replay(payload)
 
         monkeypatch.setattr(batch, "batched_adoption_shard", spy)
         payload = self._payload(

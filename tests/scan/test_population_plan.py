@@ -45,7 +45,7 @@ def columns(plan):
     return plan._codes, bytes(plan._ranks), plan._counts
 
 
-@pytest.mark.parametrize("engine", ["object", "batch", "columnar"])
+@pytest.mark.parametrize("engine", ["object", "columnar"])
 def test_one_derivation_per_experiment(derivations, engine):
     result = run_adoption_experiment(num_domains=5000, workers=1, engine=engine)
     assert result.summary.total_domains == 5000
@@ -56,7 +56,7 @@ def test_one_derivation_per_experiment(derivations, engine):
 def test_planting_never_reaches_the_shared_columns():
     def crosscheck(plant):
         return run_adoption_experiment(
-            num_domains=5000, seed=3, engine="batch", plant_popular=plant
+            num_domains=5000, seed=3, plant_popular=plant
         ).crosscheck
 
     unplanted = crosscheck(False)
