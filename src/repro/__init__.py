@@ -6,9 +6,13 @@ The package is layered bottom-up:
 * :mod:`repro.sim` — deterministic discrete-event kernel (clock, scheduler,
   splittable RNG streams);
 * :mod:`repro.net` — virtual IPv4 internet (addresses, hosts, ports);
+* :mod:`repro.faults` — seed-derived fault injection for the synthetic
+  internet (host outages, port flaps, DNS failures, session resets);
 * :mod:`repro.dns` — zones, resolver, MX handling, nolisting setup;
 * :mod:`repro.smtp` — RFC 5321 server state machine and compliant client;
 * :mod:`repro.greylist` — Postgrey-compatible triplet greylisting;
+* :mod:`repro.blacklist` — reactive DNSBL, telemetry feed and SMTP policy;
+* :mod:`repro.filter` — post-acceptance content filtering (naive Bayes);
 * :mod:`repro.mta` — benign MTA retry schedules (Table IV profiles);
 * :mod:`repro.botnet` — the four spam-family behaviour models (Table I);
 * :mod:`repro.webmail` — the ten webmail provider models (Table III);
@@ -18,53 +22,20 @@ The package is layered bottom-up:
 * :mod:`repro.core` — the paper's experiments, one callable per
   table/figure;
 * :mod:`repro.runner` — parallel sharded experiment runner (process pool,
-  deterministic merge, on-disk result cache).
+  deterministic merge, on-disk result cache);
+* :mod:`repro.serve` — the live Postfix policy daemon over the same
+  greylisting policy, and its load generator.
+
+Packages do not re-export: import each name from the module that
+defines it.
 
 Quick start::
 
-    from repro.core import build_defense_matrix, table2_text
+    from repro.core.defense_matrix import build_defense_matrix
+    from repro.core.reports import table2_text
+
     matrix = build_defense_matrix()
     print(table2_text(matrix))
 """
 
-# Defined before the subpackage imports so modules (e.g. the runner's
-# result cache, which keys entries on the package version) can read it
-# while the package is still initializing.
 __version__ = "1.1.0"
-
-from . import (  # noqa: F401,E402 — re-exported subpackages
-    analysis,
-    blacklist,
-    botnet,
-    core,
-    dns,
-    filter,
-    greylist,
-    maillog,
-    mta,
-    net,
-    runner,
-    scan,
-    sim,
-    smtp,
-    webmail,
-)
-
-__all__ = [
-    "analysis",
-    "blacklist",
-    "botnet",
-    "core",
-    "dns",
-    "filter",
-    "greylist",
-    "maillog",
-    "mta",
-    "net",
-    "runner",
-    "scan",
-    "sim",
-    "smtp",
-    "webmail",
-    "__version__",
-]

@@ -1,40 +1,1 @@
 """Analysis helpers: CDFs, summary statistics and ASCII tables."""
-
-from .cdf import EmpiricalCDF, ascii_cdf, ks_distance
-from .stats import Summary, fraction_within, histogram, summarize
-from .tables import (
-    CHECK,
-    CROSS,
-    format_percent,
-    format_seconds,
-    mark,
-    render_table,
-)
-from .timeseries import (
-    WEEK,
-    TimeBin,
-    bin_events,
-    rate_series,
-    rate_stability,
-)
-
-__all__ = [
-    "CHECK",
-    "CROSS",
-    "EmpiricalCDF",
-    "Summary",
-    "TimeBin",
-    "WEEK",
-    "ascii_cdf",
-    "bin_events",
-    "rate_series",
-    "rate_stability",
-    "format_percent",
-    "format_seconds",
-    "fraction_within",
-    "histogram",
-    "ks_distance",
-    "mark",
-    "render_table",
-    "summarize",
-]

@@ -1,14 +1,1 @@
 """Reactive DNSBL substrate: blacklist, telemetry feed and SMTP policy."""
-
-from .dnsbl import ListingState, ReactiveBlacklist
-from .feed import TelemetryFeed
-from .policy import DNSBL_REJECT_CODE, DNSBLEvent, DNSBLPolicy
-
-__all__ = [
-    "DNSBL_REJECT_CODE",
-    "DNSBLEvent",
-    "DNSBLPolicy",
-    "ListingState",
-    "ReactiveBlacklist",
-    "TelemetryFeed",
-]

@@ -1,61 +1,1 @@
 """Botnet substrate: MX-behaviour taxonomy, bot engine and family models."""
-
-from .behavior import MXBehavior, defeats_nolisting, select_targets
-from .bot import BotAttempt, BotAttemptOutcome, BotTask, SpamBot
-from .campaign import CommandAndControl, SpamCampaign, make_recipient_list
-from .families import (
-    BOTNET_FRACTION_OF_GLOBAL_SPAM,
-    CUTWAIL,
-    DARKMAILER,
-    DARKMAILER_V3,
-    FAMILIES,
-    FAMILY_BY_NAME,
-    KELIHOS,
-    TOTAL_BOTNET_SPAM_SHARE,
-    TOTAL_GLOBAL_SPAM_SHARE,
-    FamilyProfile,
-    global_spam_share,
-)
-from .retry import (
-    KELIHOS_MODES,
-    BotRetryModel,
-    EmpiricalRetryModel,
-    FireAndForget,
-    RetryMode,
-    kelihos_retry_model,
-)
-from .samples import TOTAL_SAMPLE_COUNT, Sample, collect_samples, samples_of
-
-__all__ = [
-    "BOTNET_FRACTION_OF_GLOBAL_SPAM",
-    "BotAttempt",
-    "BotAttemptOutcome",
-    "BotRetryModel",
-    "BotTask",
-    "CUTWAIL",
-    "CommandAndControl",
-    "DARKMAILER",
-    "DARKMAILER_V3",
-    "EmpiricalRetryModel",
-    "FAMILIES",
-    "FAMILY_BY_NAME",
-    "FamilyProfile",
-    "FireAndForget",
-    "KELIHOS",
-    "KELIHOS_MODES",
-    "MXBehavior",
-    "RetryMode",
-    "Sample",
-    "SpamBot",
-    "SpamCampaign",
-    "TOTAL_BOTNET_SPAM_SHARE",
-    "TOTAL_GLOBAL_SPAM_SHARE",
-    "TOTAL_SAMPLE_COUNT",
-    "collect_samples",
-    "defeats_nolisting",
-    "global_spam_share",
-    "kelihos_retry_model",
-    "make_recipient_list",
-    "samples_of",
-    "select_targets",
-]

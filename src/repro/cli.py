@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from .analysis.tables import format_percent, format_seconds, render_table
 
@@ -24,22 +24,23 @@ def _workers_arg(value: str) -> int:
     return count
 
 
-def _domains_arg(value: str) -> int:
-    count = int(value)
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"domain count must be >= 1, got {count}"
-        )
-    return count
+def _count_arg(noun: str) -> Callable[[str], int]:
+    """An argparse type for a count of at least one ``noun``."""
+
+    # argparse names the function in its error for a non-integer value.
+    def integer(value: str) -> int:
+        count = int(value)
+        if count < 1:
+            raise argparse.ArgumentTypeError(
+                f"{noun} count must be >= 1, got {count}"
+            )
+        return count
+
+    return integer
 
 
-def _messages_arg(value: str) -> int:
-    count = int(value)
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"message count must be >= 1, got {count}"
-        )
-    return count
+_domains_arg = _count_arg("domain")
+_messages_arg = _count_arg("message")
 
 
 def _threshold_arg(value: str) -> float:
@@ -49,6 +50,20 @@ def _threshold_arg(value: str) -> float:
             f"threshold must be finite and >= 0 seconds, got {seconds}"
         )
     return seconds
+
+
+def _positive_arg(noun: str) -> Callable[[str], float]:
+    """An argparse type for a finite ``noun`` above zero."""
+
+    def number(value: str) -> float:
+        parsed = float(value)
+        if not 0.0 < parsed < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"{noun} must be finite and > 0, got {parsed}"
+            )
+        return parsed
+
+    return number
 
 
 def _fault_rate_arg(value: str) -> float:
@@ -555,16 +570,12 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_scorecard(args: argparse.Namespace) -> int:
-    from .core.scorecard import build_scorecard, scorecard_text
+    from .core.scorecard import build_scorecard, render_scorecard
 
-    print(
-        scorecard_text(
-            seed=args.seed, scale=args.scale, workers=args.workers
-        )
-    )
     rows = build_scorecard(
         seed=args.seed, scale=args.scale, workers=args.workers
     )
+    print(render_scorecard(rows))
     return 0 if all(row.holds for row in rows) else 1
 
 
@@ -691,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_internet_scale)
 
     p = sub.add_parser("defenses", help="Table II + coverage headline")
-    p.add_argument("--recipients", type=int, default=3)
+    p.add_argument("--recipients", type=_count_arg("recipient"), default=3)
     p.set_defaults(func=_cmd_defenses)
 
     p = sub.add_parser("webmail", help="Table III: webmail retry behaviour")
@@ -718,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_adaptation)
 
     p = sub.add_parser("dialects", help="SMTP-dialect fingerprinting survey")
-    p.add_argument("--sessions", type=int, default=400)
+    p.add_argument("--sessions", type=_count_arg("session"), default=400)
     p.set_defaults(func=_cmd_dialects)
 
     p = sub.add_parser("variants", help="greylisting keying variants")
@@ -753,7 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--delay",
-        type=float,
+        type=_threshold_arg,
         default=300.0,
         help="greylisting threshold in seconds",
     )
@@ -768,7 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--throttle-period",
-        type=float,
+        type=_positive_arg("throttle period"),
         default=60.0,
         help="throttle sliding-window length in seconds",
     )
@@ -805,25 +816,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--connections",
-        type=int,
+        type=_count_arg("connection"),
         default=100,
         help="concurrent connections for the load phase",
     )
     p.add_argument(
         "--requests",
-        type=int,
+        type=_count_arg("request"),
         default=10000,
         help="total decisions to request across all connections",
     )
     p.add_argument(
         "--messages",
-        type=int,
+        type=_messages_arg,
         default=200,
         help="campaign size of the captured bot-traffic trace",
     )
     p.add_argument(
         "--delay",
-        type=float,
+        type=_threshold_arg,
         default=300.0,
         help="greylisting threshold the trace is captured against",
     )
@@ -833,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
         "scorecard",
         help="run every experiment and print paper-vs-measured verdicts",
     )
-    p.add_argument("--scale", type=float, default=1.0)
+    p.add_argument("--scale", type=_positive_arg("scale"), default=1.0)
     p.set_defaults(func=_cmd_scorecard)
 
     return parser

@@ -1,186 +1,1 @@
 """The measurement harness: the paper's experiments as runnable code."""
-
-from .adaptation import (
-    BEHAVIOR_CLASSES,
-    ClassVerdicts,
-    EcosystemPoint,
-    ecosystem_weights,
-    measure_class_verdicts,
-    obsolescence_level,
-    sweep_adaptation,
-)
-from .adoption import (
-    AdoptionExperimentResult,
-    run_adoption_experiment,
-    single_scan_false_positives,
-)
-from .cost_attack import (
-    CostAttackResult,
-    compare_sweeping,
-    run_cost_attack,
-)
-from .coverage import (
-    PAPER_COMBINED_GLOBAL_SHARE,
-    CoverageReport,
-    build_coverage_report,
-)
-from .defense_matrix import (
-    DefenseMatrix,
-    SampleRun,
-    build_defense_matrix,
-    run_sample,
-)
-from .deployment import DeploymentExperimentResult, run_deployment_experiment
-from .dialect_survey import (
-    DEFAULT_TRAFFIC_MIX,
-    DialectSurveyResult,
-    run_dialect_survey,
-)
-from .figure1 import Figure1Trace, figure1_text, run_figure1
-from .filter_comparison import (
-    FilterComparisonResult,
-    compare_filtering,
-    run_filter_comparison,
-)
-from .greylist_experiment import (
-    PAPER_THRESHOLDS,
-    AttemptPoint,
-    GreylistExperimentResult,
-    run_greylist_experiment,
-    run_kelihos_threshold_sweep,
-)
-from .internet_scale import (
-    InternetScaleResult,
-    run_internet_scale,
-    sweep_deployment_rates,
-)
-from .longterm import LongTermResult, run_longterm_analysis
-from .mta_survey import MTARow, run_mta_survey, survey_mta
-from .multimx_greylist import (
-    MultiMXResult,
-    compare_store_sharing,
-    run_multimx_experiment,
-)
-from .mx_classifier import MXClassification, classify_sample, infer_behavior
-from .nolisting_impact import (
-    NolistingImpactResult,
-    SenderClassOutcome,
-    run_nolisting_impact,
-)
-from .reports import (
-    figure2_text,
-    figure3_text,
-    figure4_text,
-    figure5_text,
-    table1_text,
-    table2_text,
-    table3_text,
-    table4_text,
-)
-from .scorecard import ScorecardRow, build_scorecard, scorecard_text
-from .sensitivity import (
-    adoption_sensitivity,
-    deployment_sensitivity,
-    verdicts_seed_invariant,
-)
-from .synergy import (
-    SynergyResult,
-    run_synergy_comparison,
-    run_synergy_experiment,
-    sweep_greylist_delay,
-    sweep_listing_speed,
-)
-from .testbed import Defense, ExemptingPolicy, Testbed, TestbedConfig
-from .variants import ALL_STRATEGIES, VariantResult, compare_variants
-from .webmail_experiment import (
-    SIX_HOURS,
-    WebmailRow,
-    run_provider,
-    run_webmail_experiment,
-)
-
-__all__ = [
-    "AdoptionExperimentResult",
-    "AttemptPoint",
-    "BEHAVIOR_CLASSES",
-    "ClassVerdicts",
-    "CostAttackResult",
-    "DEFAULT_TRAFFIC_MIX",
-    "MultiMXResult",
-    "NolistingImpactResult",
-    "SenderClassOutcome",
-    "compare_store_sharing",
-    "compare_sweeping",
-    "run_cost_attack",
-    "run_multimx_experiment",
-    "run_nolisting_impact",
-    "DialectSurveyResult",
-    "EcosystemPoint",
-    "Figure1Trace",
-    "FilterComparisonResult",
-    "InternetScaleResult",
-    "LongTermResult",
-    "figure1_text",
-    "run_internet_scale",
-    "sweep_deployment_rates",
-    "run_figure1",
-    "compare_filtering",
-    "run_filter_comparison",
-    "ALL_STRATEGIES",
-    "SynergyResult",
-    "VariantResult",
-    "adoption_sensitivity",
-    "compare_variants",
-    "deployment_sensitivity",
-    "ecosystem_weights",
-    "verdicts_seed_invariant",
-    "measure_class_verdicts",
-    "obsolescence_level",
-    "run_dialect_survey",
-    "run_longterm_analysis",
-    "run_synergy_comparison",
-    "run_synergy_experiment",
-    "sweep_adaptation",
-    "sweep_greylist_delay",
-    "sweep_listing_speed",
-    "CoverageReport",
-    "Defense",
-    "DefenseMatrix",
-    "DeploymentExperimentResult",
-    "ExemptingPolicy",
-    "GreylistExperimentResult",
-    "MTARow",
-    "MXClassification",
-    "PAPER_COMBINED_GLOBAL_SHARE",
-    "PAPER_THRESHOLDS",
-    "SIX_HOURS",
-    "SampleRun",
-    "ScorecardRow",
-    "Testbed",
-    "build_scorecard",
-    "scorecard_text",
-    "TestbedConfig",
-    "WebmailRow",
-    "build_coverage_report",
-    "build_defense_matrix",
-    "classify_sample",
-    "figure2_text",
-    "figure3_text",
-    "figure4_text",
-    "figure5_text",
-    "infer_behavior",
-    "run_adoption_experiment",
-    "run_deployment_experiment",
-    "run_greylist_experiment",
-    "run_kelihos_threshold_sweep",
-    "run_mta_survey",
-    "run_provider",
-    "run_sample",
-    "run_webmail_experiment",
-    "single_scan_false_positives",
-    "survey_mta",
-    "table1_text",
-    "table2_text",
-    "table3_text",
-    "table4_text",
-]

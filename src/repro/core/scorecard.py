@@ -13,6 +13,7 @@ worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
 
@@ -248,8 +249,8 @@ def build_scorecard(
     sections over that many processes; the rows come back in the same
     order regardless.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be finite and positive, got {scale!r}")
 
     from ..runner.shards import scorecard_section_task
 
@@ -261,9 +262,8 @@ def build_scorecard(
     return [row for section_rows in sections for row in section_rows]
 
 
-def scorecard_text(seed: int = 42, scale: float = 1.0, workers: int = 1) -> str:
-    """Render the scorecard."""
-    rows = build_scorecard(seed=seed, scale=scale, workers=workers)
+def render_scorecard(rows: List[ScorecardRow]) -> str:
+    """Render scored rows as the paper-vs-measured table."""
     passed = sum(1 for row in rows if row.holds)
     table = render_table(
         headers=("Artefact", "Claim", "Paper", "Measured", "Holds"),
@@ -275,3 +275,10 @@ def scorecard_text(seed: int = 42, scale: float = 1.0, workers: int = 1) -> str:
         title=f"Reproduction scorecard — {passed}/{len(rows)} claims hold",
     )
     return table
+
+
+def scorecard_text(seed: int = 42, scale: float = 1.0, workers: int = 1) -> str:
+    """Run everything and render the scorecard."""
+    return render_scorecard(
+        build_scorecard(seed=seed, scale=scale, workers=workers)
+    )

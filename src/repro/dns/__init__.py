@@ -1,69 +1,1 @@
 """Simulated DNS: records, zones, resolver, MX handling and nolisting."""
-
-from .mxutil import MailExchanger, implicit_mx, resolve_exchangers, sort_mx
-from .nolisting import (
-    MailDomainSetup,
-    setup_misconfigured,
-    setup_multi_mx,
-    setup_nolisting,
-    setup_single_mx,
-)
-from .records import (
-    ARecord,
-    DNSRecordError,
-    MXRecord,
-    RecordType,
-    TXTRecord,
-    normalize_name,
-)
-from .resolver import (
-    DNSError,
-    DNSTimeout,
-    MXAnswer,
-    NXDomain,
-    ServFail,
-    StubResolver,
-)
-from .spf import (
-    SPFEvaluator,
-    SPFMechanism,
-    SPFRecord,
-    SPFResult,
-    SPFSyntaxError,
-    parse_spf,
-    publish_spf,
-)
-from .zone import Zone, ZoneStore
-
-__all__ = [
-    "ARecord",
-    "DNSError",
-    "DNSRecordError",
-    "DNSTimeout",
-    "MailDomainSetup",
-    "MailExchanger",
-    "MXAnswer",
-    "MXRecord",
-    "NXDomain",
-    "RecordType",
-    "SPFEvaluator",
-    "SPFMechanism",
-    "SPFRecord",
-    "SPFResult",
-    "SPFSyntaxError",
-    "parse_spf",
-    "publish_spf",
-    "ServFail",
-    "StubResolver",
-    "TXTRecord",
-    "Zone",
-    "ZoneStore",
-    "implicit_mx",
-    "normalize_name",
-    "resolve_exchangers",
-    "setup_misconfigured",
-    "setup_multi_mx",
-    "setup_nolisting",
-    "setup_single_mx",
-    "sort_mx",
-]

@@ -10,21 +10,3 @@ port-25 flaps, connection resets), :class:`~repro.dns.resolver.StubResolver`
 (SERVFAIL/timeout bursts, lame delegation) and the Figure 2 scanners
 (per-scan transient outages the two-scan protocol filters).
 """
-
-from .model import (
-    FAULT_KINDS,
-    FaultConfig,
-    FaultPlan,
-    fault_from_params,
-    fault_params,
-)
-from .session import ResettingSession
-
-__all__ = [
-    "FAULT_KINDS",
-    "FaultConfig",
-    "FaultPlan",
-    "ResettingSession",
-    "fault_from_params",
-    "fault_params",
-]

@@ -1,24 +1,1 @@
 """Content-based (post-acceptance) filtering: naive Bayes + SMTP policy."""
-
-from .bayes import ClassifierStats, NaiveBayesFilter, tokenize
-from .corpus import (
-    Corpus,
-    build_corpus,
-    evaluate,
-    generate_ham,
-    generate_spam,
-)
-from .policy import ContentFilterPolicy, FilterEvent
-
-__all__ = [
-    "ClassifierStats",
-    "ContentFilterPolicy",
-    "Corpus",
-    "FilterEvent",
-    "NaiveBayesFilter",
-    "build_corpus",
-    "evaluate",
-    "generate_ham",
-    "generate_spam",
-    "tokenize",
-]

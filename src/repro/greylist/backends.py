@@ -48,6 +48,13 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..net.address import IPv4Address
+from .persistence import (
+    FORMAT_HEADER,
+    PersistenceError,
+    format_entry_line,
+    parse_entry_line,
+    parse_snapshot,
+)
 from .store import TripletEntry
 from .triplet import Triplet
 
@@ -550,8 +557,8 @@ class SQLiteBackend(TripletBackend):
 # ----------------------------------------------------------------------
 # Append-only journal (snapshot + op log)
 # ----------------------------------------------------------------------
-class JournalBackend(TripletBackend):
-    """Dict state with an append-only recovery log.
+class JournalBackend(MemoryBackend):
+    """:class:`MemoryBackend` state with an append-only recovery log.
 
     The durable pair is ``<path>`` (a full v1 snapshot, written by
     :meth:`checkpoint`) and ``<path>.journal`` (one line per mutation
@@ -582,9 +589,9 @@ class JournalBackend(TripletBackend):
     ) -> None:
         if checkpoint_every is not None and checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1 or None")
+        super().__init__()
         self.path = Path(path) if path is not None else None
         self.checkpoint_every = checkpoint_every
-        self._entries: Dict[Triplet, TripletEntry] = {}
         #: mutations appended since the last checkpoint
         self.journal_ops = 0
         #: whether recovery dropped a torn final journal line
@@ -604,25 +611,10 @@ class JournalBackend(TripletBackend):
 
     # -- recovery ------------------------------------------------------
     def _recover(self) -> None:
-        from .persistence import (
-            FORMAT_HEADER,
-            PersistenceError,
-            parse_entry_line,
-        )
-
         assert self.path is not None
         if self.path.exists():
             text = self.path.read_text(encoding="utf-8")
-            lines = text.splitlines()
-            if not lines or lines[0].strip() != FORMAT_HEADER:
-                raise PersistenceError(
-                    f"{self.path}: missing or unknown snapshot header"
-                )
-            for number, line in enumerate(lines[1:], start=2):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                entry = parse_entry_line(line, number)
+            for entry in parse_snapshot(text, str(self.path)):
                 self._entries[entry.triplet] = entry
 
         journal_path = self._journal_path
@@ -649,8 +641,6 @@ class JournalBackend(TripletBackend):
             )
 
     def _replay_journal(self, text: str) -> None:
-        from .persistence import PersistenceError, parse_entry_line
-
         lines = text.splitlines()
         if not lines or lines[0].strip() != JOURNAL_HEADER:
             self._quarantine_journal()
@@ -717,8 +707,10 @@ class JournalBackend(TripletBackend):
         Returns the number of entries snapshotted.  In-memory journals
         just reset their buffer (same op-count semantics).
         """
-        from .persistence import FORMAT_HEADER, format_entry_line
-
+        # Insertion order, unlike dump_store's sorted dump: a recovered
+        # journal's scan order, and so every event stream after a
+        # restart, depends on it.  dump_store sorts so that the snapshots
+        # of equal stores compare byte for byte.
         lines = [FORMAT_HEADER]
         lines.extend(format_entry_line(e) for e in self._entries.values())
         snapshot = "\n".join(lines) + "\n"
@@ -741,26 +733,18 @@ class JournalBackend(TripletBackend):
         self.journal_ops = 0
         return len(self._entries)
 
-    # -- interface -----------------------------------------------------
-    def get(self, triplet: Triplet) -> Optional[TripletEntry]:
-        return self._entries.get(triplet)
-
+    # -- journalled mutations ------------------------------------------
     def put(self, entry: TripletEntry) -> None:
-        from .persistence import format_entry_line
-
-        self._entries[entry.triplet] = entry
+        super().put(entry)
         self._append(format_entry_line(entry))
 
     def delete(self, triplet: Triplet) -> bool:
-        if self._entries.pop(triplet, None) is None:
+        if not super().delete(triplet):
             return False
         self._append(
             f"- {triplet.client} {triplet.sender} {triplet.recipient}"
         )
         return True
-
-    def scan(self) -> Iterator[TripletEntry]:
-        return iter(list(self._entries.values()))
 
     def expire(
         self, now: float, retry_window: float, whitelist_lifetime: float
@@ -783,18 +767,10 @@ class JournalBackend(TripletBackend):
         return unconfirmed, confirmed
 
     def mark_passed(self, triplet: Triplet, now: float) -> bool:
-        from .persistence import format_entry_line
-
-        entry = self._entries.get(triplet)
-        if entry is None or entry.passed:
+        if not super().mark_passed(triplet, now):
             return False
-        entry.passed = True
-        entry.passed_at = now
-        self._append(format_entry_line(entry))
+        self._append(format_entry_line(self._entries[triplet]))
         return True
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def flush(self) -> None:
         if self.path is not None:

@@ -15,7 +15,7 @@ single source of truth for serializing a
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, TextIO
+from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO
 
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
@@ -82,6 +82,23 @@ def parse_entry_line(line: str, line_number: int) -> TripletEntry:
     return entry
 
 
+def parse_snapshot(text: str, source: str = "") -> Iterator[TripletEntry]:
+    """Check a v1 snapshot's header, then parse its entry lines in order.
+
+    Blank and ``#`` comment lines are skipped.  ``source`` (a file path,
+    say) prefixes the header error; a malformed entry line raises
+    :func:`parse_entry_line`'s :class:`PersistenceError`.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != FORMAT_HEADER:
+        prefix = f"{source}: " if source else ""
+        raise PersistenceError(f"{prefix}missing or unknown snapshot header")
+    for line_number, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield parse_entry_line(line, line_number)
+
+
 def dump_store(store: TripletStore) -> str:
     """Serialize the live entries of a store (one line per triplet).
 
@@ -127,15 +144,7 @@ def load_store(
     if whitelist_lifetime is not None:
         kwargs["whitelist_lifetime"] = whitelist_lifetime
     store = TripletStore(clock, backend=backend, **kwargs)
-
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
-        raise PersistenceError("missing or unknown snapshot header")
-    for line_number, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        entry = parse_entry_line(line, line_number)
+    for entry in parse_snapshot(text):
         if store._is_expired(entry):
             if entry.passed:
                 store.expired_confirmed += 1

@@ -1,27 +1,1 @@
 """Greylist mail logs: anonymized records and the university deployment."""
-
-from .records import (
-    GreylistedMessageLog,
-    anonymize,
-    delivery_delays,
-    dump_logs,
-    parse_logs,
-)
-from .university import (
-    DEFAULT_SENDER_MIX,
-    DeploymentConfig,
-    DeploymentResult,
-    UniversityDeployment,
-)
-
-__all__ = [
-    "DEFAULT_SENDER_MIX",
-    "DeploymentConfig",
-    "DeploymentResult",
-    "GreylistedMessageLog",
-    "UniversityDeployment",
-    "anonymize",
-    "delivery_delays",
-    "dump_logs",
-    "parse_logs",
-]

@@ -1,49 +1,1 @@
 """Benign MTA models: retry schedules, Table IV profiles, outbound queue."""
-
-from .profiles import (
-    PROFILE_ORDER,
-    PROFILES,
-    RFC_MIN_GIVEUP_DAYS,
-    MTAProfile,
-    build_profiles,
-    rfc_compliant_lifetime,
-)
-from .queue import (
-    QueueAttempt,
-    QueueEntry,
-    QueueEntryState,
-    QueueManager,
-)
-from .schedule import (
-    DAY,
-    MINUTE,
-    FixedIntervalSchedule,
-    GeometricBackoffSchedule,
-    GiveUpAfterSchedule,
-    LinearBackoffSchedule,
-    NoRetrySchedule,
-    RetrySchedule,
-    TableSchedule,
-)
-
-__all__ = [
-    "DAY",
-    "MINUTE",
-    "FixedIntervalSchedule",
-    "GeometricBackoffSchedule",
-    "GiveUpAfterSchedule",
-    "LinearBackoffSchedule",
-    "MTAProfile",
-    "NoRetrySchedule",
-    "PROFILES",
-    "PROFILE_ORDER",
-    "QueueAttempt",
-    "QueueEntry",
-    "QueueEntryState",
-    "QueueManager",
-    "RetrySchedule",
-    "RFC_MIN_GIVEUP_DAYS",
-    "TableSchedule",
-    "build_profiles",
-    "rfc_compliant_lifetime",
-]

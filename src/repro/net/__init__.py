@@ -1,40 +1,1 @@
 """Virtual network substrate: IPv4 addressing, hosts, ports and routing."""
-
-from .address import (
-    AddressError,
-    AddressPool,
-    IPv4Address,
-    IPv4Network,
-    pool_for,
-)
-from .host import (
-    SMTP_PORT,
-    Connection,
-    ConnectionRefused,
-    ConnectionReset,
-    HostUnreachable,
-    NetError,
-    VirtualHost,
-)
-from .latency import FixedLatency, JitteredLatency, LatencyModel, ZeroLatency
-from .network import VirtualInternet
-
-__all__ = [
-    "SMTP_PORT",
-    "AddressError",
-    "AddressPool",
-    "Connection",
-    "ConnectionRefused",
-    "ConnectionReset",
-    "FixedLatency",
-    "HostUnreachable",
-    "IPv4Address",
-    "IPv4Network",
-    "JitteredLatency",
-    "LatencyModel",
-    "NetError",
-    "VirtualHost",
-    "VirtualInternet",
-    "ZeroLatency",
-    "pool_for",
-]

@@ -13,18 +13,3 @@ shards in an on-disk JSON cache so repeated sweeps skip work already done.
   execute (one chunk of the adoption scan, one seed of a sensitivity
   sweep, one grid point of a what-if sweep, one scorecard section).
 """
-
-from . import shards  # noqa: F401 — task functions for worker processes
-from .cache import ResultCache, canonical_params, default_cache_root
-from .pool import ExperimentRunner, TaskFailure, effective_workers, run_tasks
-
-__all__ = [
-    "ExperimentRunner",
-    "ResultCache",
-    "TaskFailure",
-    "canonical_params",
-    "default_cache_root",
-    "effective_workers",
-    "run_tasks",
-    "shards",
-]

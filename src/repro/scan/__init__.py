@@ -1,106 +1,1 @@
 """Internet-scale scanning: population, zmap-style scans, nolisting detection."""
-
-from .alexa import (
-    PAPER_NOLISTING_RANKS,
-    PopularityCrossCheck,
-    crosscheck_from_ranks,
-    crosscheck_popularity,
-    plant_popular_nolisting,
-    plant_ranks,
-)
-from .banner import (
-    SOFTWARE_BY_NAME,
-    SOFTWARE_PROFILES,
-    BannerDataset,
-    BannerGrabScanner,
-    BannerRecord,
-    HostSoftwareAssignment,
-    SoftwareProfile,
-    SoftwareSurvey,
-    fingerprint_banner,
-    survey_software,
-)
-from .datasets import (
-    DNSScanDataset,
-    DomainObservation,
-    MXObservation,
-    ScanPair,
-    SMTPScanDataset,
-)
-from .detect import (
-    AdoptionSummary,
-    DomainClass,
-    DomainVerdict,
-    NolistingDetector,
-    SingleScanVerdict,
-    classify_single_scan,
-    classify_two_scans,
-    summarize_single_scan,
-)
-from .population import (
-    FIGURE2_MIX,
-    DomainCategory,
-    DomainTruth,
-    PlannedDomain,
-    PopulationConfig,
-    PopulationPlan,
-    SyntheticInternet,
-    population_from_params,
-    population_params,
-)
-from .scanner import DNSScanner, SMTPScanner
-from .serialize import (
-    ScanFormatError,
-    dump_dns_scan,
-    dump_smtp_scan,
-    load_dns_scan,
-    load_smtp_scan,
-)
-
-__all__ = [
-    "AdoptionSummary",
-    "BannerDataset",
-    "BannerGrabScanner",
-    "BannerRecord",
-    "HostSoftwareAssignment",
-    "SOFTWARE_BY_NAME",
-    "SOFTWARE_PROFILES",
-    "SoftwareProfile",
-    "SoftwareSurvey",
-    "fingerprint_banner",
-    "survey_software",
-    "DNSScanDataset",
-    "DNSScanner",
-    "DomainCategory",
-    "DomainClass",
-    "DomainObservation",
-    "DomainTruth",
-    "DomainVerdict",
-    "FIGURE2_MIX",
-    "MXObservation",
-    "NolistingDetector",
-    "PAPER_NOLISTING_RANKS",
-    "PlannedDomain",
-    "PopularityCrossCheck",
-    "PopulationConfig",
-    "PopulationPlan",
-    "ScanPair",
-    "SingleScanVerdict",
-    "SMTPScanDataset",
-    "SMTPScanner",
-    "ScanFormatError",
-    "SyntheticInternet",
-    "dump_dns_scan",
-    "dump_smtp_scan",
-    "load_dns_scan",
-    "load_smtp_scan",
-    "classify_single_scan",
-    "classify_two_scans",
-    "crosscheck_from_ranks",
-    "crosscheck_popularity",
-    "plant_popular_nolisting",
-    "plant_ranks",
-    "population_from_params",
-    "population_params",
-    "summarize_single_scan",
-]

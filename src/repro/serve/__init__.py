@@ -11,87 +11,3 @@ connections (:mod:`repro.serve.server`).  The load generator
 traffic through the daemon so the served and simulated paths are
 provably one policy core.
 """
-
-from .client import PolicyClient, make_request_attrs
-from .loadgen import (
-    LoadStats,
-    ReplayReport,
-    TracedRequest,
-    TrafficTrace,
-    capture_bot_trace,
-    expected_verb,
-    replay_trace,
-    run_load,
-    tile_requests,
-)
-from .plugins import (
-    DECISION_CACHE_SIZE,
-    CachedWhitelist,
-    DecisionCache,
-    GreylistingPlugin,
-    PluginChain,
-    PolicyPlugin,
-    ThrottlePlugin,
-    WBListPlugin,
-)
-from .protocol import (
-    ACTION_DEFER_IF_PERMIT,
-    ACTION_DUNNO,
-    ACTION_OK,
-    ACTION_REJECT,
-    MAX_REQUEST_BYTES,
-    SMTPD_ACCESS_POLICY,
-    PolicyRequest,
-    ProtocolError,
-    StanzaParser,
-    format_request,
-    format_response,
-    parse_response,
-)
-from .server import (
-    DRAIN_GRACE,
-    FLUSH_INTERVAL,
-    PolicyServer,
-    ReplayClock,
-    ServerStats,
-    WallClock,
-)
-
-__all__ = [
-    "ACTION_DEFER_IF_PERMIT",
-    "ACTION_DUNNO",
-    "ACTION_OK",
-    "ACTION_REJECT",
-    "DECISION_CACHE_SIZE",
-    "DRAIN_GRACE",
-    "FLUSH_INTERVAL",
-    "MAX_REQUEST_BYTES",
-    "SMTPD_ACCESS_POLICY",
-    "CachedWhitelist",
-    "DecisionCache",
-    "GreylistingPlugin",
-    "LoadStats",
-    "PluginChain",
-    "PolicyClient",
-    "PolicyPlugin",
-    "PolicyRequest",
-    "PolicyServer",
-    "ProtocolError",
-    "ReplayClock",
-    "ReplayReport",
-    "ServerStats",
-    "StanzaParser",
-    "ThrottlePlugin",
-    "TracedRequest",
-    "TrafficTrace",
-    "WallClock",
-    "capture_bot_trace",
-    "expected_verb",
-    "format_request",
-    "format_response",
-    "make_request_attrs",
-    "parse_response",
-    "replay_trace",
-    "run_load",
-    "tile_requests",
-]

@@ -1,22 +1,7 @@
 """Deterministic discrete-event simulation kernel.
 
 Everything time- or randomness-dependent in the reproduction runs on top of
-this package: a virtual :class:`Clock`, a FIFO-stable :class:`EventScheduler`
-and splittable :class:`RandomStream` seeds.
+this package: a virtual :class:`~repro.sim.clock.Clock`, a FIFO-stable
+:class:`~repro.sim.events.EventScheduler` and splittable
+:class:`~repro.sim.rng.RandomStream` seeds.
 """
-
-from .clock import Clock, ClockError, format_duration, parse_duration
-from .events import EventHandle, EventScheduler, SchedulerError
-from .rng import RandomStream, spread
-
-__all__ = [
-    "Clock",
-    "ClockError",
-    "EventHandle",
-    "EventScheduler",
-    "RandomStream",
-    "SchedulerError",
-    "format_duration",
-    "parse_duration",
-    "spread",
-]

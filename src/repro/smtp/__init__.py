@@ -1,87 +1,2 @@
 """SMTP substrate: protocol engine, messages, server FSM, client, wire
 format and dialect fingerprinting."""
-
-from .client import AttemptOutcome, AttemptResult, SMTPClient
-from .dialects import (
-    COMPLIANT_MTA,
-    CUTWAIL_DIALECT,
-    DARKMAILER_DIALECT,
-    DIALECT_BY_NAME,
-    KELIHOS_DIALECT,
-    KNOWN_DIALECTS,
-    DialectFeatures,
-    DialectFingerprinter,
-    DialectProfile,
-    FingerprintResult,
-    extract_features,
-    play_dialect,
-)
-from .message import (
-    AddressSyntaxError,
-    Envelope,
-    Message,
-    domain_of,
-    envelopes_for,
-    validate_address,
-)
-from .replies import Reply
-from .server import (
-    ConnectionPolicy,
-    DeliveryRecord,
-    PolicyDecision,
-    SessionState,
-    SMTPServer,
-    SMTPSession,
-)
-from .spf_policy import SPFEvent, SPFPolicy
-from .wire import (
-    Command,
-    CommandSyntaxError,
-    SessionTranscript,
-    TranscribingSession,
-    TranscriptEntry,
-    parse_command,
-    render_mail_from,
-    render_rcpt_to,
-)
-
-__all__ = [
-    "AddressSyntaxError",
-    "AttemptOutcome",
-    "AttemptResult",
-    "COMPLIANT_MTA",
-    "CUTWAIL_DIALECT",
-    "Command",
-    "CommandSyntaxError",
-    "ConnectionPolicy",
-    "DARKMAILER_DIALECT",
-    "DIALECT_BY_NAME",
-    "DeliveryRecord",
-    "DialectFeatures",
-    "DialectFingerprinter",
-    "DialectProfile",
-    "Envelope",
-    "FingerprintResult",
-    "KELIHOS_DIALECT",
-    "KNOWN_DIALECTS",
-    "Message",
-    "PolicyDecision",
-    "Reply",
-    "SMTPClient",
-    "SPFEvent",
-    "SPFPolicy",
-    "SMTPServer",
-    "SMTPSession",
-    "SessionState",
-    "SessionTranscript",
-    "TranscribingSession",
-    "TranscriptEntry",
-    "domain_of",
-    "envelopes_for",
-    "extract_features",
-    "parse_command",
-    "play_dialect",
-    "render_mail_from",
-    "render_rcpt_to",
-    "validate_address",
-]

@@ -1,35 +1,1 @@
 """Webmail provider models (Table III) and their delivery driver."""
-
-from .provider import DeliveryOutcome, ProviderSpec, WebmailDelivery
-from .providers import (
-    AOL,
-    GMAIL,
-    GMX,
-    HOTMAIL,
-    INDIA,
-    MAILCOM,
-    MAILRU,
-    PROVIDER_BY_NAME,
-    PROVIDERS,
-    QQ,
-    YAHOO,
-    YANDEX,
-)
-
-__all__ = [
-    "AOL",
-    "DeliveryOutcome",
-    "GMAIL",
-    "GMX",
-    "HOTMAIL",
-    "INDIA",
-    "MAILCOM",
-    "MAILRU",
-    "PROVIDER_BY_NAME",
-    "PROVIDERS",
-    "ProviderSpec",
-    "QQ",
-    "WebmailDelivery",
-    "YAHOO",
-    "YANDEX",
-]

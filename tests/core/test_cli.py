@@ -117,6 +117,51 @@ class TestParser:
         assert exc.value.code == 2
         assert "threshold must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--delay", "-5"], "threshold must be finite and >= 0"),
+            (["serve", "--delay", "nan"], "threshold must be finite and >= 0"),
+            (
+                ["serve", "--throttle-max", "5", "--throttle-period", "0"],
+                "throttle period must be finite and > 0",
+            ),
+            (
+                ["serve-load", "--port", "1", "--connections", "0"],
+                "connection count must be >= 1",
+            ),
+            (
+                ["serve-load", "--port", "1", "--requests", "0"],
+                "request count must be >= 1",
+            ),
+            (
+                ["serve-load", "--port", "1", "--messages", "0"],
+                "message count must be >= 1",
+            ),
+            (
+                ["serve-load", "--port", "1", "--delay", "nan"],
+                "threshold must be finite and >= 0",
+            ),
+            (["scorecard", "--scale", "0"], "scale must be finite and > 0"),
+            (["scorecard", "--scale", "nan"], "scale must be finite and > 0"),
+            (["dialects", "--sessions", "0"], "session count must be >= 1"),
+            (["defenses", "--recipients", "0"], "recipient count must be >= 1"),
+        ],
+    )
+    def test_bad_numeric_flags_rejected(self, argv, message, capsys):
+        # Each used to end in a traceback (ValueError, ZeroDivisionError,
+        # or for --scale nan a TaskFailure after every section had run).
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_non_integer_count_names_the_type(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["dialects", "--sessions", "many"])
+        assert exc.value.code == 2
+        assert "invalid integer value: 'many'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_mta_survey(self, capsys):

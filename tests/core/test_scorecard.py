@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.core import scorecard
 from repro.core.scorecard import build_scorecard, scorecard_text
 
 
@@ -40,7 +41,29 @@ class TestScorecard:
         with pytest.raises(ValueError):
             build_scorecard(scale=0)
 
+    @pytest.mark.parametrize("scale", [-1.0, float("nan"), float("inf")])
+    def test_bad_scale_rejected_before_any_task(self, scale, monkeypatch):
+        def no_tasks(*args, **kwargs):
+            raise AssertionError("a section ran before the scale was checked")
+
+        monkeypatch.setattr(scorecard, "run_tasks", no_tasks)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            build_scorecard(scale=scale)
+
     def test_cli_subcommand_exit_zero(self, capsys):
         assert main(["scorecard", "--scale", "0.3"]) == 0
         out = capsys.readouterr().out
         assert "scorecard" in out
+
+    def test_cli_builds_the_scorecard_once(self, monkeypatch, capsys):
+        calls = []
+        real_run_tasks = scorecard.run_tasks
+
+        def counting_run_tasks(*args, **kwargs):
+            calls.append(args)
+            return real_run_tasks(*args, **kwargs)
+
+        monkeypatch.setattr(scorecard, "run_tasks", counting_run_tasks)
+        assert main(["scorecard", "--scale", "0.3"]) == 0
+        assert len(calls) == 1
+        assert "claims hold" in capsys.readouterr().out

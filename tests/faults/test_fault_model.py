@@ -6,14 +6,14 @@ import pytest
 
 from repro.dns.resolver import DNSTimeout, ServFail, StubResolver
 from repro.dns.zone import ZoneStore
-from repro.faults import (
+from repro.faults.model import (
     FAULT_KINDS,
     FaultConfig,
     FaultPlan,
-    ResettingSession,
     fault_from_params,
     fault_params,
 )
+from repro.faults.session import ResettingSession
 from repro.net.address import IPv4Address
 from repro.net.host import (
     SMTP_PORT,

@@ -11,7 +11,7 @@ runner's bit-for-bit determinism.
 import pytest
 
 from repro.core.adoption import run_adoption_experiment
-from repro.faults import FaultConfig, FaultPlan
+from repro.faults.model import FaultConfig, FaultPlan
 from repro.scan.detect import DomainClass, NolistingDetector, summarize_single_scan
 from repro.scan.population import (
     DomainCategory,
