@@ -42,11 +42,11 @@ graph-report:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# The CI smoke set: substrate/runner/batch/columnar/store microbenches,
+# The CI smoke set: substrate/runner/columnar/store/serve microbenches,
 # gated against BENCH_0.json by scripts/check_bench_regression.py.
 SMOKE_BENCHES := benchmarks/test_perf_substrates.py benchmarks/test_perf_runner.py \
-	benchmarks/test_perf_batch.py benchmarks/test_perf_columnar.py \
-	benchmarks/test_perf_store.py benchmarks/test_perf_serve.py
+	benchmarks/test_perf_columnar.py benchmarks/test_perf_store.py \
+	benchmarks/test_perf_serve.py
 bench-smoke:
 	$(PYTHON) -m pytest $(SMOKE_BENCHES) --benchmark-only --benchmark-disable-gc \
 		--benchmark-json=bench-smoke.json

@@ -37,7 +37,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.cli import _raise_fd_limit
+from repro.serve.daemon import raise_fd_limit
 from repro.serve.loadgen import capture_bot_trace, run_load, tile_requests
 
 from _util import emit
@@ -64,7 +64,7 @@ TRACE_SEED = 23
 
 @pytest.fixture(scope="module")
 def trace():
-    _raise_fd_limit()  # the client side holds one fd per connection
+    raise_fd_limit()  # the client side holds one fd per connection
     return capture_bot_trace(num_messages=TRACE_MESSAGES, seed=TRACE_SEED)
 
 

@@ -35,6 +35,7 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ..checkers.clock import WALL_CLOCK_CALLS
 from ..findings import Finding, Severity
 from ..framework import dotted_name
 from .project import CallSite, Key, Project
@@ -109,21 +110,6 @@ ENTRY_BASE_CLASSES: Tuple[str, ...] = ("TripletBackend",)
 
 #: The one module allowed to touch :mod:`random` (it wraps it).
 RNG_MODULE = "sim/rng.py"
-
-#: Wall-clock call patterns, matching the per-file CLK001 set.
-WALL_CLOCK_CALLS = frozenset(
-    [
-        ("time", "time"),
-        ("time", "time_ns"),
-        ("time", "monotonic"),
-        ("time", "monotonic_ns"),
-        ("time", "perf_counter"),
-        ("time", "perf_counter_ns"),
-        ("datetime", "now"),
-        ("datetime", "utcnow"),
-        ("date", "today"),
-    ]
-)
 
 #: Environment / ambient-entropy reads.
 ENVIRONMENT_CALLS = frozenset(

@@ -9,30 +9,22 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import Callable, List, Optional
 
 from .analysis.tables import format_percent, format_seconds, render_table
 
 
-def _workers_arg(value: str) -> int:
-    count = int(value)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"worker count must be >= 0, got {count}"
-        )
-    return count
-
-
-def _count_arg(noun: str) -> Callable[[str], int]:
-    """An argparse type for a count of at least one ``noun``."""
+def _count_arg(noun: str, minimum: int = 1) -> Callable[[str], int]:
+    """An argparse type for a count of at least ``minimum`` ``noun``s."""
 
     # argparse names the function in its error for a non-integer value.
     def integer(value: str) -> int:
         count = int(value)
-        if count < 1:
+        if count < minimum:
             raise argparse.ArgumentTypeError(
-                f"{noun} count must be >= 1, got {count}"
+                f"{noun} count must be >= {minimum}, got {count}"
             )
         return count
 
@@ -41,6 +33,22 @@ def _count_arg(noun: str) -> Callable[[str], int]:
 
 _domains_arg = _count_arg("domain")
 _messages_arg = _count_arg("message")
+
+
+def _port_arg(value: str) -> int:
+    port = int(value)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"port must lie in [0, 65535], got {port}"
+        )
+    return port
+
+
+def _shm_capacity_arg(value: str) -> int:
+    # Imported on use: commands that do not serve never load the backend.
+    from .greylist.shm import PROBE_WINDOW
+
+    return _count_arg("record", PROBE_WINDOW)(value)
 
 
 def _threshold_arg(value: str) -> float:
@@ -287,8 +295,6 @@ def _cmd_dialects(args: argparse.Namespace) -> int:
 
 
 def _cmd_variants(args: argparse.Namespace) -> int:
-    import math
-
     from .core.variants import compare_variants
 
     results = compare_variants()
@@ -344,208 +350,34 @@ def _cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _raise_fd_limit() -> None:
-    """Raise the soft fd limit to the hard one (10k+ connections need it).
-
-    Best-effort: serving at default limits still works, just at fewer
-    concurrent connections.
-    """
-    try:
-        import resource
-
-        soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
-        if soft < hard:
-            resource.setrlimit(resource.RLIMIT_NOFILE, (hard, hard))
-    except (ImportError, ValueError, OSError):  # pragma: no cover
-        pass
-
-
-def _build_serve_chain(args: argparse.Namespace, clock, backend):
-    """Assemble the serving plugin chain over an existing backend.
-
-    Shared by the single-process daemon and every prefork worker: each
-    worker builds its *own* chain (plugins hold per-process caches) but
-    all chains read and write the same backend state.
-    """
-    from .greylist.policy import GreylistPolicy
-    from .greylist.store import TripletStore
-    from .serve.plugins import (
-        DecisionCache,
-        GreylistingPlugin,
-        PluginChain,
-        PolicyPlugin,
-        ThrottlePlugin,
-    )
-
-    store = TripletStore(clock, backend=backend)
-    policy = GreylistPolicy(clock=clock, delay=args.delay, store=store)
-    plugins: List[PolicyPlugin] = []
-    if args.throttle_max > 0:
-        plugins.append(
-            ThrottlePlugin(
-                clock,
-                max_messages=args.throttle_max,
-                period=args.throttle_period,
-            )
-        )
-    plugins.append(GreylistingPlugin(policy, cache=DecisionCache()))
-    return PluginChain(plugins)
-
-
-def _serve_backend(args: argparse.Namespace):
-    """Create the triplet backend the serve command was asked for."""
-    from .greylist.backends import SERVING_COMMIT_EVERY, create_backend
-
-    if args.store_backend == "shm":
-        from .greylist.shm import SharedMemoryBackend
-
-        # An operator-named --store-path is the durable contract: the
-        # segment must survive the daemon for the next one to reattach,
-        # so the exit reaper is disabled.  Anonymous segments die with
-        # the master.
-        return SharedMemoryBackend(
-            args.store_path,
-            capacity=args.shm_capacity,
-            persist=args.store_path is not None,
-        )
-    return create_backend(
-        args.store_backend, args.store_path, commit_every=SERVING_COMMIT_EVERY
-    )
-
-
-def _serve_worker(
-    index: int, sock, args: argparse.Namespace, segment: str
-) -> int:
-    """Body of one prefork worker (runs inside the forked child)."""
-    import asyncio
-
-    from .greylist.shm import SharedMemoryBackend
-    from .serve.server import PolicyServer, ReplayClock, WallClock
-
-    clock = ReplayClock() if args.clock == "replay" else WallClock()
-    backend = SharedMemoryBackend(segment=segment)
-    chain = _build_serve_chain(args, clock, backend)
-    server = PolicyServer(
-        chain, clock, host=args.host, port=args.port, sock=sock
-    )
-
-    async def _serve() -> int:
-        await server.start()
-        status = await server.run_until_signalled()
-        stats = server.stats
-        print(
-            f"worker {index}: served {stats.decisions} decisions over "
-            f"{stats.connections} connections "
-            f"({stats.protocol_errors} protocol errors, "
-            f"{stats.truncated} truncated)",
-            flush=True,
-        )
-        return status
-
-    return asyncio.run(_serve())
-
-
-def _serve_prefork(args: argparse.Namespace, workers: int) -> int:
-    """Master side of multi-worker serving: bind, fork, supervise."""
-    import os
-
-    from .greylist.store import TripletStore
-    from .serve.prefork import PreforkSupervisor, bind_listening_sockets
-    from .serve.server import WallClock
-
-    backend = _serve_backend(args)
-    segment = backend.segment
-    sockets, host, port = bind_listening_sockets(
-        args.host, args.port, workers
-    )
-    # The smoke job and the benchmark parse this line to find an
-    # ephemeral port; keep the format stable.
-    print(f"listening on {host}:{port}", flush=True)
-    print(
-        f"prefork master pid {os.getpid()}: {workers} workers, "
-        f"{len(sockets)} listening socket(s), segment {segment}",
-        flush=True,
-    )
-
-    def worker_body(index: int, sock) -> int:
-        return _serve_worker(index, sock, args, segment)
-
-    maintenance = None
-    if args.clock == "wall":
-        # Background expiry: the master sweeps the shared table so
-        # workers never pay a stop-the-world scan.  Replay daemons skip
-        # it — their virtual clock lives in the workers.
-        master_store = TripletStore(WallClock(), backend=backend)
-        maintenance = master_store.sweep
-    supervisor = PreforkSupervisor(
-        worker_body, sockets, workers, maintenance=maintenance
-    )
-    try:
-        status = supervisor.run()
-    finally:
-        for sock in sockets:
-            sock.close()
-        backend.flush()
-        backend.close()
-    return status
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    import os
+    from .serve.daemon import serve
 
-    from .serve.server import PolicyServer, ReplayClock, WallClock
-
-    _raise_fd_limit()
-    workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
-    if workers > 1:
-        if args.store_backend != "shm":
-            print(
-                "error: --workers > 1 requires --store-backend shm "
-                "(workers share one memory segment; the other backends "
-                "are process-private or single-writer)",
-                file=sys.stderr,
-            )
-            return 2
-        return _serve_prefork(args, workers)
-
-    clock = ReplayClock() if args.clock == "replay" else WallClock()
-    chain = _build_serve_chain(args, clock, _serve_backend(args))
-    server = PolicyServer(chain, clock, host=args.host, port=args.port)
-
-    async def _serve() -> int:
-        host, port = await server.start()
-        # The smoke job and the benchmark parse this line to find an
-        # ephemeral port; keep the format stable.
-        print(f"listening on {host}:{port}", flush=True)
-        status = await server.run_until_signalled()
-        stats = server.stats
-        print(
-            f"served {stats.decisions} decisions over "
-            f"{stats.connections} connections "
-            f"({stats.protocol_errors} protocol errors, "
-            f"{stats.truncated} truncated)",
-            flush=True,
-        )
-        return status
-
-    return asyncio.run(_serve())
+    return serve(args)
 
 
 def _cmd_serve_load(args: argparse.Namespace) -> int:
     import asyncio
-    import math
 
+    from .serve.daemon import raise_fd_limit
     from .serve.loadgen import capture_bot_trace, replay_trace, run_load, tile_requests
 
-    _raise_fd_limit()
+    raise_fd_limit()
     trace = capture_bot_trace(
         threshold=args.delay, num_messages=args.messages, seed=args.seed
     )
+    try:
+        if args.check:
+            report = asyncio.run(replay_trace(args.host, args.port, trace.requests))
+        else:
+            per_connection = max(1, math.ceil(args.requests / args.connections))
+            slices = tile_requests(trace.requests, args.connections, per_connection)
+            stats = asyncio.run(run_load(args.host, args.port, slices))
+    except OSError as exc:
+        reason = os.strerror(exc.errno) if exc.errno else exc
+        print(f"error: cannot reach {args.host}:{args.port}: {reason}", file=sys.stderr)
+        return 1
     if args.check:
-        report = asyncio.run(
-            replay_trace(args.host, args.port, trace.requests)
-        )
         print(
             f"replayed {report.total} simulated decisions: "
             f"{len(report.mismatches)} mismatches"
@@ -553,9 +385,6 @@ def _cmd_serve_load(args: argparse.Namespace) -> int:
         for index, expected, got in report.mismatches[:10]:
             print(f"  request {index}: expected {expected}, got {got}")
         return 0 if report.ok else 1
-    per_connection = max(1, math.ceil(args.requests / args.connections))
-    slices = tile_requests(trace.requests, args.connections, per_connection)
-    stats = asyncio.run(run_load(args.host, args.port, slices))
     tail = stats.latency_summary_ms
     print(
         f"{stats.decisions} decisions over {stats.connections} connections "
@@ -590,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42, help="experiment seed")
     parser.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=_count_arg("worker", 0),
         default=1,
         help=(
             "worker processes for sharded experiments and the serve "
@@ -638,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "on-disk location for a durable triplet store "
+            "on-disk location for a durable triplet store, for kelihos "
+            "and serve with a backend other than memory "
             "(default: volatile, even for sqlite/journal)"
         ),
     )
@@ -748,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
         "--port",
-        type=int,
+        type=_port_arg,
         default=0,
         help="listen port (0 binds an ephemeral port, announced on stdout)",
     )
@@ -770,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--throttle-max",
-        type=int,
+        type=_count_arg("throttle message", 0),
         default=0,
         help=(
             "enable the throttle plugin: defer a client exceeding this "
@@ -785,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--shm-capacity",
-        type=int,
+        type=_shm_capacity_arg,
         default=None,
         metavar="RECORDS",
         help=(
@@ -804,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=True)
+    p.add_argument("--port", type=_port_arg, required=True)
     p.add_argument(
         "--check",
         action="store_true",
@@ -872,9 +702,29 @@ def _run_profiled(args: argparse.Namespace) -> int:
     return int(status)
 
 
+def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Usage errors that no single flag's type can see."""
+    if args.store_path is not None and (
+        args.command not in ("kelihos", "serve") or args.store_backend == "memory"
+    ):
+        parser.error(
+            "--store-path applies only to kelihos and serve, with a "
+            "--store-backend other than memory"
+        )
+    if args.command == "serve":
+        args.workers = args.workers or os.cpu_count() or 1
+        if args.workers > 1 and args.store_backend != "shm":
+            parser.error(
+                "--workers > 1 requires --store-backend shm (workers share "
+                "one memory segment; the other backends are process-private "
+                "or single-writer)"
+            )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_combinations(parser, args)
     if args.profile or args.profile_out is not None:
         return _run_profiled(args)
     return args.func(args)

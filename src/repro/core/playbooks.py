@@ -1,10 +1,9 @@
 """Session playbooks: one *real* SMTP dialogue per outcome class.
 
-The equivalence-class engines — :func:`repro.core.internet_scale.
-run_internet_scale` on its default ``engine="columnar"`` and
-:func:`repro.core.synergy.run_synergy_experiment` with ``engine="batch"``
-— replace per-message SMTP dialogues with
-:class:`~repro.sim.batch.SessionPlaybook` lookups.  Each playbook is
+The equivalence-class engine — :func:`repro.core.internet_scale.
+run_internet_scale` on its default ``engine="columnar"`` — replaces
+per-message SMTP dialogues with :class:`~repro.sim.batch.SessionPlaybook`
+lookups.  Each playbook is
 produced here by driving the real server-side state machine
 (:class:`~repro.smtp.server.SMTPSession` with real policy objects) through
 the exact dialogue a bot speaks (:func:`repro.botnet.bot.drive_dialogue`)
@@ -19,10 +18,9 @@ phase)``:
 * the *policy fingerprint*
   (:meth:`repro.smtp.server.ConnectionPolicy.fingerprint`) pins the
   server's decision function, including the greylist threshold bucket;
-* the *phase* captures the time/state-dependent part a fingerprint cannot:
-  the triplet's greylist age class (``"new"`` / ``"early"`` / ``"passed"``)
-  and, when a DNSBL is stacked in front, whether the client is currently
-  ``"listed"`` or ``"unlisted"``.
+* the *phase* captures the time-dependent part a fingerprint cannot:
+  the triplet's greylist age class (``"new"`` / ``"early"`` /
+  ``"passed"``).
 
 Memoization over these keys is sound because every component is an outcome
 determinant: two sessions agreeing on dialect, fingerprint and phase are
@@ -35,25 +33,22 @@ encoded here).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from ..blacklist.dnsbl import ReactiveBlacklist
-from ..blacklist.policy import DNSBLPolicy
 from ..botnet.bot import drive_dialogue
 from ..greylist.policy import GreylistPolicy
 from ..net.address import IPv4Address
 from ..sim.batch import SessionPlaybook
 from ..sim.clock import Clock
 from ..smtp.message import Message
-from ..smtp.server import CompositePolicy, ConnectionPolicy, SMTPServer
+from ..smtp.server import SMTPServer
 
 #: Greylist age classes a triplet can be in when an attempt arrives.
 GREYLIST_PHASES = ("new", "early", "passed")
 
 #: Representative endpoints for class dialogues.  Their concrete values
 #: never reach a policy decision (greylist triplets are controlled via the
-#: phase, the DNSBL via the ``listed`` flag), so one fixed pair serves
-#: every class.
+#: phase), so one fixed pair serves every class.
 _CLIENT = IPv4Address(0xC6336464)  # 198.51.100.100
 _RECIPIENT = "user@class.example"
 _SENDER = "representative@botnet.example"
@@ -62,8 +57,6 @@ _SENDER = "representative@botnet.example"
 def build_playbook(
     helo_name: str,
     greylist_delay: Optional[float] = None,
-    dnsbl: bool = False,
-    listed: bool = False,
     greylist_phase: str = "new",
     store_backend: str = "memory",
 ) -> SessionPlaybook:
@@ -71,36 +64,19 @@ def build_playbook(
 
     ``greylist_delay=None`` means no greylisting policy; otherwise the
     server greylists with that threshold and the dialogue arrives with its
-    triplet in ``greylist_phase``.  ``dnsbl`` stacks a DNSBL policy in
-    front (the synergy ordering), with the client pre-``listed`` or not.
-    ``store_backend`` selects the greylist policy's triplet-store backend
-    (:mod:`repro.greylist.backends`); backends are bit-for-bit
-    equivalent, so it is deliberately absent from playbook cache keys.
+    triplet in ``greylist_phase``.  ``store_backend`` selects the greylist
+    policy's triplet-store backend (:mod:`repro.greylist.backends`);
+    backends are bit-for-bit equivalent, so it is deliberately absent
+    from playbook cache keys.
     """
     if greylist_phase not in GREYLIST_PHASES:
         raise ValueError(f"unknown greylist phase {greylist_phase!r}")
     clock = Clock()
-    policies: List[ConnectionPolicy] = []
-    blacklist: Optional[ReactiveBlacklist] = None
-    if dnsbl:
-        # Threshold 1 / zero processing delay lets one report flip the
-        # representative client to "listed" instantly; neither knob is
-        # part of the DNSBL policy fingerprint.
-        blacklist = ReactiveBlacklist(
-            clock, detection_threshold=1, processing_delay=0.0
-        )
-        policies.append(DNSBLPolicy(blacklist, report_attempts=False))
+    policy: Optional[GreylistPolicy] = None
     if greylist_delay is not None:
-        policies.append(
-            GreylistPolicy(
-                clock=clock, delay=greylist_delay, store_backend=store_backend
-            )
+        policy = GreylistPolicy(
+            clock=clock, delay=greylist_delay, store_backend=store_backend
         )
-    policy: Optional[ConnectionPolicy] = None
-    if len(policies) == 1:
-        policy = policies[0]
-    elif policies:
-        policy = CompositePolicy(policies)
     server = SMTPServer(
         hostname="smtp.class.example",
         clock=clock,
@@ -124,10 +100,6 @@ def build_playbook(
                     "an 'early' phase needs a positive greylist delay"
                 )
             clock.advance_by(greylist_delay / 2)
-    if listed:
-        if blacklist is None:
-            raise ValueError("listed phase needs dnsbl=True")
-        blacklist.report(_CLIENT)
 
     outcome, reply_code, transcript = drive()
     return SessionPlaybook.make(

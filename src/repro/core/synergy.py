@@ -23,14 +23,12 @@ from ..blacklist.feed import TelemetryFeed
 from ..blacklist.policy import DNSBLPolicy
 from ..botnet.campaign import SpamCampaign, make_recipient_list
 from ..botnet.families import KELIHOS, FamilyProfile
-from ..botnet.retry import FireAndForget
 from ..dns.nolisting import setup_single_mx
 from ..dns.resolver import StubResolver
 from ..dns.zone import ZoneStore
 from ..greylist.policy import GreylistPolicy
 from ..net.address import AddressPool, IPv4Network
 from ..net.network import VirtualInternet
-from ..sim.batch import BatchCounters, SessionOutcomeCache
 from ..sim.clock import Clock
 from ..sim.events import EventScheduler
 from ..sim.rng import RandomStream
@@ -71,9 +69,6 @@ def run_synergy_experiment(
     num_messages: int = 20,
     seed: int = 31,
     horizon: float = 400000.0,
-    engine: str = "object",
-    session_cache: Optional[SessionOutcomeCache] = None,
-    counters: Optional[BatchCounters] = None,
     store_backend: str = "memory",
 ) -> SynergyResult:
     """Run one bot against one policy configuration.
@@ -85,36 +80,9 @@ def run_synergy_experiment(
     lets the victim server's own sightings count too (off by default so a
     single 20-recipient burst does not trip the threshold by itself and
     the rate lever stays meaningful).
-
-    ``engine="batch"`` replays the telemetry draws to compute the listing
-    time, resolves each message through memoized session playbooks
-    (``session_cache``) plus its private retry-draw stream, and returns
-    the identical result without running the event loop.  It refuses
-    ``local_reporting=True`` (the victim's own sightings couple every
-    message to shared blacklist state) and horizons long enough for
-    auto-delisting — both need the object engine.  ``counters`` collects
-    collapse accounting; both knobs are ignored by the object engine.
     """
     if configuration not in ("greylist", "dnsbl", "both"):
         raise ValueError(f"unknown configuration {configuration!r}")
-    if engine not in ("object", "batch"):
-        raise ValueError(f"unknown synergy engine {engine!r}")
-    if engine == "batch":
-        return _run_synergy_batched(
-            configuration=configuration,
-            family=family,
-            greylist_delay=greylist_delay,
-            reports_per_hour=reports_per_hour,
-            detection_threshold=detection_threshold,
-            processing_delay=processing_delay,
-            local_reporting=local_reporting,
-            num_messages=num_messages,
-            seed=seed,
-            horizon=horizon,
-            session_cache=session_cache,
-            counters=counters,
-            store_backend=store_backend,
-        )
 
     scheduler = EventScheduler(Clock())
     internet = VirtualInternet()
@@ -175,8 +143,7 @@ def run_synergy_experiment(
         sender="spam@botnet.example",
         recipients=make_recipient_list("victim.example", num_messages),
     )
-    # One private retry-randomness stream per message (see the batch
-    # engine's soundness argument in :func:`_run_synergy_batched`).
+    # One private retry-randomness stream per message.
     for index, job in enumerate(campaign.single_recipient_jobs()):
         bot.assign(job, rng=rng.split(f"msg:{index}"))
     scheduler.run(until=horizon)
@@ -194,177 +161,6 @@ def run_synergy_experiment(
         delivered=len(bot.delivered_tasks),
         dnsbl_rejections=dnsbl_policy.rejections if dnsbl_policy else 0,
         listed_after=blacklist.listed_at(bot.source_address),
-    )
-
-
-def _run_synergy_batched(
-    configuration: str,
-    family: FamilyProfile,
-    greylist_delay: float,
-    reports_per_hour: float,
-    detection_threshold: int,
-    processing_delay: float,
-    local_reporting: bool,
-    num_messages: int,
-    seed: int,
-    horizon: float,
-    session_cache: Optional[SessionOutcomeCache] = None,
-    counters: Optional[BatchCounters] = None,
-    store_backend: str = "memory",
-) -> SynergyResult:
-    """The equivalence-class engine behind ``engine="batch"``.
-
-    The object run has exactly three independent sources of dynamics, and
-    each is replayed without the event loop:
-
-    * the telemetry feed's private ``feed`` stream — its first
-      ``detection_threshold`` inter-report gaps determine the listing
-      time, and nothing else reads that stream;
-    * one memoized session playbook per (dialect, policy fingerprint,
-      phase), where the phase is the DNSBL state x greylist triplet age a
-      retry arrives in;
-    * each message's private ``msg:{i}`` retry-draw stream, walked
-      arithmetically against the listing time and the greylist threshold.
-
-    Soundness needs message independence, which is why
-    ``local_reporting=True`` (victim sightings feed the shared blacklist)
-    is refused, and a horizon within the listing lifetime, which keeps
-    "listed" monotonic (the feed re-sights the address at least once per
-    horizon, so auto-delisting cannot trigger mid-run).
-    """
-    from ..sim.batch import EquivalenceClassIndex
-    from .playbooks import build_playbook
-
-    if local_reporting:
-        raise ValueError(
-            "batch engine does not support local_reporting=True: the "
-            "victim's own sightings couple every message to shared "
-            "blacklist state; use engine='object'"
-        )
-    if reports_per_hour <= 0:
-        raise ValueError("reporting rate must be positive")
-    probe_blacklist = ReactiveBlacklist(
-        Clock(),
-        detection_threshold=detection_threshold,
-        processing_delay=processing_delay,
-    )
-    if horizon > probe_blacklist.listing_lifetime:
-        raise ValueError(
-            "batch engine needs horizon <= the listing lifetime "
-            f"({probe_blacklist.listing_lifetime}); longer runs can "
-            "auto-delist mid-run and need engine='object'"
-        )
-
-    dnsbl_active = configuration in ("dnsbl", "both")
-    grey_active = configuration in ("greylist", "both")
-
-    rng = RandomStream(seed, f"synergy:{configuration}")
-
-    # --- replay of the telemetry feed (armed in every configuration) -----
-    feed_rng = rng.split("feed")
-    rate_per_second = reports_per_hour / 3600.0
-    t_report = 0.0
-    for _ in range(detection_threshold):
-        t_report += feed_rng.expovariate(rate_per_second)
-    # Reports beyond the horizon never fire, so the address is only ever
-    # listed when the threshold sighting lands inside the run.
-    listed_at: Optional[float] = (
-        t_report + processing_delay if t_report <= horizon else None
-    )
-
-    def listed(now: float) -> bool:
-        return listed_at is not None and now >= listed_at
-
-    # The composite fingerprint the object path's server would expose.
-    policies: List[ConnectionPolicy] = []
-    if dnsbl_active:
-        policies.append(DNSBLPolicy(probe_blacklist, report_attempts=False))
-    if grey_active:
-        policies.append(
-            GreylistPolicy(clock=Clock(), delay=greylist_delay)
-        )
-    fingerprint = CompositePolicy(policies).fingerprint()
-
-    grey_kwargs = {"greylist_delay": greylist_delay} if grey_active else {}
-    helo = family.helo_name
-    cache = session_cache if session_cache is not None else SessionOutcomeCache()
-    misses_before = cache.misses
-    classes: EquivalenceClassIndex = EquivalenceClassIndex()
-
-    def playbook(phase: tuple, is_listed: bool, grey_phase: str):
-        return cache.get_or_build(
-            (helo, fingerprint, phase),
-            lambda: build_playbook(
-                helo,
-                dnsbl=dnsbl_active,
-                listed=is_listed,
-                greylist_phase=grey_phase,
-                store_backend=store_backend,
-                **grey_kwargs,
-            ),
-        )
-
-    delivered = 0
-    rejections = 0
-    for index in range(num_messages):
-        classes.add((family.name, configuration), index)
-        # --- first attempt, at t=0 -----------------------------------
-        if dnsbl_active and listed(0.0):
-            if playbook(("listed",), True, "new").rejected:
-                rejections += 1
-            continue
-        grey_part = ("new",) if grey_active else ()
-        dnsbl_part = ("unlisted",) if dnsbl_active else ()
-        first = playbook(dnsbl_part + grey_part, False, "new")
-        if first.delivered:
-            delivered += 1
-            continue
-        if not first.deferred:
-            continue
-        # --- deferred: walk the family's real retry schedule ----------
-        model = family.retry_factory()
-        if isinstance(model, FireAndForget):
-            continue
-        task_rng = rng.split(f"msg:{index}")
-        t = 0.0
-        attempts = 1
-        while True:
-            delay = model.next_delay(attempts, task_rng)
-            if delay is None:
-                break
-            t += delay
-            if t > horizon:
-                break
-            attempts += 1
-            if dnsbl_active and listed(t):
-                # DNSBL rejects before the greylist is even consulted —
-                # the paper's synergy moment.
-                if playbook(("listed",), True, "new").rejected:
-                    rejections += 1
-                break
-            grey_phase = "passed" if t >= greylist_delay else "early"
-            retry = playbook(
-                dnsbl_part + (grey_phase,), False, grey_phase
-            )
-            if retry.delivered:
-                delivered += 1
-                break
-            if not retry.deferred:
-                break
-
-    if counters is not None:
-        counters.members += classes.num_members
-        counters.classes += classes.num_classes
-        counters.representative_runs += cache.misses - misses_before
-
-    return SynergyResult(
-        configuration=configuration,
-        greylist_delay=greylist_delay if grey_active else None,
-        reports_per_hour=reports_per_hour if dnsbl_active else None,
-        num_messages=num_messages,
-        delivered=delivered,
-        dnsbl_rejections=rejections,
-        listed_after=listed_at,
     )
 
 
@@ -427,7 +223,6 @@ def sweep_greylist_delay(
     seed: int = 31,
     workers: int = 1,
     cache=None,
-    engine: str = "object",
     store_backend: str = "memory",
 ) -> List[SynergyResult]:
     """Which greylisting threshold buys the blacklist enough time?
@@ -439,24 +234,17 @@ def sweep_greylist_delay(
 
     Each delay point is an independent simulation; the sweep fans them
     over ``workers`` processes and memoizes points in ``cache``.
-    ``engine="batch"`` runs each point on the equivalence-class engine
-    (identical results, no event loop).
     """
     from ..runner.pool import run_tasks
     from ..runner.shards import synergy_delay_task
 
-    if engine not in ("object", "batch"):
-        raise ValueError(f"unknown synergy engine {engine!r}")
     payloads = [
         {
             "greylist_delay": delay,
             "reports_per_hour": reports_per_hour,
             "num_messages": num_messages,
             "seed": seed,
-            # Only present when batching, so object-path payloads keep
-            # their pre-batch-engine cache identity.
-            **({"engine": engine} if engine != "object" else {}),
-            # Same idiom: the key exists only off the default backend, so
+            # The key exists only off the default backend, so
             # memory-backend payloads keep their pre-backend cache identity.
             **(
                 {"store_backend": store_backend}

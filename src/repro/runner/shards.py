@@ -186,10 +186,8 @@ def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 def synergy_delay_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     """One greylist-delay point of the synergy threshold sweep.
 
-    ``engine: "batch"`` routes the point through the equivalence-class
-    engine; the key is only present when batching, so object-path payloads
-    keep their pre-batch cache identity.  ``store_backend`` follows the
-    same idiom: present only off the default memory backend.
+    ``store_backend`` is present only off the default memory backend, so
+    memory-backend payloads keep their pre-backend cache identity.
     """
     from ..core.synergy import run_synergy_experiment
 
@@ -199,7 +197,6 @@ def synergy_delay_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         reports_per_hour=float(payload["reports_per_hour"]),
         num_messages=int(payload["num_messages"]),
         seed=int(payload["seed"]),
-        engine=str(payload.get("engine", "object")),
         store_backend=str(payload.get("store_backend", "memory")),
     )
     return {

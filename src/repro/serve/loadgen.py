@@ -31,10 +31,10 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from time import perf_counter  # repro: noqa CLK001 - loadgen times a live server, not the simulation
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..botnet.campaign import SpamCampaign, make_recipient_list
-from ..botnet.families import KELIHOS, FamilyProfile
+from ..botnet.families import KELIHOS
 from ..core.testbed import Defense, Testbed, TestbedConfig
 from ..greylist.persistence import format_entry_line
 from ..greylist.policy import GreylistAction, GreylistEvent
@@ -93,32 +93,27 @@ class TrafficTrace:
     store_confirmed: int
 
 
+#: Kelihos bots sending the captured campaign, and how long it runs
+#: (simulated seconds).
+TRACE_BOTS = 4
+TRACE_HORIZON = 400000.0
+
+
 def capture_bot_trace(
-    family: FamilyProfile = KELIHOS,
     threshold: float = 300.0,
     num_messages: int = 200,
     seed: int = 23,
-    num_bots: int = 4,
-    horizon: float = 400000.0,
-    store_backend: str = "memory",
-    store_path: Optional[str] = None,
 ) -> TrafficTrace:
-    """Run a simulated campaign; capture its policy decisions as a trace.
+    """Run a simulated Kelihos campaign; capture its policy decisions.
 
     The testbed, bot family, scheduler and greylist policy are exactly
     the ones :func:`~repro.core.greylist_experiment.run_greylist_experiment`
     drives — the trace *is* simulated bot traffic, not a synthetic
     approximation of it.
     """
-    if num_bots < 1:
-        raise ValueError("num_bots must be >= 1")
+    family = KELIHOS
     testbed = Testbed(
-        TestbedConfig(
-            defense=Defense.GREYLISTING,
-            greylist_delay=threshold,
-            greylist_store_backend=store_backend,
-            greylist_store_path=store_path,
-        )
+        TestbedConfig(defense=Defense.GREYLISTING, greylist_delay=threshold)
     )
     domain = testbed.config.victim_domain
     rng = RandomStream(seed, f"serve-load:{family.name}:{threshold}")
@@ -130,15 +125,15 @@ def capture_bot_trace(
             source_address=testbed.allocate_bot_address(),
             rng=rng.split(f"bot:{i}"),
         )
-        for i in range(num_bots)
+        for i in range(TRACE_BOTS)
     ]
     campaign = SpamCampaign(
         sender=f"spam@{family.name.lower().replace('(', '').replace(')', '')}.example",
         recipients=make_recipient_list(domain, num_messages),
     )
     for index, job in enumerate(campaign.single_recipient_jobs()):
-        bots[index % num_bots].assign(job)
-    testbed.run(horizon=horizon)
+        bots[index % TRACE_BOTS].assign(job)
+    testbed.run(horizon=TRACE_HORIZON)
 
     policy = testbed.greylist
     assert policy is not None

@@ -12,8 +12,8 @@ equivalence suite replays identical bot traffic through both and
 asserts identical :class:`~repro.greylist.policy.GreylistEvent`
 streams and triplet-store state).
 
-Hot-path caching: whitelist/wblist matching scans CIDR lists and HELO
-suffixes per request.  Those verdicts are *stable for the lifetime of a
+Hot-path caching: whitelist matching scans CIDR lists and HELO suffixes
+per request.  Those verdicts are *stable for the lifetime of a
 serving process* (the static lists never change while the daemon runs),
 so :class:`DecisionCache` memoizes them in an LRU keyed by the owning
 policy's fingerprint plus the (client, sender) pair.  Greylisting
@@ -34,8 +34,6 @@ from ..sim.clock import Clock
 from .protocol import (
     ACTION_DEFER_IF_PERMIT,
     ACTION_DUNNO,
-    ACTION_OK,
-    ACTION_REJECT,
     SMTPD_ACCESS_POLICY,
     PolicyRequest,
 )
@@ -291,52 +289,6 @@ class ThrottlePlugin(PolicyPlugin):
             )
         window.append(now)
         return ACTION_DUNNO
-
-
-class WBListPlugin(PolicyPlugin):
-    """White/blacklist link (iRedAPD ``amavisd_wblist``'s shape).
-
-    A whitelist hit answers ``OK`` (skip the rest of the chain — the
-    greylisting plugin never sees the request); a blacklist hit rejects
-    outright.  Both lists are static for the daemon's lifetime, so the
-    verdict joins the :class:`DecisionCache`.
-    """
-
-    name = "wblist"
-
-    def __init__(
-        self,
-        whitelist: Optional[Whitelist] = None,
-        blacklist: Optional[Whitelist] = None,
-        cache: Optional[DecisionCache] = None,
-    ) -> None:
-        self.whitelist = whitelist if whitelist is not None else Whitelist()
-        self.blacklist = blacklist if blacklist is not None else Whitelist()
-        self.cache = cache
-
-    def fingerprint(self) -> Tuple[Hashable, ...]:
-        return (self.name,)
-
-    def _verdict(self, client: IPv4Address, sender: str) -> str:
-        if self.blacklist.matches(client, sender):
-            return f"{ACTION_REJECT} 554 5.7.1 Client or sender blacklisted"
-        if self.whitelist.matches(client, sender):
-            return ACTION_OK
-        return ACTION_DUNNO
-
-    def check(self, request: PolicyRequest) -> str:
-        client = _parse_client(request)
-        if client is None:
-            return ACTION_DUNNO
-        sender = request.sender
-        if self.cache is None:
-            return self._verdict(client, sender)
-        key = self.fingerprint() + (client.value, sender)
-        verdict = self.cache.get(key)
-        if verdict is MISS:
-            verdict = self._verdict(client, sender)
-            self.cache.put(key, verdict)
-        return str(verdict)
 
 
 class PluginChain:

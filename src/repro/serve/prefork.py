@@ -25,12 +25,17 @@ balanced).
 Drain protocol
 --------------
 SIGTERM (or SIGINT) to the master is forwarded to every live worker
-inside the signal handler itself, so no new forks can race it.  Each
-worker's ``run_until_signalled`` path then stops accepting, answers
-every buffered stanza, flushes its backend attachment and exits 0; the
-master reaps them all and exits 0.  A worker that dies *unprompted*
-(crash, SIGKILL) is respawned — up to ``restart_limit`` times, after
-which the master drains the rest and exits 1 rather than flap forever.
+inside the signal handler itself.  Forks happen with both signals
+blocked, so the handler never runs between a fork and the new child's
+entry in the fleet, and nothing is forked once a stop has arrived.
+Each child starts with the signals still blocked and unblocks them
+once its own handlers are in (see :data:`WorkerBody`), so a stop sent
+while it boots waits for it instead of killing it.  Each worker's
+``run_until_signalled`` path then stops accepting, answers every
+buffered stanza, flushes its backend attachment and exits 0; the master
+reaps them all and exits 0.  A worker that dies *unprompted* (crash,
+SIGKILL) is respawned — up to ``restart_limit`` times, after which the
+master drains the rest and exits 1 rather than flap forever.
 """
 
 from __future__ import annotations
@@ -41,7 +46,9 @@ import socket
 import sys
 import threading
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Tuple
+
+from .server import STOP_SIGNALS
 
 #: Listen backlog shared with :class:`~repro.serve.server.PolicyServer`.
 LISTEN_BACKLOG = 8192
@@ -49,8 +56,13 @@ LISTEN_BACKLOG = 8192
 #: Unprompted worker deaths tolerated before the master gives up.
 DEFAULT_RESTART_LIMIT = 16
 
+#: Seconds between runs of the master's maintenance callback.
+MAINTENANCE_INTERVAL = 30.0
+
 #: A worker's body returns an exit status; it runs inside the forked
-#: child and must never raise back into the supervisor's stack.
+#: child and must never raise back into the supervisor's stack.  It
+#: starts with SIGTERM and SIGINT blocked and unblocks them once it has
+#: installed its own handlers.
 WorkerBody = Callable[[int, socket.socket], int]
 
 
@@ -119,10 +131,11 @@ class PreforkSupervisor:
         Number of worker processes to keep alive.
     restart_limit:
         Unprompted deaths tolerated before draining and exiting 1.
-    maintenance / maintenance_interval:
-        Optional periodic callback run in a master-side daemon thread
-        while supervising (the shm background-expiry sweep in live
-        serving; replay-clock daemons skip it).
+    maintenance:
+        Optional callback run every :data:`MAINTENANCE_INTERVAL` seconds
+        in a master-side daemon thread while supervising (the shm
+        background-expiry sweep in live serving; replay-clock daemons
+        skip it).
     """
 
     def __init__(
@@ -133,7 +146,6 @@ class PreforkSupervisor:
         *,
         restart_limit: int = DEFAULT_RESTART_LIMIT,
         maintenance: Optional[Callable[[], None]] = None,
-        maintenance_interval: float = 30.0,
     ) -> None:
         if workers < 1:
             raise ValueError("need at least one worker")
@@ -144,7 +156,6 @@ class PreforkSupervisor:
         self._workers = workers
         self._restart_limit = restart_limit
         self._maintenance = maintenance
-        self._maintenance_interval = maintenance_interval
         self._children: Dict[int, int] = {}  # pid -> worker index
         self._stopping = False
         self._restarts = 0
@@ -157,15 +168,22 @@ class PreforkSupervisor:
 
         0 when every worker exited cleanly after a signalled drain,
         1 when the restart limit was exhausted or a worker refused to
-        drain cleanly.
+        drain cleanly.  The caller may block SIGTERM/SIGINT beforehand
+        (the daemon does, before announcing itself): a stop held that
+        way runs the handler once the whole fleet is forked.
         """
         previous = {
             signum: signal.signal(signum, self._on_signal)
-            for signum in (signal.SIGTERM, signal.SIGINT)
+            for signum in STOP_SIGNALS
         }
         stop_maintenance = threading.Event()
         failed = False
         try:
+            # A stop that arrives while the fleet boots is handled once
+            # every worker is known.  The maintenance thread inherits
+            # the mask, so a stop always lands on this thread and
+            # interrupts waitpid.
+            signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
             for index in range(self._workers):
                 self._spawn(index)
             if self._maintenance is not None:
@@ -176,6 +194,7 @@ class PreforkSupervisor:
                     daemon=True,
                 )
                 thread.start()
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
             while self._children:
                 try:
                     pid, status = os.waitpid(-1, 0)
@@ -200,28 +219,36 @@ class PreforkSupervisor:
                 self._spawn(index)
         finally:
             stop_maintenance.set()
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
         return 1 if failed else 0
 
     def _spawn(self, index: int) -> None:
+        """Fork worker ``index``, unless a stop has already arrived."""
         sock = self._sockets[index % len(self._sockets)]
-        pid = os.fork()
-        if pid:
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, STOP_SIGNALS)
+        try:
+            if self._stopping:
+                return
+            pid = os.fork()
+            if pid == 0:
+                self._run_child(index, sock)
             self._children[pid] = index
-            return
-        # ---- child ----
-        # Undo the master's supervisor handlers *before* anything else:
-        # a drain signal landing now must kill the half-booted child
-        # (the master is stopping and will not respawn it), not re-run
-        # the fan-out handler from inside the worker.
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        for other in self._sockets:
-            if other is not sock:
-                other.close()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def _run_child(self, index: int, sock: socket.socket) -> NoReturn:
         status = 1
         try:
+            # The stop signals are blocked here: drop the master's
+            # handlers before the worker body installs its own and
+            # unblocks them.
+            for signum in STOP_SIGNALS:
+                signal.signal(signum, signal.SIG_DFL)
+            for other in self._sockets:
+                if other is not sock:
+                    other.close()
             status = self._worker_body(index, sock)
         except BaseException:  # repro: noqa EXC001 - child exits nonzero below; the crash IS the record
             traceback.print_exc()
@@ -249,7 +276,7 @@ class PreforkSupervisor:
                 pass
 
     def _maintenance_loop(self, stop: threading.Event) -> None:
-        while not stop.wait(self._maintenance_interval):
+        while not stop.wait(MAINTENANCE_INTERVAL):
             try:
                 self._maintenance()  # type: ignore[misc]
             except Exception:  # repro: noqa EXC001 - printed + swallowed: sweep hiccups must not kill the fleet

@@ -18,12 +18,14 @@ daemon chooses the clock:
   the simulator's decisions (the serve equivalence suite's contract).
 
 Shutdown: SIGTERM/SIGINT stop the listener, already-connected peers get
-``drain_grace`` seconds to finish their in-flight stanzas (buffered
+:data:`DRAIN_GRACE` seconds to finish their in-flight stanzas (buffered
 requests are always answered — the handler finishes its current batch
 synchronously), stragglers are aborted, and the backend is flushed
 (SQLite commit / journal write-out) before the daemon exits 0.  The
 drain test asserts no acknowledged triplet write is lost across this
-sequence.
+sequence.  :meth:`PolicyServer.start` installs the stop handlers, so a
+daemon that announces its address after ``start`` honours a stop sent
+from then on.
 
 Blocking calls: the durable backends commit on the event loop (batched
 by ``commit_every``, sub-millisecond in WAL mode) — the same
@@ -44,7 +46,6 @@ from typing import Dict, Optional, Set, Tuple
 from ..sim.clock import Clock
 from .plugins import PluginChain
 from .protocol import (
-    MAX_REQUEST_BYTES,
     PolicyRequest,
     ProtocolError,
     StanzaParser,
@@ -58,6 +59,9 @@ FLUSH_INTERVAL = 1.0
 
 #: Seconds connected peers get to finish in-flight stanzas on shutdown.
 DRAIN_GRACE = 5.0
+
+#: The signals that stop a daemon process and start its drain.
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 class ReplayClock(Clock):
@@ -126,8 +130,8 @@ class PolicyServer:
         The serving clock (:class:`WallClock` or :class:`ReplayClock`).
         Must be the same object the chain's stateful plugins read.
     host / port:
-        Listen address; port 0 binds an ephemeral port (read it back
-        from :attr:`address` — the CLI announces it on stdout).
+        Listen address; port 0 binds an ephemeral port (:meth:`start`
+        returns the bound address — the CLI announces it on stdout).
     sock:
         A pre-bound listening socket to serve on instead of binding
         ``host:port`` — the prefork path, where the supervisor binds
@@ -135,8 +139,6 @@ class PolicyServer:
         workers can be respawned onto the same accept queue.
     flush_interval:
         Period of the background backend flush (0 disables it).
-    drain_grace:
-        Shutdown grace for in-flight connections (seconds).
     """
 
     def __init__(
@@ -145,9 +147,7 @@ class PolicyServer:
         clock: Clock,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_request_bytes: int = MAX_REQUEST_BYTES,
         flush_interval: float = FLUSH_INTERVAL,
-        drain_grace: float = DRAIN_GRACE,
         sock: Optional[socket.socket] = None,
     ) -> None:
         self.chain = chain
@@ -155,9 +155,7 @@ class PolicyServer:
         self.host = host
         self.port = port
         self._sock = sock
-        self.max_request_bytes = max_request_bytes
         self.flush_interval = flush_interval
-        self.drain_grace = drain_grace
         self.stats = ServerStats()
         self._server: Optional[asyncio.AbstractServer] = None
         self._flusher: Optional[asyncio.Task] = None
@@ -170,7 +168,12 @@ class PolicyServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
-        """Bind and start accepting; returns the bound (host, port)."""
+        """Bind, start accepting and take over SIGTERM/SIGINT.
+
+        Returns the bound (host, port).  From here on a stop signal sets
+        off :meth:`run_until_signalled`'s drain; :meth:`shutdown` hands
+        the signals back.
+        """
         if self._server is not None:
             raise RuntimeError("server already started")
         # The asyncio default backlog (100) drops connects under the 10k
@@ -186,26 +189,18 @@ class PolicyServer:
             )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
+        loop = asyncio.get_running_loop()
+        for signum in STOP_SIGNALS:
+            loop.add_signal_handler(signum, self._stopping.set)
         if self.flush_interval > 0:
-            self._flusher = asyncio.get_running_loop().create_task(
-                self._flush_loop()
-            )
-        return self.host, self.port
-
-    @property
-    def address(self) -> Tuple[str, int]:
+            self._flusher = loop.create_task(self._flush_loop())
         return self.host, self.port
 
     async def run_until_signalled(self) -> int:
         """Serve until SIGTERM/SIGINT, then drain, flush and return 0."""
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            loop.add_signal_handler(signum, self._stopping.set)
         try:
             await self._stopping.wait()
         finally:
-            for signum in (signal.SIGTERM, signal.SIGINT):
-                loop.remove_signal_handler(signum)
             await self.shutdown()
         return 0
 
@@ -218,7 +213,7 @@ class PolicyServer:
         """Graceful stop: drain in-flight connections, flush, close.
 
         Idempotent.  Ordering matters: stop accepting first, then give
-        connected peers ``drain_grace`` to finish (their buffered
+        connected peers :data:`DRAIN_GRACE` to finish (their buffered
         stanzas are always decided and answered), then abort stragglers,
         and only then flush + close the backend — so every acknowledged
         decision's triplet write reaches durable storage.
@@ -227,12 +222,13 @@ class PolicyServer:
             return
         self._closed = True
         if self._server is not None:
+            loop = asyncio.get_running_loop()
+            for signum in STOP_SIGNALS:
+                loop.remove_signal_handler(signum)
             self._server.close()
             await self._server.wait_closed()
         if self._handlers:
-            await asyncio.wait(
-                tuple(self._handlers), timeout=self.drain_grace
-            )
+            await asyncio.wait(tuple(self._handlers), timeout=DRAIN_GRACE)
         for writer in tuple(self._writers):
             writer.transport.abort()
         if self._handlers:
@@ -269,7 +265,7 @@ class PolicyServer:
     ) -> None:
         self.stats.connections += 1
         self._writers.add(writer)
-        parser = StanzaParser(self.max_request_bytes)
+        parser = StanzaParser()
         try:
             while True:
                 data = await reader.read(65536)

@@ -1,8 +1,37 @@
 """Tests for the command-line interface."""
 
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+
+
+def run_cli(*argv):
+    """``python -m repro *argv`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+def free_port():
+    """A port nothing listens on (bound once, then released)."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
 
 
 class TestParser:
@@ -146,15 +175,79 @@ class TestParser:
             (["scorecard", "--scale", "nan"], "scale must be finite and > 0"),
             (["dialects", "--sessions", "0"], "session count must be >= 1"),
             (["defenses", "--recipients", "0"], "recipient count must be >= 1"),
+            (["serve", "--port", "-1"], "port must lie in [0, 65535]"),
+            (["serve", "--port", "70000"], "port must lie in [0, 65535]"),
+            (["serve-load", "--port", "70000"], "port must lie in [0, 65535]"),
+            (
+                ["--store-backend", "shm", "serve", "--shm-capacity", "0"],
+                "record count must be >= 64",
+            ),
+            (
+                ["serve", "--throttle-max", "-5"],
+                "throttle message count must be >= 0",
+            ),
+            (["--workers", "-1", "serve"], "worker count must be >= 0"),
         ],
     )
     def test_bad_numeric_flags_rejected(self, argv, message, capsys):
         # Each used to end in a traceback (ValueError, ZeroDivisionError,
-        # or for --scale nan a TaskFailure after every section had run).
+        # OverflowError, or for --scale nan a TaskFailure after every
+        # section had run), or, for --throttle-max -5, to serve with no
+        # throttle at all.
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--store-path", "{path}", "kelihos", "--messages", "5"],
+            ["--store-backend", "sqlite", "--store-path", "{path}", "internet-scale"],
+            ["--store-backend", "sqlite", "--store-path", "{path}", "synergy"],
+            ["--store-path", "{path}", "serve"],
+        ],
+        ids=["kelihos-memory", "internet-scale", "synergy", "serve-memory"],
+    )
+    def test_store_path_rejected_where_it_would_be_ignored(
+        self, argv, tmp_path, capsys
+    ):
+        # These used to exit 0 and write no file.
+        path = tmp_path / "triplets.db"
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(path=path) for arg in argv])
+        assert exc.value.code == 2
+        assert "--store-path applies only to kelihos and serve" in (
+            capsys.readouterr().err
+        )
+        assert not path.exists()
+
+    def test_shm_minimum_is_the_backends(self):
+        from repro.greylist.shm import PROBE_WINDOW
+
+        args = build_parser().parse_args(
+            ["serve", "--shm-capacity", str(PROBE_WINDOW)]
+        )
+        assert args.shm_capacity == PROBE_WINDOW
+
+    def test_parsing_leaves_the_shm_backend_unloaded(self):
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser().parse_args(['--store-backend', 'shm', 'kelihos'])\n"
+            "print('repro.greylist.shm' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            check=True,
+            timeout=60,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_non_integer_count_names_the_type(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -178,6 +271,13 @@ class TestCommands:
         assert main(["kelihos", "--messages", "20"]) == 0
         out = capsys.readouterr().out
         assert "CDF" in out
+
+    def test_kelihos_store_path_writes_the_database(self, tmp_path, capsys):
+        path = tmp_path / "kelihos.db"
+        argv = ["--store-backend", "sqlite", "--store-path", str(path)]
+        assert main([*argv, "kelihos", "--messages", "5"]) == 0
+        assert "CDF" in capsys.readouterr().out
+        assert path.exists()
 
     def test_kelihos_long_threshold_prints_figure4(self, capsys):
         assert main(["kelihos", "--threshold", "21600", "--messages", "10"]) == 0
@@ -273,3 +373,35 @@ class TestCommands:
         assert main(["filter"]) == 0
         out = capsys.readouterr().out
         assert "post-acceptance" in out
+
+
+class TestServeStartupErrors:
+    """A busy port or an absent daemon is one error line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "global_args",
+        [[], ["--workers", "2", "--store-backend", "shm"]],
+        ids=["single", "two-workers"],
+    )
+    def test_busy_port_exits_1_with_one_error_line(self, global_args):
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            result = run_cli(*global_args, "serve", "--port", str(port))
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: cannot listen on 127.0.0.1:{port}: Address already in use"
+        ]
+
+    @pytest.mark.parametrize("mode", [["--check"], ["--connections", "2"]])
+    def test_serve_load_without_a_daemon_exits_1(self, mode, capsys):
+        port = free_port()
+        argv = ["serve-load", "--port", str(port), "--messages", "5", *mode]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: cannot reach 127.0.0.1:{port}: Connection refused"
+        ]

@@ -4,25 +4,20 @@ The per-object simulation is the oracle: it builds the synthetic world and
 runs every DNS lookup, banner grab and SMTP dialogue.  The fast engines
 exist purely as performance optimizations and none of their mechanics may
 show in any observable result, for any seed, configuration, profile,
-fault plan, chunk size or worker count:
-
-* ``engine="columnar"`` (the default of the adoption scan and the
-  internet-scale sweep) holds the population as parallel fixed-width
-  columns, vectorizes the fault-free accounting, replays faulted shards
-  domain by domain, and streams the deployment column instead of
-  materializing it;
-* synergy's ``engine="batch"`` collapses the wave into equivalence classes
-  driven by session playbooks.
+fault plan, chunk size or worker count.  ``engine="columnar"`` (the
+default of the adoption scan and the internet-scale sweep) holds the
+population as parallel fixed-width columns, vectorizes the fault-free
+accounting, replays faulted shards domain by domain, and streams the
+deployment column instead of materializing it.
 
 These tests state that contract once, oracle against fast engine.
 """
 
 import pytest
 
-from repro.botnet.families import CUTWAIL, DARKMAILER
 from repro.core.adoption import run_adoption_experiment
 from repro.core.internet_scale import run_internet_scale, sweep_deployment_rates
-from repro.core.synergy import run_synergy_experiment, sweep_greylist_delay
+from repro.core.synergy import sweep_greylist_delay
 from repro.scan.alexa import PAPER_NOLISTING_RANKS
 from repro.scan.profiles import profile_config
 from repro.sim.batch import BatchCounters, SessionOutcomeCache
@@ -203,48 +198,10 @@ class TestInternetScaleEquivalence:
             sweep_deployment_rates(num_domains=10, engine=engine)
 
 
-class TestSynergyEquivalence:
-    @pytest.mark.parametrize("configuration", ["greylist", "dnsbl", "both"])
-    @pytest.mark.parametrize("seed", [31, 99])
-    def test_identical_per_configuration(self, configuration, seed):
-        kwargs = dict(greylist_delay=300.0, reports_per_hour=60.0, seed=seed)
-        obj = run_synergy_experiment(configuration, engine="object", **kwargs)
-        bat = run_synergy_experiment(configuration, engine="batch", **kwargs)
-        assert bat == obj
-
-    @pytest.mark.parametrize("delay", [5.0, 3600.0, 21600.0])
-    def test_identical_across_delays(self, delay):
-        kwargs = dict(greylist_delay=delay, seed=31)
-        assert run_synergy_experiment(
-            "both", engine="batch", **kwargs
-        ) == run_synergy_experiment("both", engine="object", **kwargs)
-
-    @pytest.mark.parametrize("family", [CUTWAIL, DARKMAILER])
-    def test_identical_for_fire_and_forget_families(self, family):
-        kwargs = dict(family=family, greylist_delay=300.0, seed=31)
-        assert run_synergy_experiment(
-            "both", engine="batch", **kwargs
-        ) == run_synergy_experiment("both", engine="object", **kwargs)
-
-    def test_batch_refuses_local_reporting(self):
-        with pytest.raises(ValueError, match="local"):
-            run_synergy_experiment("both", local_reporting=True, engine="batch")
-
-    def test_batch_refuses_delisting_horizons(self):
-        # Beyond the listing lifetime the blacklist auto-delists; the
-        # replay's monotonic "listed" assumption would be unsound.
-        with pytest.raises(ValueError, match="horizon"):
-            run_synergy_experiment("dnsbl", horizon=40_000_000.0, engine="batch")
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            run_synergy_experiment("both", engine="quantum")
-
-
 class TestWorkerAndCacheDeterminism:
     def test_synergy_sweep_identical_across_workers(self):
         runs = [
-            sweep_greylist_delay(seed=31, workers=w, engine="batch")
+            sweep_greylist_delay(seed=31, workers=w)
             for w in (1, 2, 4)
         ]
         assert runs[0] == runs[1] == runs[2]
@@ -269,14 +226,6 @@ class TestWorkerAndCacheDeterminism:
             **kwargs
         )
         assert tiny.evictions > 0
-
-    def test_synergy_shared_cache_matches_fresh(self):
-        shared = SessionOutcomeCache()
-        kwargs = dict(greylist_delay=300.0, seed=31, engine="batch")
-        first = run_synergy_experiment("both", session_cache=shared, **kwargs)
-        second = run_synergy_experiment("both", session_cache=shared, **kwargs)
-        assert first == second == run_synergy_experiment("both", **kwargs)
-        assert shared.hits > 0
 
 
 class TestPayloadCacheIdentity:

@@ -229,19 +229,12 @@ class TestExperimentLevelEquivalence:
     def test_synergy_all_backends(self):
         from repro.core.synergy import run_synergy_experiment
 
-        for engine in ("object", "batch"):
-            reference = run_synergy_experiment(
-                "both", num_messages=12, seed=5, engine=engine
+        reference = run_synergy_experiment("both", num_messages=12, seed=5)
+        for name in DURABLE_BACKENDS:
+            result = run_synergy_experiment(
+                "both", num_messages=12, seed=5, store_backend=name
             )
-            for name in DURABLE_BACKENDS:
-                result = run_synergy_experiment(
-                    "both",
-                    num_messages=12,
-                    seed=5,
-                    engine=engine,
-                    store_backend=name,
-                )
-                assert result == reference, (engine, name)
+            assert result == reference, name
 
     def test_cost_attack_all_backends(self, tmp_path):
         from repro.core.cost_attack import run_cost_attack

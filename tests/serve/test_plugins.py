@@ -1,4 +1,4 @@
-"""Plugin-chain tests: caching, greylisting mapping, throttle, wblist."""
+"""Plugin-chain tests: caching, greylisting mapping, throttle."""
 
 import pytest
 
@@ -13,7 +13,6 @@ from repro.serve.plugins import (
     PluginChain,
     PolicyPlugin,
     ThrottlePlugin,
-    WBListPlugin,
 )
 from repro.serve.protocol import (
     ACTION_DUNNO,
@@ -236,47 +235,6 @@ class TestThrottlePlugin:
             ThrottlePlugin(Clock(), max_messages=0)
         with pytest.raises(ValueError):
             ThrottlePlugin(Clock(), period=0.0)
-
-
-class TestWBListPlugin:
-    def make(self):
-        whitelist = Whitelist()
-        whitelist.add_cidr("192.0.2.0/24")
-        blacklist = Whitelist()
-        blacklist.add_cidr("198.51.100.0/24")
-        return WBListPlugin(
-            whitelist=whitelist, blacklist=blacklist, cache=DecisionCache()
-        )
-
-    def test_blacklist_rejects(self):
-        plugin = self.make()
-        assert plugin.check(rcpt_request(client="198.51.100.7")).startswith(
-            "REJECT 554"
-        )
-
-    def test_whitelist_accepts_outright(self):
-        plugin = self.make()
-        assert plugin.check(rcpt_request(client="192.0.2.7")) == ACTION_OK
-
-    def test_unlisted_is_dunno(self):
-        plugin = self.make()
-        assert plugin.check(rcpt_request(client="10.9.9.9")) == ACTION_DUNNO
-
-    def test_blacklist_beats_whitelist(self):
-        whitelist = Whitelist()
-        whitelist.add_cidr("198.51.100.0/24")
-        blacklist = Whitelist()
-        blacklist.add_cidr("198.51.100.0/24")
-        plugin = WBListPlugin(whitelist=whitelist, blacklist=blacklist)
-        assert plugin.check(rcpt_request(client="198.51.100.7")).startswith(
-            "REJECT"
-        )
-
-    def test_verdicts_are_cached(self):
-        plugin = self.make()
-        plugin.check(rcpt_request(client="198.51.100.7"))
-        plugin.check(rcpt_request(client="198.51.100.7"))
-        assert plugin.cache.hits == 1
 
 
 class _Recorder(PolicyPlugin):

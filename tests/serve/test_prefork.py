@@ -71,9 +71,14 @@ class TestBindListeningSockets:
 
 
 def _drain_body(index, sock):
-    """Worker that serves nothing and drains cleanly on SIGTERM."""
+    """Worker that serves nothing and drains cleanly on SIGTERM.
+
+    Like every worker body it starts with the stop signals blocked and
+    unblocks them once its handler is in.
+    """
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, (signal.SIGTERM, signal.SIGINT))
     stop.wait(timeout=30)
     return 0 if stop.is_set() else 1
 

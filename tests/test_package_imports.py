@@ -100,6 +100,7 @@ def test_scheduler_import_stays_inside_the_kernel():
     "module",
     [
         "repro.cli",
+        "repro.serve.daemon",
         "repro.serve.server",
         "repro.serve.plugins",
         "repro.greylist.backends",
