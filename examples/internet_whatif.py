@@ -4,7 +4,8 @@
 Workflow echoing the real study's file-based datasets:
 
 1. generate a synthetic internet and run the two zmap-style scans;
-2. archive the captures to plain-text files (the scans.io shape);
+2. archive the captures to plain-text files (the scans.io shape) in a
+   temporary directory, removed when the detection has read them;
 3. run the nolisting detection pipeline purely from the archived files;
 4. then ask the what-if question the paper's discussion raises: how much
    spam would higher deployment rates block?  A live spam wave (Table I
@@ -37,23 +38,24 @@ def main() -> None:
         internet, glue_elision_rate=0.1, rng=RandomStream(42, "whatif")
     )
     smtp_scanner = SMTPScanner(internet)
-    archive = Path(tempfile.mkdtemp(prefix="repro-scans-"))
-    for index in (0, 1):
-        dns = dns_scanner.scan(index)
-        dns_scanner.parallel_resolve(dns)
-        (archive / f"dns-{index}.txt").write_text(dump_dns_scan(dns))
-        smtp = smtp_scanner.scan(index)
-        (archive / f"smtp-{index}.txt").write_text(dump_smtp_scan(smtp))
-    print(f"archived 2 DNS + 2 SMTP captures under {archive}")
+    with tempfile.TemporaryDirectory(prefix="repro-scans-") as tmp:
+        archive = Path(tmp)
+        for index in (0, 1):
+            dns = dns_scanner.scan(index)
+            dns_scanner.parallel_resolve(dns)
+            (archive / f"dns-{index}.txt").write_text(dump_dns_scan(dns))
+            smtp = smtp_scanner.scan(index)
+            (archive / f"smtp-{index}.txt").write_text(dump_smtp_scan(smtp))
+        print(f"archived 2 DNS + 2 SMTP captures under {archive}")
 
-    # --- 3: offline detection ---------------------------------------------
-    detector = NolistingDetector(
-        load_dns_scan((archive / "dns-0.txt").read_text()),
-        load_smtp_scan((archive / "smtp-0.txt").read_text()),
-        load_dns_scan((archive / "dns-1.txt").read_text()),
-        load_smtp_scan((archive / "smtp-1.txt").read_text()),
-    )
-    summary = detector.summarize()
+        # --- 3: offline detection -----------------------------------------
+        detector = NolistingDetector(
+            load_dns_scan((archive / "dns-0.txt").read_text()),
+            load_smtp_scan((archive / "smtp-0.txt").read_text()),
+            load_dns_scan((archive / "dns-1.txt").read_text()),
+            load_smtp_scan((archive / "smtp-1.txt").read_text()),
+        )
+        summary = detector.summarize()
     print("\noffline detection over the archived files:")
     for klass, count in sorted(
         summary.counts.items(), key=lambda kv: kv[1], reverse=True

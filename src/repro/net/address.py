@@ -135,26 +135,6 @@ class AddressPool:
             raise AddressError("count must be non-negative")
         return [self.allocate() for _ in range(count)]
 
-    def subpool(self, offset: int, capacity: int) -> "AddressPool":
-        """A fresh allocator over ``capacity`` addresses at ``offset``.
-
-        Disjoint subpools let independent workers allocate out of one
-        network without coordinating: worker ``k`` takes
-        ``subpool(k * stride, stride)`` and can never collide with its
-        siblings.  The parent pool's cursor is not affected.
-        """
-        if offset < 0 or capacity < 0:
-            raise AddressError("offset and capacity must be non-negative")
-        start = self.network.base.value + offset
-        if start + capacity > self.network.base.value + self.network.num_addresses:
-            raise AddressError(
-                f"subpool [{offset}, {offset + capacity}) exceeds {self.network}"
-            )
-        pool = AddressPool(self.network)
-        pool._next = start
-        pool._end = start + capacity
-        return pool
-
     @property
     def allocated(self) -> int:
         return self._next - self.network.base.value

@@ -31,9 +31,10 @@ Why the replay is sound
 -----------------------
 Every random decision the object path makes is either
 
-* a *generation* draw from ``seed -> "population" -> "chunk:<k>"`` in a
-  fixed per-domain order (replayed verbatim into the chunk's columns by
-  :func:`~repro.scan.columnar.build_columnar_chunk`),
+* a *generation* draw from ``seed -> "population" -> "chunk:<k>"``.  The
+  object path makes none itself: it materialises its population from the
+  cells :func:`~repro.scan.columnar.build_columnar_chunk` writes, the same
+  cells this replay reads,
 * a *fault* draw keyed purely by ``(fault seed, kind, epoch, entity
   label)`` (stateless: skipping draws the verdict never consumes cannot
   perturb any other draw), or
@@ -43,8 +44,7 @@ Every random decision the object path makes is either
 
 Addresses are arithmetic, not allocated: chunk ``k`` owns the address
 slice ``base + k * stride`` and hands addresses out sequentially, so the
-columns store an offset instead of an :class:`~repro.net.address.
-AddressPool` allocation.
+columns store an offset, which both paths add to the slice's base.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .detect import (
 from .population import CATEGORY_ORDER, PopulationPlan, population_from_params
 
 #: One MX record of a replayed domain: hostname, preference, address value
-#: (``None`` for a dangling/ghost exchange) — mirrors ``DomainTruth.mx_hosts``.
+#: (``None`` for a dangling/ghost exchange), as in ``DomainTruth.mx_hosts``.
 _Record = Tuple[str, int, Optional[int]]
 
 #: A single-scan shape: either ``("mxfault", kind)`` or

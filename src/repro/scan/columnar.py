@@ -1,6 +1,6 @@
 """Columnar struct-of-arrays pipeline: the fast engine.
 
-The object path (the oracle) materializes one
+The object path (the oracle) materializes these columns as one
 :class:`~repro.scan.population.DomainTruth` (plus zones, address objects
 and probe state) per domain.  At internet scale that does not fit: 10M
 domains of per-domain objects is gigabytes of heap.  This module holds the
@@ -90,8 +90,9 @@ CATEGORY_TOPOLOGIES: Dict[int, DomainCategory] = {
 }
 
 #: Sentinel in the ``addr_offset`` column for "no population address"
-#: (dangling MX, no-MX, and pool-hosted domains whose addresses are
-#: arithmetic in the provider block instead).
+#: (dangling MX, and pool-hosted domains whose addresses are arithmetic in
+#: the provider block instead).  A no-MX domain's cell holds the offset of
+#: its ``www`` A record.
 NO_ADDRESS = (1 << 64) - 1
 
 #: Sentinels in the small signed columns.
@@ -166,12 +167,11 @@ def build_columnar_chunk(
     seed: int,
     chunk_index: int,
 ) -> ColumnarChunk:
-    """Replay one chunk's generation draws into columns.
+    """Make one chunk's generation draws and write them as columns.
 
-    Draw-for-draw lockstep with
-    :meth:`~repro.scan.population.SyntheticInternet._generate_chunk`; any
-    change there must be mirrored here (the columnar-equivalence property
-    tests pin the two together).  No zones, no address allocator, no
+    The population's only generator: the fast engine reads these cells,
+    and :class:`~repro.scan.population.SyntheticInternet` materialises its
+    zones and truths from them.  No zones, no address allocator, no
     per-domain objects — addresses are arithmetic offsets into the chunk's
     slice and pool addresses are arithmetic in the provider block.
     """
@@ -179,6 +179,9 @@ def build_columnar_chunk(
     outage_rng = chunk_rng.split("outages")
     mx_rng = chunk_rng.split("mx-count")
     misc_rng = chunk_rng.split("misconfig")
+    # The provider stream exists (and is drawn from) only when pools are
+    # enabled, so pool-free populations stay bit-identical to releases that
+    # predate provider pools.
     provider_rng = (
         chunk_rng.split("provider")
         if config.provider_pool_fraction > 0
@@ -205,13 +208,17 @@ def build_columnar_chunk(
         persistent = 0
         pool_id = NO_POOL
         offset = NO_ADDRESS
+        # Only a live self-hosted primary draws a transient outage.  Pool
+        # exchangers are shared, so a per-domain draw would couple unrelated
+        # domains through a common address.
+        transient = False
 
         if category is DomainCategory.SINGLE_MX:
             topology = TOPO_SINGLE
             mx_count = 1
             offset = next_offset
             next_offset += 1
-            outage = _replay_transient(outage_rng, config)
+            transient = True
         elif category is DomainCategory.MULTI_MX:
             extra = mx_rng.weighted_index(list(config.extra_mx_weights)) + 1
             mx_count = extra + 1
@@ -232,7 +239,7 @@ def build_columnar_chunk(
                 if outage_rng.random() < config.persistent_outage_rate:
                     persistent = 1
                 else:
-                    outage = _replay_transient(outage_rng, config)
+                    transient = True
         elif category is DomainCategory.NOLISTING:
             topology = TOPO_NOLISTING
             mx_count = 2
@@ -245,7 +252,10 @@ def build_columnar_chunk(
             else:
                 topology = TOPO_NO_MX
                 mx_count = 0
-                next_offset += 1  # the www A record still consumes a slot
+                offset = next_offset  # the www A record
+                next_offset += 1
+        if transient and outage_rng.random() < config.transient_outage_rate:
+            outage = outage_rng.randint(0, 1)
 
         categories.append(CATEGORY_CODE[category])
         ranks.append(rank)
@@ -273,22 +283,15 @@ def build_columnar_chunk(
     )
 
 
-def _replay_transient(rng: RandomStream, config: PopulationConfig) -> int:
-    """Replay ``SyntheticInternet._maybe_transient`` for a live primary."""
-    if rng.random() >= config.transient_outage_rate:
-        return NO_OUTAGE
-    return rng.randint(0, 1)
-
-
 def chunk_records(
     chunk: ColumnarChunk, i: int, name: str
 ) -> List[Tuple[str, int, Optional[int]]]:
     """Reconstruct domain ``i``'s MX records from its column cells.
 
     Returns ``(hostname, preference, address-value-or-None)`` triples in
-    generation order — the exact contents of ``DomainTruth.mx_hosts``.
+    generation order: ``DomainTruth.mx_hosts``, with address values.
     """
-    topology = chunk.topology[i]
+    topology = int(chunk.topology[i])
     count = int(chunk.mx_count[i])
     if topology == TOPO_NO_MX:
         return []

@@ -19,18 +19,25 @@ generated in the same process — which is what lets the parallel experiment
 runner hand each worker a disjoint slice of the population
 (:meth:`SyntheticInternet.shard`) and still merge results bit-for-bit
 identical to a serial run.
+
+Every generation draw lives in one place,
+:func:`repro.scan.columnar.build_columnar_chunk`, which writes a chunk as
+columns.  :class:`SyntheticInternet` draws nothing itself: it materialises
+those cells as zones, addresses and listeners, so the fast engine and the
+oracle scan the same population.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import math
 from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..dns.zone import ZoneStore
-from ..net.address import AddressPool, IPv4Address, IPv4Network
+from ..net.address import IPv4Address, IPv4Network
 from ..sim.rng import RandomStream
 
 
@@ -65,8 +72,7 @@ PROVIDER_APEX = "mx-pools.example"
 #: Address block reserved for provider pools (RFC 2544 benchmarking range,
 #: disjoint from the population's default 10/8 and the bot source ranges).
 #: Pool addresses are arithmetic — pool ``k`` slot ``i`` maps to
-#: ``base + k * POOL_HOSTS + i`` — so the batch/columnar replay never needs
-#: an allocator to know them.
+#: ``base + k * POOL_HOSTS + i`` — so no allocator is needed to know them.
 PROVIDER_ADDRESS_SPACE = "198.18.0.0/16"
 
 
@@ -155,7 +161,8 @@ class PopulationConfig:
     #: Fraction of multi-MX domains whose primary is persistently dead
     #: (counted as nolisting by the paper's operational definition).
     persistent_outage_rate: float = 0.0
-    #: Fraction of multi-MX domains (2, 3 or 4 exchangers).
+    #: Relative weights of 1, 2 or 3 extra exchangers (2, 3 or 4 in all) on
+    #: a multi-MX domain; at most ``MAX_ADDRESSES_PER_DOMAIN - 1`` weights.
     extra_mx_weights: Tuple[float, float, float] = (0.72, 0.2, 0.08)
     #: Of the misconfigured domains, fraction that have a dangling MX (the
     #: rest have no MX records at all).
@@ -184,9 +191,22 @@ class PopulationConfig:
     def __post_init__(self) -> None:
         if self.num_domains < 1:
             raise ValueError("population needs at least one domain")
+        # Chained comparisons are false for NaN, so this also rejects it.
+        if not all(0.0 <= fraction <= 1.0 for fraction in self.mix.values()):
+            raise ValueError("category mix fractions must be finite and in [0, 1]")
         total = sum(self.mix.values())
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"category mix must sum to 1, got {total}")
+        weights = self.extra_mx_weights
+        if not 1 <= len(weights) < MAX_ADDRESSES_PER_DOMAIN:
+            raise ValueError(
+                f"extra_mx_weights needs 1 to {MAX_ADDRESSES_PER_DOMAIN - 1} "
+                f"weights, got {len(weights)}"
+            )
+        if not all(math.isfinite(w) and w >= 0 for w in weights) or sum(weights) <= 0:
+            raise ValueError(
+                "extra_mx_weights must be finite, non-negative and sum above 0"
+            )
         for rate in (self.transient_outage_rate, self.persistent_outage_rate,
                      self.dangling_mx_fraction, self.provider_pool_fraction,
                      self.provider_equal_preference):
@@ -194,6 +214,12 @@ class PopulationConfig:
                 raise ValueError("rates must lie in [0, 1]")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
+        network = IPv4Network.parse(self.address_space)
+        if self.num_chunks * self.chunk_address_stride > network.num_addresses:
+            raise ValueError(
+                f"address_space {self.address_space} too small for "
+                f"{self.num_domains} domains in chunks of {self.chunk_size}"
+            )
         if self.provider_pool_count < 1:
             raise ValueError("provider_pool_count must be positive")
         if self.provider_pool_fraction > 0:
@@ -203,8 +229,7 @@ class PopulationConfig:
                     f"{self.provider_pool_count} provider pools exceed the "
                     f"reserved {PROVIDER_ADDRESS_SPACE} block"
                 )
-            population = IPv4Network.parse(self.address_space)
-            if provider.base in population or population.base in provider:
+            if provider.base in network or network.base in provider:
                 raise ValueError(
                     "population address space overlaps the provider pool "
                     f"block {PROVIDER_ADDRESS_SPACE}"
@@ -492,21 +517,13 @@ class SyntheticInternet:
         self._provider_pools: set = set()
         #: address -> scan index during which it is spuriously down
         self._down_during_scan: Dict[IPv4Address, int] = {}
-        network = IPv4Network.parse(config.address_space)
-        if config.num_chunks * config.chunk_address_stride > network.num_addresses:
-            raise ValueError(
-                f"address space {config.address_space} too small for "
-                f"{config.num_domains} domains in chunks of {config.chunk_size}"
-            )
-        self._pool = AddressPool(network)
         self.plan = PopulationPlan(config, seed)
         if chunks is None:
             self.chunk_indices: List[int] = list(range(self.plan.num_chunks))
         else:
             self.chunk_indices = sorted(set(int(c) for c in chunks))
-        root = RandomStream(seed, "population")
         for chunk_index in self.chunk_indices:
-            self._generate_chunk(root, chunk_index)
+            self._generate_chunk(chunk_index)
 
     @classmethod
     def shard(
@@ -526,119 +543,63 @@ class SyntheticInternet:
     # ------------------------------------------------------------------
     # Generation
     # ------------------------------------------------------------------
-    def _generate_chunk(self, root: RandomStream, chunk_index: int) -> None:
-        """Build one chunk from its own RNG streams and address slice."""
-        chunk_rng = root.split(f"chunk:{chunk_index}")
-        outage_rng = chunk_rng.split("outages")
-        mx_rng = chunk_rng.split("mx-count")
-        misc_rng = chunk_rng.split("misconfig")
-        # The provider stream exists (and is drawn from) only when pools are
-        # enabled, so pool-free populations remain bit-identical to releases
-        # that predate provider pools.
-        provider_rng = (
-            chunk_rng.split("provider")
-            if self.config.provider_pool_fraction > 0
-            else None
-        )
-        pool = self._pool.subpool(
-            chunk_index * self.config.chunk_address_stride,
-            self.config.chunk_address_stride,
+    def _generate_chunk(self, chunk_index: int) -> None:
+        """Materialise one chunk's columns as truths, zones and listeners."""
+        from .columnar import (  # deferred: columnar imports this module
+            NO_OUTAGE,
+            NO_POOL,
+            TOPO_NO_MX,
+            TOPO_NOLISTING,
+            TOPO_POOL_BALANCED,
+            build_columnar_chunk,
+            chunk_records,
         )
 
-        for _, name, category, rank in self.plan.chunk_rows(chunk_index):
-            truth = DomainTruth(
-                name=name,
-                category=category,
-                alexa_rank=rank,
-            )
-            if category is DomainCategory.SINGLE_MX:
-                self._build_single(truth, pool)
-                self._maybe_transient(truth, outage_rng)
-            elif category is DomainCategory.MULTI_MX:
-                self._build_multi(truth, pool, mx_rng, provider_rng)
-                if truth.provider_pool is not None:
-                    # Pool exchangers are shared across domains; per-domain
-                    # outage draws would couple unrelated domains through a
-                    # common address, so pool-hosted domains take none.
-                    pass
-                elif outage_rng.random() < self.config.persistent_outage_rate:
-                    self._apply_persistent_outage(truth)
-                else:
-                    self._maybe_transient(truth, outage_rng)
-            elif category is DomainCategory.NOLISTING:
-                self._build_nolisting(truth, pool)
-            else:
-                self._build_misconfigured(truth, pool, misc_rng)
+        chunk = build_columnar_chunk(self.plan, self.config, self.seed, chunk_index)
+        # One ``tolist`` per column rather than a NumPy scalar per cell.
+        cells = zip(
+            chunk.category.tolist(),
+            chunk.rank.tolist(),
+            chunk.topology.tolist(),
+            chunk.outage_scan.tolist(),
+            chunk.persistent.tolist(),
+            chunk.provider_pool.tolist(),
+            chunk.addr_offset.tolist(),
+        )
+        for i, (code, rank, topology, outage, persistent, pool_id, offset) in enumerate(cells):
+            name = self.plan.name_of(chunk.start + i)
+            category = CATEGORY_ORDER[code]
+            truth = DomainTruth(name=name, category=category, alexa_rank=rank)
+            pooled = pool_id != NO_POOL
+            if pooled:
+                # Pool exchangers live in the pool's own zone, shared by
+                # every domain the pool hosts.
+                self._ensure_provider_pool(pool_id)
+                truth.provider_pool = pool_id
+                truth.pool_balanced = topology == TOPO_POOL_BALANCED
+            zone = self.zones.get_or_create(name)
+            if topology == TOPO_NO_MX:
+                # No MX at all, but the domain exists: an A record for www.
+                zone.add_a(f"www.{name}", IPv4Address(chunk.addr_base + offset))
+            for hostname, preference, value in chunk_records(chunk, i, name):
+                address = None if value is None else IPv4Address(value)
+                if address is not None and not pooled:
+                    zone.add_a(hostname, address)
+                    self._listening[address] = True
+                    self._mail_addresses.append(address)
+                zone.add_mx(preference, hostname)
+                truth.mx_hosts.append((hostname, preference, address))
+            if topology == TOPO_NOLISTING or persistent:
+                # A nolisting primary refuses port 25 by design (Figure 1);
+                # a persistent outage looks the same to both scans.
+                self._listening[truth.primary[2]] = False
+            truth.persistent_outage = bool(persistent)
+            if outage != NO_OUTAGE:
+                truth.outage_scan = outage
+                self._down_during_scan[truth.primary[2]] = outage
             self.domains.append(truth)
             self._truth_counts[category] += 1
             self._by_category[category].append(truth)
-
-    def _allocate_mx(
-        self,
-        truth: DomainTruth,
-        pool: AddressPool,
-        label: str,
-        preference: int,
-        listening: bool,
-    ) -> IPv4Address:
-        address = pool.allocate()
-        hostname = f"{label}.{truth.name}"
-        zone = self.zones.get_or_create(truth.name)
-        zone.add_a(hostname, address)
-        zone.add_mx(preference, hostname)
-        truth.mx_hosts.append((hostname, preference, address))
-        self._listening[address] = listening
-        self._mail_addresses.append(address)
-        return address
-
-    def _build_single(self, truth: DomainTruth, pool: AddressPool) -> None:
-        self._allocate_mx(truth, pool, "smtp", 10, listening=True)
-
-    def _build_multi(
-        self,
-        truth: DomainTruth,
-        pool: AddressPool,
-        rng: RandomStream,
-        provider_rng: Optional[RandomStream] = None,
-    ) -> None:
-        extra = rng.weighted_index(list(self.config.extra_mx_weights)) + 1
-        if provider_rng is not None:
-            # Fixed draw order (membership, pool id, layout) so the columnar
-            # replay can mirror this stream draw-for-draw.
-            if provider_rng.random() < self.config.provider_pool_fraction:
-                pool_id = provider_rng.randrange(self.config.provider_pool_count)
-                balanced = (
-                    provider_rng.random() < self.config.provider_equal_preference
-                )
-                self._attach_provider_pool(truth, pool_id, extra + 1, balanced)
-                return
-        self._allocate_mx(truth, pool, "smtp", 10, listening=True)
-        for i in range(extra):
-            self._allocate_mx(
-                truth, pool, f"smtp{i + 1}", 10 * (i + 2), listening=True
-            )
-
-    def _attach_provider_pool(
-        self, truth: DomainTruth, pool_id: int, count: int, balanced: bool
-    ) -> None:
-        """Point ``truth`` at ``count`` exchangers of a shared provider pool.
-
-        Fail-over pools advertise ascending preferences (10, 20, ...); load
-        balanced pools advertise every exchanger at preference 10, relying
-        on the scanner's ``(preference, exchange)`` tie-break — slot order,
-        by construction of :func:`provider_pool_host` — for determinism.
-        """
-        self._ensure_provider_pool(pool_id)
-        zone = self.zones.get_or_create(truth.name)
-        for slot in range(count):
-            hostname = provider_pool_host(pool_id, slot)
-            preference = 10 if balanced else 10 * (slot + 1)
-            zone.add_mx(preference, hostname)
-            truth.mx_hosts.append(
-                (hostname, preference, IPv4Address(provider_pool_address(pool_id, slot)))
-            )
-        truth.provider_pool = pool_id
-        truth.pool_balanced = balanced
 
     def _ensure_provider_pool(self, pool_id: int) -> None:
         """Provision pool ``pool_id``'s zone, glue and listeners once."""
@@ -652,41 +613,6 @@ class SyntheticInternet:
             self._listening[address] = True
             self._mail_addresses.append(address)
 
-    def _build_nolisting(self, truth: DomainTruth, pool: AddressPool) -> None:
-        # Primary resolves but refuses port 25; secondary works (Figure 1).
-        self._allocate_mx(truth, pool, "smtp", 0, listening=False)
-        self._allocate_mx(truth, pool, "smtp1", 15, listening=True)
-
-    def _build_misconfigured(
-        self, truth: DomainTruth, pool: AddressPool, rng: RandomStream
-    ) -> None:
-        zone = self.zones.get_or_create(truth.name)
-        if rng.random() < self.config.dangling_mx_fraction:
-            # MX points at a hostname with no A record anywhere.
-            hostname = f"ghost.{truth.name}"
-            zone.add_mx(10, hostname)
-            truth.mx_hosts.append((hostname, 10, None))
-        else:
-            # Domain exists (has an A record for www) but no MX at all.
-            zone.add_a(f"www.{truth.name}", pool.allocate())
-
-    def _maybe_transient(self, truth: DomainTruth, rng: RandomStream) -> None:
-        if rng.random() >= self.config.transient_outage_rate:
-            return
-        primary = truth.primary
-        if primary is None or primary[2] is None:
-            return
-        scan_index = rng.randint(0, 1)
-        truth.outage_scan = scan_index
-        self._down_during_scan[primary[2]] = scan_index
-
-    def _apply_persistent_outage(self, truth: DomainTruth) -> None:
-        primary = truth.primary
-        if primary is None or primary[2] is None:
-            return
-        truth.persistent_outage = True
-        self._listening[primary[2]] = False
-
     # ------------------------------------------------------------------
     # Scan-time views
     # ------------------------------------------------------------------
@@ -697,10 +623,10 @@ class SyntheticInternet:
         return self._down_during_scan.get(address) != scan_index
 
     def all_mail_addresses(self) -> List[IPv4Address]:
-        """Every address allocated to an MX host (the scan's address space).
+        """Every address of an MX host (the scan's address space).
 
-        Answered from the index built during generation — allocation order,
-        which matches the old population walk exactly.
+        In generation order: each domain's exchangers in domain order, and a
+        provider pool's exchangers where the shard first uses the pool.
         """
         return list(self._mail_addresses)
 

@@ -1,13 +1,17 @@
 """Unit tests for the synthetic internet population generator."""
 
+import hashlib
+
 import pytest
 
+from repro.scan.alexa import plant_popular_nolisting
 from repro.scan.population import (
     FIGURE2_MIX,
     DomainCategory,
     PopulationConfig,
     SyntheticInternet,
 )
+from repro.scan.profiles import PROFILES, profile_config
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +37,60 @@ class TestConfigValidation:
 
     def test_figure2_mix_sums_to_one(self):
         assert sum(FIGURE2_MIX.values()) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("space", ["10.0.0.0/24", "255.255.255.0/24"])
+    def test_address_space_must_fit_population(self, space):
+        # 1,000 domains in two 512-domain chunks reserve 4,096 addresses.
+        with pytest.raises(ValueError, match="address_space"):
+            PopulationConfig(num_domains=1000, address_space=space)
+
+    def test_address_space_that_fits_is_accepted(self):
+        PopulationConfig(num_domains=64, chunk_size=64, address_space="10.0.0.0/24")
+
+    def test_mix_fractions_must_lie_in_unit_interval(self):
+        with pytest.raises(ValueError, match="mix"):
+            PopulationConfig(
+                num_domains=10,
+                mix={DomainCategory.SINGLE_MX: 1.5, DomainCategory.MULTI_MX: -0.5},
+            )
+
+    @pytest.mark.parametrize(
+        "single, multi", [(float("nan"), 1.0), (float("inf"), float("-inf"))]
+    )
+    def test_mix_fractions_must_be_finite(self, single, multi):
+        # Both mixes sum to NaN, which slips past a sum-to-one check.
+        with pytest.raises(ValueError, match="mix"):
+            PopulationConfig(
+                num_domains=10,
+                mix={DomainCategory.SINGLE_MX: single, DomainCategory.MULTI_MX: multi},
+            )
+
+    @pytest.mark.parametrize("weights", [(), (0.2,) * 4, (0.125,) * 8])
+    def test_extra_mx_weight_count_bounded(self, weights):
+        # Every extra exchanger takes an address: a multi-MX domain holds
+        # at most MAX_ADDRESSES_PER_DOMAIN of them.
+        with pytest.raises(ValueError, match="extra_mx_weights"):
+            PopulationConfig(num_domains=10, extra_mx_weights=weights)
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (0.5, float("nan"), 0.5),
+            (0.5, float("inf"), 0.5),
+            (1.5, -0.5),
+            (0.0, 0.0, 0.0),
+        ],
+    )
+    def test_extra_mx_weights_finite_non_negative_positive_sum(self, weights):
+        with pytest.raises(ValueError, match="extra_mx_weights"):
+            PopulationConfig(num_domains=10, extra_mx_weights=weights)
+
+    def test_fewer_extra_mx_weights_accepted(self):
+        internet = SyntheticInternet(
+            PopulationConfig(num_domains=200, extra_mx_weights=(1.0,)), seed=7
+        )
+        multi = internet.domains_in(DomainCategory.MULTI_MX)
+        assert multi and all(len(t.mx_hosts) == 2 for t in multi)
 
 
 class TestGeneration:
@@ -130,3 +188,132 @@ class TestTransientOutages:
             if a is not None
         )
         assert len(addresses) == expected
+
+
+# ----------------------------------------------------------------------
+# Pinned worlds
+# ----------------------------------------------------------------------
+#: Same knobs as ``tests/scan/test_columnar.py``'s ``POOLED``: self-hosted
+#: multi-MX, both pool layouts, both outage kinds, both misconfigurations.
+POOLED = dict(
+    num_domains=600,
+    transient_outage_rate=0.05,
+    persistent_outage_rate=0.1,
+    provider_pool_fraction=0.4,
+    provider_equal_preference=0.5,
+)
+
+
+def _whole(config, seed):
+    return [SyntheticInternet(config, seed)]
+
+
+def _shards(config, seed):
+    return [
+        SyntheticInternet.shard(config, seed, [k]) for k in range(config.num_chunks)
+    ]
+
+
+def _planted(config, seed):
+    internet = SyntheticInternet(config, seed)
+    plant_popular_nolisting(internet)
+    return [internet]
+
+
+#: case -> (build, config, seed).  ``build`` returns the internets whose
+#: contents, in order, make up the world.
+WORLDS = {
+    "default-2000": (_whole, PopulationConfig(num_domains=2000), 42),
+    "pooled": (_whole, PopulationConfig(**POOLED), 42),
+    "outages": (
+        _whole,
+        PopulationConfig(
+            num_domains=1000, transient_outage_rate=0.2, persistent_outage_rate=0.5
+        ),
+        3,
+    ),
+    # 1,100 domains fill eleven chunks; 1,050 leave a last chunk of 50.
+    "chunk100-1100": (_whole, PopulationConfig(num_domains=1100, chunk_size=100), 42),
+    "chunk100-1050": (_whole, PopulationConfig(num_domains=1050, chunk_size=100), 42),
+    **{
+        f"profile-{name}": (_whole, profile_config(name, num_domains=1500), 7)
+        for name in sorted(PROFILES)
+    },
+    **{
+        f"{build.__name__[1:]}-seed{seed}": (
+            build,
+            PopulationConfig(**{**POOLED, "num_domains": 1200, "chunk_size": 256}),
+            seed,
+        )
+        for seed in (7, 42)
+        for build in (_whole, _shards)
+    },
+    "planted-5000": (_planted, PopulationConfig(num_domains=5000), 42),
+}
+
+#: SHA-256 of :func:`world_lines` for each world.  A digest that moves means
+#: the generated population moved, for both engines and every cached result:
+#: update one only for a deliberate change to the population.
+WORLD_DIGESTS = {
+    "chunk100-1050": "0d4b9bfbd9f626322b11b6440099efa6ca88cc0a495fbf5b924532dc4045f1c6",
+    "chunk100-1100": "621f103d312328ab9c56635f5c4a82bc640e21bf2f021506c4701107838b41fd",
+    "default-2000": "359ce7494233d54c60548256bb605217b35af604499b95a2b20512ae0e6e6bf2",
+    "outages": "4412c51e502ed55edb98bda558b0c1dd937551a988d3e4c54c9ceb1ae1620a1d",
+    "planted-5000": "fd53406d2e7235e262308a0d05da985b1302e23190de1e2d0fab55c502018b15",
+    "pooled": "8bc54af7ee0f8ea7fdc363900effe4184e70690a0be66d8f6ae3903ef1486724",
+    "profile-dns-abuse": "859141e27d611bd545dda23b42527581abe684e07234cad2a10afe434605cf3b",
+    "profile-figure2": "bccc05655ab93f7353cd89a422f212147ce9e3847b2a9897cf3969399be8f050",
+    "profile-provider-consolidated": (
+        "d6bc2eee7d87018fac04f1d2fa248f50ea8f1fbe198d6494f44c66d2f0598639"
+    ),
+    "shards-seed42": "3bb737fa7fea9320c1c70b869c3f24168676e96198d9176a84b611369565c0d6",
+    "shards-seed7": "cfc12f086a240d00b8df3e7893e598747b1a83584fc2c93b1e63d65a71a96e28",
+    "whole-seed42": "8e8e20d943905249aaaab996b04e6900c29e451861dfd6704b171707e18c42bb",
+    "whole-seed7": "d69eb4aeda50f94bcb40109f18c34aef6581bd023d29f36e2f7896a7d91bf3f4",
+}
+
+
+def world_lines(internet):
+    """Everything one internet holds, as repr-able rows in a fixed order."""
+    for truth in internet.domains:
+        yield (
+            truth.name,
+            truth.category.value,
+            [(host, pref, None if a is None else str(a)) for host, pref, a in truth.mx_hosts],
+            truth.outage_scan,
+            truth.persistent_outage,
+            truth.alexa_rank,
+            truth.provider_pool,
+            truth.pool_balanced,
+        )
+    for zone in internet.zones.zones:
+        yield (zone.apex, [str(record) for record in zone.all_records()])
+    addresses = internet.all_mail_addresses()
+    yield [str(a) for a in addresses]
+    yield [(internet.is_listening(a, 0), internet.is_listening(a, 1)) for a in addresses]
+    yield sorted((c.value, n) for c, n in internet.truth_counts().items())
+    for category in sorted(DomainCategory, key=lambda c: c.value):
+        yield (category.value, [t.name for t in internet.domains_in(category)])
+
+
+def world_digest(internets):
+    digest = hashlib.sha256()
+    for internet in internets:
+        for line in world_lines(internet):
+            digest.update(repr(line).encode())
+            digest.update(b"\n")
+    return digest.hexdigest()
+
+
+class TestPinnedWorlds:
+    """The generated world, field for field, against digests pinned earlier.
+
+    The columnar tests compare the columns with objects built from those
+    same columns, and the engine-equivalence suite runs both engines on one
+    population; only these digests notice a change to the population itself.
+    """
+
+    @pytest.mark.parametrize("case", sorted(WORLDS))
+    def test_world_unchanged(self, case):
+        build, config, seed = WORLDS[case]
+        assert world_digest(build(config, seed)) == WORLD_DIGESTS[case]
