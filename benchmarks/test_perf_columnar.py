@@ -7,13 +7,10 @@ Two hard gates ride the smoke-bench set:
   is what makes the 10,000,000-domain sweep in
   ``test_extra_internet_scale.py`` a seconds-scale run.
 * **Memory budget** — peak Python-heap allocation of the same run must
-  stay under a fixed cap.  The deployment column is streamed in
-  fixed-size chunks and only targeted cells are retained, so the peak is
-  set by the chunk size and the spam wave, not by the domain count;
-  measured ~7 MiB at both 1M and 4M domains, gated at 24 MiB.
-
-Both gates run on the pure-Python fallback too (``REPRO_NO_NUMPY=1``):
-the streaming shape, not NumPy, is what bounds the memory.
+  stay under a fixed cap.  The deployment rolls are streamed in
+  fixed-size chunks and only the targeted ones are binned, so the peak
+  is set by the chunk size and the spam wave, not by the domain count;
+  measured ~6 MiB at both 1M and 4M domains, gated at 24 MiB.
 """
 
 from repro.core.adoption import run_adoption_experiment

@@ -12,10 +12,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    extras_require={
-        # The columnar engine (repro.scan.columnar) vectorizes with NumPy
-        # when present and transparently falls back to array-module
-        # columns when absent; everything stays bit-identical either way.
-        "columnar": ["numpy>=1.24"],
-    },
 )

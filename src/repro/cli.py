@@ -498,8 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("object", "columnar"),
         default="columnar",
         help=(
-            "shard implementation: columnar (vectorized) engine, or the "
-            "per-object simulation it is checked against"
+            "shard implementation: columnar engine (one classification "
+            "per distinct outcome), or the per-object simulation it is "
+            "checked against"
         ),
     )
     p.add_argument(
@@ -711,6 +712,14 @@ def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespac
             "--store-path applies only to kelihos and serve, with a "
             "--store-backend other than memory"
         )
+    if args.command == "adoption":
+        # How many domains fit depends on the profile's address space.
+        from .scan.profiles import profile_config
+
+        try:
+            profile_config(args.mix_profile, num_domains=args.domains)
+        except ValueError as error:
+            parser.error(str(error))
     if args.command == "serve":
         args.workers = args.workers or os.cpu_count() or 1
         if args.workers > 1 and args.store_backend != "shm":

@@ -83,9 +83,10 @@ def run_adoption_experiment(
 
     ``engine`` selects the shard implementation.  ``"columnar"``, the
     default, holds each chunk as parallel fixed-width columns and
-    vectorizes the fault-free accounting, glue elision included; faulted
-    chunks are replayed domain by domain from the same columns (see
-    :mod:`repro.scan.columnar` and :mod:`repro.scan.batch`).
+    classifies a fault-free chunk once per distinct outcome key, glue
+    elision included; faulted chunks are replayed domain by domain from
+    the same columns (see :mod:`repro.scan.columnar` and
+    :mod:`repro.scan.batch`).
     ``"object"`` is the oracle: it builds and scans the full synthetic
     world per chunk.  Results are bit-identical either way.
 

@@ -126,11 +126,11 @@ def run_internet_scale(
     (memoized in ``session_cache``, a
     :class:`~repro.sim.batch.SessionOutcomeCache`) and replays only the
     per-message retry-delay draws.  It *streams* the receiver internet's
-    deployment column in chunks of ``chunk_domains`` (see
-    :func:`repro.scan.columnar.stream_deployment_chunks`), retaining only
-    the targeted entries — peak memory is one chunk plus the wave,
-    independent of ``num_domains``, which is what lifts the sweep to 10M
-    domains.  ``engine="object"`` is the oracle: it simulates every DNS
+    deployment rolls in chunks of ``chunk_domains`` (see
+    :func:`repro.scan.columnar.stream_deployment_rolls`) and bins only the
+    targeted ones — peak memory is one chunk plus the wave, independent
+    of ``num_domains``, which is what lifts the sweep to 10M domains.
+    ``engine="object"`` is the oracle: it simulates every DNS
     lookup, connection and SMTP dialogue on the event scheduler, and
     produces the identical result.  ``counters``, a
     :class:`~repro.sim.batch.BatchCounters`, is filled with the columnar
@@ -269,9 +269,6 @@ def _assemble_result(
 
 #: Deployment kinds a receiver domain can be in (disjoint in this model).
 _PLAIN, _NOLISTED, _GREYLISTED = "plain", "nolisted", "greylisted"
-
-#: Columnar deployment code (see :mod:`repro.scan.columnar`) -> kind.
-_KIND_OF_CODE = (_PLAIN, _NOLISTED, _GREYLISTED)
 
 
 def _replay_wave(
@@ -440,13 +437,14 @@ def _run_internet_scale_columnar(
     The object path's draws, replayed, give its results without its
     simulation.  The wave is replayed first (its streams are independent
     of the deployment stream), which pins down the handful of *targeted*
-    domain indices; the deployment column is then streamed through in
+    domain indices; the deployment rolls are then streamed through in
     ``chunk_domains`` chunks (:func:`repro.scan.columnar.
-    stream_deployment_chunks`, bulk Python draws + vectorized binning) and
-    only the targeted cells are retained.  Peak memory is O(chunk + messages), independent of
-    ``num_domains`` — the property the memory-budget benchmark pins.
+    stream_deployment_rolls`, bulk draws) and only the targeted rolls are
+    binned, with the object path's two comparisons.  Peak memory is
+    O(chunk + messages), independent of ``num_domains`` — the property
+    the memory-budget benchmark pins.
     """
-    from ..scan.columnar import stream_deployment_chunks
+    from ..scan.columnar import stream_deployment_rolls
 
     rng = RandomStream(seed, "internet-scale")
     wave = _replay_wave(rng, messages, num_domains)
@@ -454,17 +452,19 @@ def _run_internet_scale_columnar(
 
     deployment: Dict[int, str] = {}
     cursor = 0
-    for start, codes in stream_deployment_chunks(
-        rng.split("deployments"),
-        num_domains,
-        nolisting_rate,
-        greylisting_rate,
-        chunk_domains=chunk_domains,
+    for start, rolls in stream_deployment_rolls(
+        rng.split("deployments"), num_domains, chunk_domains
     ):
-        end = start + len(codes)
+        end = start + len(rolls)
         while cursor < len(targeted) and targeted[cursor] < end:
             index = targeted[cursor]
-            deployment[index] = _KIND_OF_CODE[codes[index - start]]
+            roll = rolls[index - start]
+            if roll < nolisting_rate:
+                deployment[index] = _NOLISTED
+            elif roll < nolisting_rate + greylisting_rate:
+                deployment[index] = _GREYLISTED
+            else:
+                deployment[index] = _PLAIN
             cursor += 1
 
     per_family_sent, per_family_delivered = _resolve_wave(

@@ -33,8 +33,8 @@ def adoption_shard_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     the chunk decomposition cannot change which domains or addresses fail.
 
     Without an ``engine`` key the payload runs on the columnar engine
-    (:func:`repro.scan.columnar.columnar_adoption_shard`), which
-    vectorizes fault-free chunks and replays faulted ones.
+    (:func:`repro.scan.columnar.columnar_adoption_shard`), which counts
+    fault-free chunks per outcome key and replays faulted ones.
     ``engine: "object"`` runs the oracle below instead: it builds and
     scans the full synthetic world and returns the identical result.  The
     key is only present off the default, so columnar payloads keep the

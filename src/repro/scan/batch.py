@@ -16,12 +16,12 @@ and :func:`classify_and_tally` runs the **real** classifiers
 synthesized representative observation, weighting every tally by the
 class's size.  Both producers of classes share that one fold:
 
-* :func:`repro.scan.columnar.columnar_adoption_shard` derives a fault-free
-  chunk's classes from its packed column keys, vectorized;
+* :func:`repro.scan.columnar.columnar_adoption_shard` counts a fault-free
+  chunk's classes by outcome key, five column cells per domain;
 * :func:`batched_adoption_shard` (this module) replays a *faulted* chunk
   domain by domain from the same :class:`~repro.scan.columnar.ColumnarChunk`
-  cells.  Fault draws are per-entity stream seedings, so they cannot be
-  vectorized.
+  cells.  Fault draws are per-entity stream seedings, so which glue and
+  which listeners a fault removes is known only domain by domain.
 
 The result dict is bit-for-bit identical to the object path's for the same
 payload — a property the engine-equivalence suite asserts over seeds, fault
@@ -304,7 +304,7 @@ def batched_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         else:
             servers = len(records)
             addresses = sum(1 for (_, _, address) in records if address is not None)
-        outcome = (int(chunk.category[i]), shape_a, shape_b, servers, addresses)
+        outcome = (chunk.category[i], shape_a, shape_b, servers, addresses)
         classes.add(outcome, name)
 
     return classify_and_tally(

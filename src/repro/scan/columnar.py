@@ -9,19 +9,16 @@ for rank, ground-truth category, MX topology, outage schedule, provider
 pool and generator profile — built one ~100k-domain chunk at a time, so
 peak memory is bounded by the chunk size, not the population size.
 
-Columns are NumPy arrays when NumPy is importable (and ``REPRO_NO_NUMPY``
-is unset); otherwise the pure-Python :mod:`array` module provides the same
-fixed-width storage with identical contents.  Every consumer treats the two
-backends interchangeably — NumPy only accelerates, it never decides.
+Each column is a stdlib :mod:`array` buffer of fixed-width integers.
 
 Determinism contract
 --------------------
-All random draws stay on the Python side (:meth:`~repro.sim.rng.
-RandomStream.random_block` bulk-draws from the same Mersenne Twister state
-the per-object path advances), because NumPy's generators cannot replicate
-:mod:`random`'s stream.  Vectorization applies strictly *downstream* of the
-draws — binning, classification and accounting — which is what keeps the
-columnar engines bit-for-bit identical to the object oracle at any N.
+Every random draw comes from the same Mersenne Twister streams the
+per-object path advances (:meth:`~repro.sim.rng.RandomStream.random_block`
+bulk-draws the identical sequence).  What the fast engine saves is work
+*after* the draws: it counts each chunk's distinct outcome keys and runs
+the real classifiers once per key, which is what keeps it bit-for-bit
+identical to the object oracle at any N.
 
 >>> CATEGORY_TOPOLOGIES[TOPO_NOLISTING].value
 'nolisting'
@@ -29,14 +26,14 @@ columnar engines bit-for-bit identical to the object oracle at any N.
 
 from __future__ import annotations
 
-import os
 from array import array
+from collections import Counter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..net.address import IPv4Network
 from ..sim.rng import RandomStream
 from .population import (
-    CATEGORY_CODE,
+    CATEGORY_ORDER,
     DomainCategory,
     PopulationConfig,
     PopulationPlan,
@@ -46,25 +43,6 @@ from .population import (
     provider_pool_host,
 )
 from .profiles import PROFILE_CODE
-
-
-def numpy_or_none():
-    """The :mod:`numpy` module, or ``None`` when unavailable or disabled.
-
-    Checked at every call (not import time) so the ``REPRO_NO_NUMPY``
-    environment variable — which CI's numpy-less leg sets — takes effect
-    without reimports.  NumPy is a pure accelerator: every columnar code
-    path has an :mod:`array`-module fallback with identical results.
-    """
-    # The one sanctioned environment read on a hot path: it only picks
-    # the accelerator, and the fallback is equivalence-tested bit-identical.
-    if os.environ.get("REPRO_NO_NUMPY"):  # repro: noqa DET001 - accelerator toggle
-        return None
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - container always has numpy
-        return None
-    return numpy
 
 
 # ----------------------------------------------------------------------
@@ -98,13 +76,6 @@ NO_ADDRESS = (1 << 64) - 1
 #: Sentinels in the small signed columns.
 NO_OUTAGE = -1
 NO_POOL = -1
-
-
-def _column(typecode: str, values: List[int], np, dtype: Optional[str]):
-    """Freeze a build list into a NumPy array or an ``array`` column."""
-    if np is not None:
-        return np.array(values, dtype=dtype)
-    return array(typecode, values)
 
 
 class ColumnarChunk:
@@ -201,7 +172,8 @@ def build_columnar_chunk(
     pools: List[int] = []
     offsets: List[int] = []
 
-    for _, _name, category, rank in plan.chunk_rows(chunk_index):
+    for _, code, rank in plan.chunk_rows(chunk_index):
+        category = CATEGORY_ORDER[code]
         topology = TOPO_SINGLE
         mx_count = 0
         outage = NO_OUTAGE
@@ -257,7 +229,7 @@ def build_columnar_chunk(
         if transient and outage_rng.random() < config.transient_outage_rate:
             outage = outage_rng.randint(0, 1)
 
-        categories.append(CATEGORY_CODE[category])
+        categories.append(code)
         ranks.append(rank)
         topologies.append(topology)
         mx_counts.append(mx_count)
@@ -266,20 +238,19 @@ def build_columnar_chunk(
         pools.append(pool_id)
         offsets.append(offset)
 
-    np = numpy_or_none()
     return ColumnarChunk(
         chunk_index=chunk_index,
         start=chunk_index * config.chunk_size,
         addr_base=network.base.value,
-        category=_column("B", categories, np, "uint8"),
-        rank=_column("I", ranks, np, "uint32"),
-        topology=_column("B", topologies, np, "uint8"),
-        mx_count=_column("B", mx_counts, np, "uint8"),
-        outage_scan=_column("b", outages, np, "int8"),
-        persistent=_column("B", persistents, np, "uint8"),
-        provider_pool=_column("h", pools, np, "int16"),
-        addr_offset=_column("Q", offsets, np, "uint64"),
-        profile=_column("B", [profile_code] * len(categories), np, "uint8"),
+        category=array("B", categories),
+        rank=array("I", ranks),
+        topology=array("B", topologies),
+        mx_count=array("B", mx_counts),
+        outage_scan=array("b", outages),
+        persistent=array("B", persistents),
+        provider_pool=array("h", pools),
+        addr_offset=array("Q", offsets),
+        profile=array("B", [profile_code]) * len(categories),
     )
 
 
@@ -291,14 +262,14 @@ def chunk_records(
     Returns ``(hostname, preference, address-value-or-None)`` triples in
     generation order: ``DomainTruth.mx_hosts``, with address values.
     """
-    topology = int(chunk.topology[i])
-    count = int(chunk.mx_count[i])
+    topology = chunk.topology[i]
+    count = chunk.mx_count[i]
     if topology == TOPO_NO_MX:
         return []
     if topology == TOPO_DANGLING:
         return [(f"ghost.{name}", 10, None)]
     if topology in (TOPO_POOL_FAILOVER, TOPO_POOL_BALANCED):
-        pool_id = int(chunk.provider_pool[i])
+        pool_id = chunk.provider_pool[i]
         balanced = topology == TOPO_POOL_BALANCED
         return [
             (
@@ -308,7 +279,7 @@ def chunk_records(
             )
             for slot in range(count)
         ]
-    address = chunk.addr_base + int(chunk.addr_offset[i])
+    address = chunk.addr_base + chunk.addr_offset[i]
     if topology == TOPO_SINGLE:
         return [(f"smtp.{name}", 10, address)]
     if topology == TOPO_NOLISTING:
@@ -324,64 +295,18 @@ def chunk_records(
 
 def pool_apex_of(chunk: ColumnarChunk, i: int) -> Optional[str]:
     """Provider-pool zone apex of domain ``i``, or ``None`` if self-hosted."""
-    pool_id = int(chunk.provider_pool[i])
+    pool_id = chunk.provider_pool[i]
     if pool_id < 0:
         return None
     return provider_pool_apex(pool_id)
 
 
 # ----------------------------------------------------------------------
-# Vectorized adoption accounting
+# Adoption accounting
 # ----------------------------------------------------------------------
-#: Bit layout of the packed per-domain outcome key (fault-free scans only):
-#: topology(3) | category(2 bits suffice, 3 used) | mx_count(3) |
-#: outage+1(2) | persistent(1).
-_TOPO_BITS, _CAT_SHIFT, _MXC_SHIFT, _OUT_SHIFT, _PER_SHIFT = 7, 3, 6, 9, 11
-
-
-def _pack_outcome_keys(chunk: ColumnarChunk):
-    """Per-domain outcome keys as one integer column (vectorized)."""
-    np = numpy_or_none()
-    if np is not None and hasattr(chunk.topology, "astype"):
-        t = chunk.topology.astype(np.int64)
-        return (
-            t
-            | (chunk.category.astype(np.int64) << _CAT_SHIFT)
-            | (chunk.mx_count.astype(np.int64) << _MXC_SHIFT)
-            | ((chunk.outage_scan.astype(np.int64) + 1) << _OUT_SHIFT)
-            | (chunk.persistent.astype(np.int64) << _PER_SHIFT)
-        )
-    return array(
-        "q",
-        (
-            chunk.topology[i]
-            | (chunk.category[i] << _CAT_SHIFT)
-            | (chunk.mx_count[i] << _MXC_SHIFT)
-            | ((chunk.outage_scan[i] + 1) << _OUT_SHIFT)
-            | (chunk.persistent[i] << _PER_SHIFT)
-            for i in range(chunk.n)
-        ),
-    )
-
-
-def _unique_counts(packed) -> Dict[int, int]:
-    """Distinct outcome keys and their cardinalities."""
-    np = numpy_or_none()
-    if np is not None and hasattr(packed, "astype"):
-        keys, counts = np.unique(packed, return_counts=True)
-        return {int(k): int(c) for k, c in zip(keys, counts)}
-    counts: Dict[int, int] = {}
-    for key in packed:
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def _shape_of_key(key: int, scan_index: int) -> Tuple[Any, ...]:
+def _shape_of_key(key: Tuple[int, ...], scan_index: int) -> Tuple[Any, ...]:
     """The single-scan shape a fault-free scan observes for one key."""
-    topology = key & _TOPO_BITS
-    mx_count = (key >> _MXC_SHIFT) & 7
-    outage = ((key >> _OUT_SHIFT) & 3) - 1
-    persistent = (key >> _PER_SHIFT) & 1
+    topology, _, mx_count, outage, persistent = key
     if topology == TOPO_NO_MX:
         return (0, 0, False, False)
     if topology == TOPO_DANGLING:
@@ -396,16 +321,15 @@ def _shape_of_key(key: int, scan_index: int) -> Tuple[Any, ...]:
     return (mx_count, mx_count, primary_up, True)
 
 
-def _outcome_of_key(key: int) -> Tuple[Any, ...]:
-    """The outcome class (see :mod:`repro.scan.batch`) of one packed key.
+def _outcome_of_key(key: Tuple[int, ...]) -> Tuple[Any, ...]:
+    """The outcome class (see :mod:`repro.scan.batch`) of one outcome key.
 
     A dangling domain's ghost exchange counts as a server without an
     address; a no-MX domain has neither.
     """
-    topology = key & _TOPO_BITS
-    mx_count = (key >> _MXC_SHIFT) & 7
+    topology, category, mx_count, _, _ = key
     return (
-        (key >> _CAT_SHIFT) & 7,
+        category,
         _shape_of_key(key, 0),
         _shape_of_key(key, 1),
         mx_count,
@@ -414,20 +338,20 @@ def _outcome_of_key(key: int) -> Tuple[Any, ...]:
 
 
 def columnar_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """The fast engine's adoption shard: the object path's result, vectorized.
+    """The fast engine's adoption shard: the object path's result, per key.
 
     A fault-free scan's shapes, classes and coverage figures are a pure
-    function of the chunk's columns, so the whole chunk collapses to
-    ``unique(packed keys)`` — vectorized under NumPy — and
-    :func:`repro.scan.batch.classify_and_tally` runs the *real* classifiers
-    once per distinct key.  Glue elision does not change that: those
-    figures read the captures after the parallel re-resolve has restored
-    every elided glue record, so elision moves only ``repaired``, counted
-    per glue-carrying domain by :func:`_elided_in_chunk`.  Faulted payloads
-    depend on which glue and which listeners each fault removed, per
-    domain; those go to the faulted-shard replay,
-    :func:`repro.scan.batch.batched_adoption_shard`, which feeds the same
-    fold.
+    function of five cells per domain, so the whole chunk collapses to
+    the counts of its outcome keys ``(topology, category, mx_count,
+    outage_scan, persistent)`` and :func:`repro.scan.batch.
+    classify_and_tally` runs the *real* classifiers once per distinct key.
+    Glue elision does not change that: those figures read the captures
+    after the parallel re-resolve has restored every elided glue record,
+    so elision moves only ``repaired``, counted per glue-carrying domain
+    by :func:`_elided_in_chunk`.  Faulted payloads depend on which glue
+    and which listeners each fault removed, per domain; those go to the
+    faulted-shard replay, :func:`repro.scan.batch.batched_adoption_shard`,
+    which feeds the same fold.
     """
     from .batch import batched_adoption_shard, classify_and_tally
 
@@ -438,16 +362,24 @@ def columnar_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     seed = int(payload["seed"])
     plan = PopulationPlan(config, seed)
     chunk = build_columnar_chunk(plan, config, seed, int(payload["chunk"]))
-    packed = _pack_outcome_keys(chunk)
+    keys = list(
+        zip(
+            chunk.topology,
+            chunk.category,
+            chunk.mx_count,
+            chunk.outage_scan,
+            chunk.persistent,
+        )
+    )
     return classify_and_tally(
         (
             (_outcome_of_key(key), members, key)
-            for key, members in _unique_counts(packed).items()
+            for key, members in Counter(keys).items()
         ),
         # Without faults every record the re-resolve repairs lost its glue
         # to elision alone.
         _elided_in_chunk(chunk, plan, seed, float(payload["glue_elision_rate"])),
-        lambda keys: _members_of(chunk, plan, packed, keys),
+        lambda wanted: _members_of(chunk, plan, keys, wanted),
     )
 
 
@@ -468,9 +400,7 @@ def _elided_in_chunk(
         return 0
     elision_root = RandomStream(seed, "adoption-scan")
     elided = 0
-    for i, (topology, carrying) in enumerate(
-        zip(chunk.topology.tolist(), chunk.mx_count.tolist())
-    ):
+    for i, (topology, carrying) in enumerate(zip(chunk.topology, chunk.mx_count)):
         if topology == TOPO_DANGLING or not carrying:
             continue
         name = plan.name_of(chunk.start + i)
@@ -482,73 +412,37 @@ def _elided_in_chunk(
 
 
 def _members_of(
-    chunk: ColumnarChunk, plan: PopulationPlan, packed, keys: List[int]
+    chunk: ColumnarChunk,
+    plan: PopulationPlan,
+    keys: List[Tuple[int, ...]],
+    wanted: List[Tuple[int, ...]],
 ) -> List[str]:
-    """Names of the domains whose outcome key is in ``keys``."""
-    if not keys:
+    """Names of the domains whose outcome key is in ``wanted``."""
+    if not wanted:
         return []
-    np = numpy_or_none()
-    names: List[str] = []
-    if np is not None and hasattr(packed, "astype"):
-        mask = np.isin(packed, np.array(keys, dtype=np.int64))
-        for i in np.nonzero(mask)[0]:
-            names.append(plan.name_of(chunk.start + int(i)))
-        return names
-    wanted = set(keys)
-    for i, key in enumerate(packed):
-        if key in wanted:
-            names.append(plan.name_of(chunk.start + i))
-    return names
+    wanted_keys = set(wanted)
+    return [
+        plan.name_of(chunk.start + i)
+        for i, key in enumerate(keys)
+        if key in wanted_keys
+    ]
 
 
 # ----------------------------------------------------------------------
-# Streaming deployment columns (internet-scale experiment)
+# Streaming deployment rolls (internet-scale experiment)
 # ----------------------------------------------------------------------
-#: Deployment codes in the internet-scale columns (the "policy fingerprint
-#: id" column: each code maps to one connection-policy fingerprint).
-DEPLOY_PLAIN = 0
-DEPLOY_NOLISTED = 1
-DEPLOY_GREYLISTED = 2
-
-
-def stream_deployment_chunks(
-    deploy_rng: RandomStream,
-    num_domains: int,
-    nolisting_rate: float,
-    greylisting_rate: float,
-    chunk_domains: int = 100_000,
-) -> Iterator[Tuple[int, Any]]:
-    """Stream the receiver internet's deployment column in bounded chunks.
+def stream_deployment_rolls(
+    deploy_rng: RandomStream, num_domains: int, chunk_domains: int
+) -> Iterator[Tuple[int, List[float]]]:
+    """Stream the receiver internet's deployment rolls in bounded chunks.
 
     Draws continue ``deploy_rng``'s single sequential stream exactly as the
     object path's per-domain ``random()`` calls do (``random_block`` is
-    draw-for-draw identical), then bins each chunk into deployment codes —
-    vectorized under NumPy.  Yields ``(start_index, codes)``; the caller
-    decides what to retain, so peak memory is one chunk regardless of
-    ``num_domains``.
+    draw-for-draw identical).  Yields ``(start_index, rolls)``; the caller
+    bins only the rolls it reads, so peak memory is one chunk regardless
+    of ``num_domains``.
     """
     if chunk_domains < 1:
         raise ValueError("chunk_domains must be positive")
-    np = numpy_or_none()
-    boundary = nolisting_rate + greylisting_rate
     for start in range(0, num_domains, chunk_domains):
-        n = min(chunk_domains, num_domains - start)
-        block = deploy_rng.random_block(n)
-        if np is not None:
-            rolls = np.array(block)
-            codes = np.where(
-                rolls < nolisting_rate,
-                DEPLOY_NOLISTED,
-                np.where(rolls < boundary, DEPLOY_GREYLISTED, DEPLOY_PLAIN),
-            ).astype(np.uint8)
-        else:
-            codes = array(
-                "B",
-                (
-                    DEPLOY_NOLISTED
-                    if roll < nolisting_rate
-                    else (DEPLOY_GREYLISTED if roll < boundary else DEPLOY_PLAIN)
-                    for roll in block
-                ),
-            )
-        yield start, codes
+        yield start, deploy_rng.random_block(min(chunk_domains, num_domains - start))

@@ -92,10 +92,13 @@ def provider_pool_host(pool_id: int, slot: int) -> str:
     return f"mx{slot}.{provider_pool_apex(pool_id)}"
 
 
+#: :data:`PROVIDER_ADDRESS_SPACE`, parsed once.
+_PROVIDER_NETWORK = IPv4Network.parse(PROVIDER_ADDRESS_SPACE)
+
+
 def provider_pool_address(pool_id: int, slot: int) -> int:
     """Integer address of exchanger ``slot`` in provider pool ``pool_id``."""
-    base = IPv4Network.parse(PROVIDER_ADDRESS_SPACE).base.value
-    return base + pool_id * POOL_HOSTS + slot
+    return _PROVIDER_NETWORK.base.value + pool_id * POOL_HOSTS + slot
 
 #: Canonical category order backing the plan's columnar representation.
 #: Sorted by enum value, matching the plan's canonical layout order, so a
@@ -223,7 +226,7 @@ class PopulationConfig:
         if self.provider_pool_count < 1:
             raise ValueError("provider_pool_count must be positive")
         if self.provider_pool_fraction > 0:
-            provider = IPv4Network.parse(PROVIDER_ADDRESS_SPACE)
+            provider = _PROVIDER_NETWORK
             if self.provider_pool_count * POOL_HOSTS > provider.num_addresses:
                 raise ValueError(
                     f"{self.provider_pool_count} provider pools exceed the "
@@ -403,12 +406,14 @@ class PopulationPlan:
     def num_chunks(self) -> int:
         return self.config.num_chunks
 
-    def chunk_rows(self, chunk_index: int) -> List[Tuple[int, str, DomainCategory, int]]:
-        """Chunk contents as cheap ``(index, name, category, rank)`` rows.
+    def chunk_rows(self, chunk_index: int) -> List[Tuple[int, int, int]]:
+        """Chunk contents as cheap ``(index, category code, rank)`` rows.
 
         Reads straight from the columnar arrays, so a worker generating one
-        shard never materializes the full object plan.  Falls back to the
-        object view when it exists, because planting mutates object ranks.
+        shard never materializes the full object plan, and formats no
+        names (:meth:`name_of` derives one from the index).  Falls back to
+        the object view when it exists, because planting mutates object
+        ranks.
         """
         self._check_chunk(chunk_index)
         size = self.config.chunk_size
@@ -416,14 +421,12 @@ class PopulationPlan:
         stop = min(start + size, self.config.num_domains)
         if self._domains is not None:
             return [
-                (d.index, d.name, d.category, d.alexa_rank)
+                (d.index, CATEGORY_CODE[d.category], d.alexa_rank)
                 for d in self._domains[start:stop]
             ]
-        codes, ranks = self._codes, self._ranks
-        return [
-            (i, self.name_of(i), CATEGORY_ORDER[codes[i]], ranks[i])
-            for i in range(start, stop)
-        ]
+        return list(
+            zip(range(start, stop), self._codes[start:stop], self._ranks[start:stop])
+        )
 
     def _check_chunk(self, chunk_index: int) -> None:
         if not 0 <= chunk_index < self.num_chunks:
@@ -556,15 +559,14 @@ class SyntheticInternet:
         )
 
         chunk = build_columnar_chunk(self.plan, self.config, self.seed, chunk_index)
-        # One ``tolist`` per column rather than a NumPy scalar per cell.
         cells = zip(
-            chunk.category.tolist(),
-            chunk.rank.tolist(),
-            chunk.topology.tolist(),
-            chunk.outage_scan.tolist(),
-            chunk.persistent.tolist(),
-            chunk.provider_pool.tolist(),
-            chunk.addr_offset.tolist(),
+            chunk.category,
+            chunk.rank,
+            chunk.topology,
+            chunk.outage_scan,
+            chunk.persistent,
+            chunk.provider_pool,
+            chunk.addr_offset,
         )
         for i, (code, rank, topology, outage, persistent, pool_id, offset) in enumerate(cells):
             name = self.plan.name_of(chunk.start + i)

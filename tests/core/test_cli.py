@@ -187,6 +187,10 @@ class TestParser:
                 "throttle message count must be >= 0",
             ),
             (["--workers", "-1", "serve"], "worker count must be >= 0"),
+            (
+                ["adoption", "--domains", "4194305"],
+                "address_space 10.0.0.0/8 too small for 4194305 domains",
+            ),
         ],
     )
     def test_bad_numeric_flags_rejected(self, argv, message, capsys):

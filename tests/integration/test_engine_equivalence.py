@@ -119,7 +119,7 @@ class TestAdoptionEquivalence:
 class TestInternetScaleEquivalence:
     @pytest.mark.parametrize("seed", [61, 7, 1234])
     @pytest.mark.parametrize(
-        "grey,nolist", [(0.0, 0.0), (0.3, 0.1), (0.8, 0.2)]
+        "grey,nolist", [(0.0, 0.0), (0.3, 0.1), (0.8, 0.2), (0.0, 1.0)]
     )
     def test_identical_across_rates_and_seeds(self, seed, grey, nolist):
         kwargs = dict(

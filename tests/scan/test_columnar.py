@@ -2,8 +2,8 @@
 
 The columns are a lossless re-encoding of the generator's ground truth:
 every cell must agree with what :class:`SyntheticInternet` actually built,
-on both the NumPy and the pure-Python ``array`` backends, and the streamed
-deployment column must replay the object path's draws exactly.
+and the streamed deployment rolls must replay the object path's draws
+exactly.
 """
 
 import pytest
@@ -11,20 +11,15 @@ import pytest
 from repro.faults.model import FaultConfig, fault_params
 from repro.scan.batch import elided_glue
 from repro.scan.columnar import (
-    DEPLOY_GREYLISTED,
-    DEPLOY_NOLISTED,
-    DEPLOY_PLAIN,
     NO_OUTAGE,
     NO_POOL,
     TOPO_POOL_BALANCED,
     TOPO_POOL_FAILOVER,
-    ColumnarChunk,
     build_columnar_chunk,
     chunk_records,
     columnar_adoption_shard,
-    numpy_or_none,
     pool_apex_of,
-    stream_deployment_chunks,
+    stream_deployment_rolls,
 )
 from repro.scan.population import (
     CATEGORY_ORDER,
@@ -64,11 +59,12 @@ class TestColumnsMatchGroundTruth:
         plan, chunk, internet = build_both(config, 42, chunk_index)
         rows = plan.chunk_rows(chunk_index)
         assert chunk.n == len(rows) == len(internet.domains)
-        for i, (truth, (_, name, category, rank)) in enumerate(
+        for i, (truth, (index, code, rank)) in enumerate(
             zip(internet.domains, rows)
         ):
+            name = plan.name_of(index)
             assert truth.name == name
-            assert CATEGORY_ORDER[int(chunk.category[i])] is category
+            assert chunk.category[i] == code
             assert CATEGORY_ORDER[int(chunk.category[i])] is truth.category
             assert int(chunk.rank[i]) == rank
             # The MX record triples are derivable, not stored: hostname,
@@ -109,36 +105,6 @@ class TestColumnsMatchGroundTruth:
                 for host, pref, addr in truth.mx_hosts
             ]
             assert chunk_records(chunk, i, truth.name) == expected
-
-
-class TestFallbackBackend:
-    def test_fallback_columns_identical(self, monkeypatch):
-        config = PopulationConfig(**POOLED)
-        plan = PopulationPlan(config, 42)
-        with_numpy = build_columnar_chunk(plan, config, 42, 0)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert numpy_or_none() is None
-        fallback = build_columnar_chunk(plan, config, 42, 0)
-        assert fallback.n == with_numpy.n
-        for column in ColumnarChunk.__slots__:
-            a, b = getattr(with_numpy, column), getattr(fallback, column)
-            if not hasattr(a, "__len__"):
-                assert a == b  # scalar metadata
-                continue
-            assert [int(x) for x in a] == [int(x) for x in b]
-
-    @pytest.mark.parametrize("glue_elision_rate", [0.0, 0.1])
-    def test_fallback_shard_identical(self, monkeypatch, glue_elision_rate):
-        config = profile_config("provider-consolidated", num_domains=500)
-        payload = {
-            "population": population_params(config),
-            "seed": 11,
-            "glue_elision_rate": glue_elision_rate,
-            "chunk": 0,
-        }
-        with_numpy = columnar_adoption_shard(dict(payload))
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        assert columnar_adoption_shard(dict(payload)) == with_numpy
 
 
 class TestGlueElision:
@@ -204,43 +170,24 @@ class TestGlueElision:
 
 
 class TestDeploymentStreaming:
-    def _object_replay(self, seed, num_domains, nolisting, greylisting):
-        """The object path's draw loop, verbatim (internet_scale.py)."""
-        rng = RandomStream(seed, "internet-scale").split("deployments")
-        codes = []
-        for _ in range(num_domains):
-            roll = rng.random()
-            if roll < nolisting:
-                codes.append(DEPLOY_NOLISTED)
-            elif roll < nolisting + greylisting:
-                codes.append(DEPLOY_GREYLISTED)
-            else:
-                codes.append(DEPLOY_PLAIN)
-        return codes
-
     @pytest.mark.parametrize("chunk_domains", [1, 7, 100, 10_000])
     def test_matches_object_replay(self, chunk_domains):
-        expected = self._object_replay(61, 500, 0.1, 0.5)
+        # The object path's per-domain draw loop (internet_scale.py).
+        rng = RandomStream(61, "internet-scale").split("deployments")
+        expected = [rng.random() for _ in range(500)]
         rng = RandomStream(61, "internet-scale").split("deployments")
         streamed = []
         starts = []
-        for start, codes in stream_deployment_chunks(
-            rng, 500, 0.1, 0.5, chunk_domains=chunk_domains
-        ):
+        for start, rolls in stream_deployment_rolls(rng, 500, chunk_domains):
             starts.append(start)
-            streamed.extend(int(c) for c in codes)
+            streamed.extend(rolls)
         assert streamed == expected
         assert starts == list(range(0, 500, chunk_domains))
-
-    def test_degenerate_rates(self):
-        rng = RandomStream(3, "internet-scale").split("deployments")
-        (_, codes), = stream_deployment_chunks(rng, 50, 1.0, 0.0)
-        assert all(int(c) == DEPLOY_NOLISTED for c in codes)
 
     def test_rejects_bad_chunk_size(self):
         rng = RandomStream(3, "x")
         with pytest.raises(ValueError):
-            list(stream_deployment_chunks(rng, 10, 0.1, 0.1, chunk_domains=0))
+            list(stream_deployment_rolls(rng, 10, 0))
 
 
 class TestProfiles:

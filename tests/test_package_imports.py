@@ -37,12 +37,8 @@ DAEMON_EXCLUDES = (
 )
 
 
-def _loaded_repro_modules(module: str):
-    """The ``repro`` modules a fresh interpreter holds after ``module``."""
-    code = (
-        f"import sys\nimport {module}\n"
-        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'repro'))"
-    )
+def _run_fresh(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(PACKAGE_ROOT.parent) + os.pathsep + env.get(
         "PYTHONPATH", ""
@@ -55,7 +51,15 @@ def _loaded_repro_modules(module: str):
         check=True,
         timeout=120,
     )
-    return result.stdout.split()
+    return result.stdout
+
+
+def _loaded_repro_modules(module: str):
+    """The ``repro`` modules a fresh interpreter holds after ``module``."""
+    return _run_fresh(
+        f"import sys\nimport {module}\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'repro'))"
+    ).split()
 
 
 def _bindings(tree: ast.Module):
@@ -118,3 +122,22 @@ def test_daemon_modules_skip_the_experiment_layer(module):
         )
     ]
     assert pulled_in == []
+
+
+def test_columnar_runs_leave_numpy_unloaded():
+    # The columnar engine's columns are stdlib ``array`` buffers, so its
+    # runs must not import NumPy even where it is installed.
+    code = (
+        "import sys\n"
+        "from repro.core.internet_scale import run_internet_scale\n"
+        "from repro.scan.columnar import columnar_adoption_shard\n"
+        "from repro.scan.population import (\n"
+        "    PopulationConfig, SyntheticInternet, population_params)\n"
+        "config = PopulationConfig(num_domains=600)\n"
+        "columnar_adoption_shard({'population': population_params(config),\n"
+        "    'seed': 1, 'glue_elision_rate': 0.1, 'chunk': 0})\n"
+        "SyntheticInternet(config, seed=1)\n"
+        "run_internet_scale(num_domains=1000, messages=20, engine='columnar')\n"
+        "print('numpy' in sys.modules)"
+    )
+    assert _run_fresh(code).strip() == "False"
