@@ -9,8 +9,8 @@ against it with :func:`repro.serve.loadgen.run_load`:
   the scaling curve, with a hard floor of 20,000 decisions/sec at the
   10k point (the tentpole acceptance number; measured headroom on the
   1-core CI box is ~30k).
-* **SQLite (WAL) and journal backends** at 1,000 connections — the
-  durable-serving numbers behind docs/PERFORMANCE.md's serving section.
+* **SQLite (WAL) backend** at 1,000 connections — the durable-serving
+  number behind docs/PERFORMANCE.md's serving section.
 * **Prefork sweep** (shm backend, 1/2/4/8 workers) at 1,000
   connections — the multi-core scaling table in docs/PERFORMANCE.md.
   On a box with >= 4 cores the 4-worker point must clear 2.5x the
@@ -209,7 +209,7 @@ def test_perf_serve_workers(benchmark, trace, workers):
         )
 
 
-@pytest.mark.parametrize("backend", ["sqlite", "journal"])
+@pytest.mark.parametrize("backend", ["sqlite"])
 def test_perf_serve_durable(benchmark, trace, backend):
     """Durable-backend serving throughput at 1k connections."""
     with policy_daemon(backend) as (host, port):

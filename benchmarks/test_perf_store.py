@@ -12,8 +12,8 @@ backend and measure the two operations a serving policy performs:
   roughly half the database stale.  SQLite serves this from the
   ``(passed, last_seen)`` index; the dict backends pay a full scan.
 
-Backends run volatile here (SQLite ``:memory:``, journal on an in-memory
-buffer): the statements and scan/expire code paths are identical to the
+Backends run volatile here (SQLite ``:memory:``, a private shm segment):
+the statements and scan/expire code paths are identical to the
 file-backed ones — covered for durability by the unit and equivalence
 suites — and keeping the bench off the filesystem keeps the 1M-row
 setup smoke-viable and the numbers free of container I/O noise.

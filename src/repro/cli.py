@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="memory",
         help=(
             "triplet-store backend for greylisting policies (results are "
-            "bit-for-bit identical; sqlite/journal survive restarts)"
+            "bit-for-bit identical; sqlite survives restarts)"
         ),
     )
     parser.add_argument(
@@ -467,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "on-disk location for a durable triplet store, for kelihos "
-            "and serve with a backend other than memory "
-            "(default: volatile, even for sqlite/journal)"
+            "SQLite file or shm sentinel file for kelihos (which needs "
+            "an empty store) and serve with a backend other than memory "
+            "(default: volatile)"
         ),
     )
     parser.add_argument(
@@ -731,12 +731,18 @@ def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespac
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .greylist.backends import StoreError
+
     parser = build_parser()
     args = parser.parse_args(argv)
     _check_combinations(parser, args)
-    if args.profile or args.profile_out is not None:
-        return _run_profiled(args)
-    return args.func(args)
+    try:
+        if args.profile or args.profile_out is not None:
+            return _run_profiled(args)
+        return args.func(args)
+    except StoreError as exc:  # a --store-path kelihos or serve cannot use
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -75,11 +75,12 @@ def run_cost_attack(
 
     ``store_backend``/``store_path`` select the triplet-store backend
     (:mod:`repro.greylist.backends`); the growth trajectory is identical
-    across backends.
+    across backends.  A store at ``store_path`` that already holds
+    triplets raises :class:`~repro.greylist.backends.StoreError`.
     """
     if spam_per_day < 0 or benign_per_day < 0:
         raise ValueError("volumes must be non-negative")
-    from ..greylist.backends import create_backend
+    from ..greylist.backends import create_backend, require_empty
 
     scheduler = EventScheduler(Clock())
     store = TripletStore(
@@ -87,6 +88,7 @@ def run_cost_attack(
         retry_window=retry_window_days * DAY,
         backend=create_backend(store_backend, store_path),
     )
+    require_empty(store, store_path)
     policy = GreylistPolicy(clock=scheduler.clock, delay=300.0, store=store)
     spam_pool = AddressPool(IPv4Network.parse("198.51.0.0/16"))
     rng = RandomStream(seed, "cost-attack")

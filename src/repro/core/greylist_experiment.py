@@ -103,7 +103,8 @@ def run_greylist_experiment(
 
     ``store_backend``/``store_path`` select the triplet-store backend of
     the victim's greylist policy (:mod:`repro.greylist.backends`); every
-    backend produces the identical result, durable ones survive restarts.
+    backend produces the identical result from an empty store, and one
+    that already holds triplets raises :class:`~repro.greylist.backends.StoreError`.
     """
     domain = "victim.example"
     unprotected = {

@@ -5,18 +5,18 @@ university deployment kept its Postgrey BerkeleyDB across the whole
 four-month log window, and iRedAPD serves the same decisions for years
 from a SQL ``greylisting_tracking`` table.  This module extracts the
 storage concern out of :class:`~repro.greylist.store.TripletStore` into a
-narrow :class:`TripletBackend` interface so the simulated and (future)
-served policy paths share one durable core:
+narrow :class:`TripletBackend` interface so the simulated and served
+policy paths share one durable core:
 
 * :class:`MemoryBackend` — the original in-process dict; the default, and
   the behavioural reference for the other two.
 * :class:`SQLiteBackend` — a WAL-mode SQLite database with an
   iRedAPD-style tracking schema (triplet key columns, first/last-seen
-  timestamps, attempt counter, pass marker) plus an expiry index, for
-  durable multi-worker serving.
-* :class:`JournalBackend` — an append-only snapshot+log on the
-  :mod:`~repro.greylist.persistence` v1 line format, for cheap
-  checkpoint/resume of longitudinal campaigns.
+  timestamps, attempt counter, pass marker) plus an expiry index.  It is
+  the one durable backend: WAL already gives it an op log, recovery from
+  a torn write and checkpoint compaction.
+* :class:`~repro.greylist.shm.SharedMemoryBackend` (``shm``) — one
+  shared-memory table for the prefork serving workers.
 
 Determinism contract: every backend must be *bit-for-bit* equivalent —
 identical :class:`~repro.greylist.policy.GreylistEvent` streams, store
@@ -29,46 +29,43 @@ make this hold:
    float comparison this function performs — SQL inequalities on
    ``REAL`` columns are never trusted to reproduce Python float
    semantics at the boundary.
-2. Timestamps round-trip exactly: SQLite ``REAL`` is an IEEE double
-   (lossless), and the journal reuses the snapshot format's ``repr()``
-   encoding (shortest exact decimal).
+2. Timestamps round-trip exactly: SQLite ``REAL`` and the shm record's
+   ``f64`` fields are IEEE doubles (lossless).
 3. ``scan()`` order is insertion order (updates keep an entry's
    position; a delete + re-insert moves it to the end), which all three
    backends implement — the dict natively, SQLite via an
-   ``AUTOINCREMENT`` rowid, the journal via replay order.
+   ``AUTOINCREMENT`` rowid, shm via a per-insert order stamp.
 """
 
 from __future__ import annotations
 
-import io
-import os
 import sqlite3
 from abc import ABC, abstractmethod
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..net.address import IPv4Address
-from .persistence import (
-    FORMAT_HEADER,
-    PersistenceError,
-    format_entry_line,
-    parse_entry_line,
-    parse_snapshot,
-)
-from .store import TripletEntry
+from .store import TripletEntry, TripletStore
 from .triplet import Triplet
 
 #: Backend names :func:`create_backend` understands (CLI choices).
-BACKEND_NAMES = ("memory", "sqlite", "journal", "shm")
-
-#: Header of a journal (op log) file; the snapshot half of the pair uses
-#: the ordinary persistence FORMAT_HEADER.
-JOURNAL_HEADER = "# repro-greylist-journal v1"
+BACKEND_NAMES = ("memory", "sqlite", "shm")
 
 #: Added to SQL expiry cutoffs so the indexed candidate pre-filter can
 #: never *miss* an entry the exact Python predicate would expire (float
 #: rounding at the boundary is ulp-scale; one second is beyond generous).
 _EXPIRY_SLACK = 1.0
+
+
+class StoreError(Exception):
+    """A triplet store this run cannot use; the CLI prints ``error: <str>``."""
+
+
+def cannot_open(path: Union[str, Path, None], why: object) -> StoreError:
+    """The :class:`StoreError` for a store that failed to open, ``why``
+    being the exception its opening raised or a description."""
+    reason = getattr(why, "strerror", None) or why
+    return StoreError(f"cannot open triplet store {path}: {reason}")
 
 
 def timestamps_expired(
@@ -164,7 +161,7 @@ class TripletBackend(ABC):
 
         Semantics (exactly :meth:`TripletStore.observe`'s historical
         lookup → expire-if-stale → create-or-update → put sequence, so
-        journal op streams and snapshots stay bit-for-bit):
+        event streams and snapshots stay bit-for-bit):
 
         * a stored entry that :func:`entry_is_expired` is deleted first;
           the second return value names what expired (``"confirmed"`` /
@@ -359,25 +356,32 @@ class SQLiteBackend(TripletBackend):
         # so a modest cache holds the whole working set and each execute
         # reuses its prepared statement (the default 128 already would;
         # being explicit documents that we rely on it).
-        self._conn = sqlite3.connect(
-            self.path or ":memory:", cached_statements=256
-        )
-        self._conn.isolation_level = None  # explicit transaction control
-        if self.path is not None:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            # Serving: a sibling process (checkpointer, stats reader) may
-            # briefly hold the lock; back off instead of failing the
-            # policy decision with SQLITE_BUSY.
-            self._conn.execute("PRAGMA busy_timeout=5000")
-        self._conn.execute("PRAGMA temp_store=MEMORY")
-        # The expiry index keys on last_seen, so its inserts/deletes land
-        # in random pages; the 2 MiB default cache thrashes at
-        # million-entry scale (bulk loads and sweeps go I/O bound).
-        # 64 MiB keeps the working set resident.
-        self._conn.execute("PRAGMA cache_size=-65536")
-        self._conn.executescript(_SCHEMA)
-        self._conn.commit()
+        try:
+            self._conn = sqlite3.connect(
+                self.path or ":memory:", cached_statements=256
+            )
+        except sqlite3.Error as exc:  # a missing directory, say
+            raise cannot_open(self.path, exc) from exc
+        try:
+            self._conn.isolation_level = None  # explicit transaction control
+            if self.path is not None:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                self._conn.execute("PRAGMA synchronous=NORMAL")
+                # Serving: a sibling process (checkpointer, stats reader)
+                # may briefly hold the lock; back off instead of failing
+                # the policy decision with SQLITE_BUSY.
+                self._conn.execute("PRAGMA busy_timeout=5000")
+            self._conn.execute("PRAGMA temp_store=MEMORY")
+            # The expiry index keys on last_seen, so its inserts/deletes
+            # land in random pages; the 2 MiB default cache thrashes at
+            # million-entry scale (bulk loads and sweeps go I/O bound).
+            # 64 MiB keeps the working set resident.
+            self._conn.execute("PRAGMA cache_size=-65536")
+            self._conn.executescript(_SCHEMA)
+            self._conn.commit()
+        except sqlite3.Error as exc:  # a file that is not a database, say
+            self._conn.close()
+            raise cannot_open(self.path, exc) from exc
         self._pending = 0
         self._closed = False
 
@@ -555,234 +559,6 @@ class SQLiteBackend(TripletBackend):
 
 
 # ----------------------------------------------------------------------
-# Append-only journal (snapshot + op log)
-# ----------------------------------------------------------------------
-class JournalBackend(MemoryBackend):
-    """:class:`MemoryBackend` state with an append-only recovery log.
-
-    The durable pair is ``<path>`` (a full v1 snapshot, written by
-    :meth:`checkpoint`) and ``<path>.journal`` (one line per mutation
-    since that snapshot).  Upserts reuse the persistence module's v1
-    entry-line format verbatim; deletions append a ``-``-prefixed
-    tombstone.  Recovery loads the snapshot, then replays the journal in
-    order — making restart cost proportional to the churn since the last
-    checkpoint, not to history.
-
-    Crash semantics: a torn final journal line (the write the crash
-    interrupted) is quarantined to ``<path>.journal.corrupt`` and
-    dropped — everything durable before it is recovered.  A malformed
-    line *followed by more data* is real corruption: the journal is
-    quarantined and :class:`~repro.greylist.persistence.PersistenceError`
-    names the line.
-
-    ``path=None`` keeps the journal in an in-memory buffer: identical
-    code path and op stream, no filesystem — the configuration the
-    equivalence suite uses.
-    """
-
-    name = "journal"
-
-    def __init__(
-        self,
-        path: Union[str, Path, None] = None,
-        checkpoint_every: Optional[int] = None,
-    ) -> None:
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1 or None")
-        super().__init__()
-        self.path = Path(path) if path is not None else None
-        self.checkpoint_every = checkpoint_every
-        #: mutations appended since the last checkpoint
-        self.journal_ops = 0
-        #: whether recovery dropped a torn final journal line
-        self.recovered_torn_tail = False
-        if self.path is not None:
-            self._recover()
-            self._journal = open(self._journal_path, "a", encoding="utf-8")
-        else:
-            self._journal = io.StringIO()
-            self._journal.write(JOURNAL_HEADER + "\n")
-
-    # -- paths ---------------------------------------------------------
-    @property
-    def _journal_path(self) -> Path:
-        assert self.path is not None
-        return self.path.with_name(self.path.name + ".journal")
-
-    # -- recovery ------------------------------------------------------
-    def _recover(self) -> None:
-        assert self.path is not None
-        if self.path.exists():
-            text = self.path.read_text(encoding="utf-8")
-            for entry in parse_snapshot(text, str(self.path)):
-                self._entries[entry.triplet] = entry
-
-        journal_path = self._journal_path
-        if not journal_path.exists():
-            # Fresh journal next to an existing (or absent) snapshot.
-            with open(journal_path, "w", encoding="utf-8") as handle:
-                handle.write(JOURNAL_HEADER + "\n")
-            return
-        text = journal_path.read_text(encoding="utf-8")
-        torn_tail: Optional[str] = None
-        if text and not text.endswith("\n"):
-            # The crash interrupted the final append; the partial record
-            # never became durable.  Drop and quarantine it.
-            text, _, torn_tail = text.rpartition("\n")
-        self._replay_journal(text)
-        if torn_tail is not None:
-            self.recovered_torn_tail = True
-            quarantine = journal_path.with_name(
-                journal_path.name + ".corrupt"
-            )
-            quarantine.write_text(torn_tail, encoding="utf-8")
-            journal_path.write_text(
-                text + ("\n" if text else ""), encoding="utf-8"
-            )
-
-    def _replay_journal(self, text: str) -> None:
-        lines = text.splitlines()
-        if not lines or lines[0].strip() != JOURNAL_HEADER:
-            self._quarantine_journal()
-            raise PersistenceError(
-                f"{self._journal_path}: missing or unknown journal header"
-            )
-        for number, line in enumerate(lines[1:], start=2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith("- "):
-                parts = line[2:].split()
-                if len(parts) != 3:
-                    self._quarantine_journal()
-                    raise PersistenceError(
-                        f"malformed journal tombstone line {number}: {line!r}"
-                    )
-                try:
-                    triplet = Triplet(
-                        IPv4Address.parse(parts[0]), parts[1], parts[2]
-                    )
-                except ValueError:
-                    self._quarantine_journal()
-                    raise PersistenceError(
-                        f"malformed journal tombstone line {number}: {line!r}"
-                    ) from None
-                self._entries.pop(triplet, None)
-                self.journal_ops += 1
-                continue
-            try:
-                entry = parse_entry_line(line, number)
-            except PersistenceError:
-                self._quarantine_journal()
-                raise PersistenceError(
-                    f"malformed journal line {number}: {line!r}"
-                ) from None
-            self._entries[entry.triplet] = entry
-            self.journal_ops += 1
-
-    def _quarantine_journal(self) -> None:
-        """Copy a corrupt journal aside so the evidence survives."""
-        if self.path is None:  # pragma: no cover - in-memory never corrupt
-            return
-        journal_path = self._journal_path
-        if journal_path.exists():
-            quarantine = journal_path.with_name(
-                journal_path.name + ".corrupt"
-            )
-            os.replace(journal_path, quarantine)
-
-    # -- journalling ---------------------------------------------------
-    def _append(self, line: str) -> None:
-        self._journal.write(line + "\n")
-        self.journal_ops += 1
-        if (
-            self.checkpoint_every is not None
-            and self.journal_ops >= self.checkpoint_every
-        ):
-            self.checkpoint()
-
-    def checkpoint(self) -> int:
-        """Write a full snapshot and truncate the journal.
-
-        Returns the number of entries snapshotted.  In-memory journals
-        just reset their buffer (same op-count semantics).
-        """
-        # Insertion order, unlike dump_store's sorted dump: a recovered
-        # journal's scan order, and so every event stream after a
-        # restart, depends on it.  dump_store sorts so that the snapshots
-        # of equal stores compare byte for byte.
-        lines = [FORMAT_HEADER]
-        lines.extend(format_entry_line(e) for e in self._entries.values())
-        snapshot = "\n".join(lines) + "\n"
-        if self.path is not None:
-            tmp = self.path.with_name(self.path.name + ".tmp")
-            # Checkpointing from the serving loop is deliberate: it only
-            # triggers every checkpoint_every mutations (None by default
-            # when serving) and the snapshot write is bounded by the
-            # store size the operator chose to journal.
-            tmp.write_text(snapshot, encoding="utf-8")  # repro: noqa ASY001 - rare bounded checkpoint; serving disables checkpoint_every
-            os.replace(tmp, self.path)
-            self._journal.close()
-            self._journal = open(self._journal_path, "w", encoding="utf-8")  # repro: noqa ASY001 - rare bounded checkpoint; serving disables checkpoint_every
-        else:
-            self._journal = io.StringIO()
-        self._journal.write(JOURNAL_HEADER + "\n")
-        # Make the fresh header durable at once: a crash between here and
-        # the next flush must not leave a header-less journal behind.
-        self.flush()
-        self.journal_ops = 0
-        return len(self._entries)
-
-    # -- journalled mutations ------------------------------------------
-    def put(self, entry: TripletEntry) -> None:
-        super().put(entry)
-        self._append(format_entry_line(entry))
-
-    def delete(self, triplet: Triplet) -> bool:
-        if not super().delete(triplet):
-            return False
-        self._append(
-            f"- {triplet.client} {triplet.sender} {triplet.recipient}"
-        )
-        return True
-
-    def expire(
-        self, now: float, retry_window: float, whitelist_lifetime: float
-    ) -> Tuple[int, int]:
-        stale = [
-            triplet
-            for triplet, entry in self._entries.items()
-            if entry_is_expired(entry, now, retry_window, whitelist_lifetime)
-        ]
-        unconfirmed = confirmed = 0
-        for triplet in stale:
-            entry = self._entries.pop(triplet)
-            self._append(
-                f"- {triplet.client} {triplet.sender} {triplet.recipient}"
-            )
-            if entry.passed:
-                confirmed += 1
-            else:
-                unconfirmed += 1
-        return unconfirmed, confirmed
-
-    def mark_passed(self, triplet: Triplet, now: float) -> bool:
-        if not super().mark_passed(triplet, now):
-            return False
-        self._append(format_entry_line(self._entries[triplet]))
-        return True
-
-    def flush(self) -> None:
-        if self.path is not None:
-            self._journal.flush()
-
-    def close(self) -> None:
-        self.flush()
-        if self.path is not None and not self._journal.closed:
-            self._journal.close()
-
-
-# ----------------------------------------------------------------------
 # Factory
 # ----------------------------------------------------------------------
 #: ``commit_every`` the serving daemon uses for SQLite.  Simulation runs
@@ -799,13 +575,14 @@ def create_backend(
     path: Union[str, Path, None] = None,
     commit_every: Optional[int] = None,
 ) -> TripletBackend:
-    """Build a backend by registry name (``memory``/``sqlite``/``journal``).
+    """Build a backend by registry name (one of :data:`BACKEND_NAMES`).
 
-    ``path`` is the on-disk location for the durable backends (ignored by
-    ``memory``; ``None`` means volatile operation for all of them — for
-    ``shm``, a private segment destroyed on close).  ``commit_every``
+    ``path`` is the SQLite database file or the shm sentinel file
+    (ignored by ``memory``; ``None`` means volatile operation for both —
+    for ``shm``, a private segment destroyed on close).  A path that
+    cannot be opened raises :class:`StoreError`.  ``commit_every``
     overrides the SQLite write-batch size (ignored by the other
-    backends); the serving CLI passes :data:`SERVING_COMMIT_EVERY`.
+    backends); the serving daemon passes :data:`SERVING_COMMIT_EVERY`.
     """
     if name == "memory":
         return MemoryBackend()
@@ -813,8 +590,6 @@ def create_backend(
         if commit_every is not None:
             return SQLiteBackend(path, commit_every=commit_every)
         return SQLiteBackend(path)
-    if name == "journal":
-        return JournalBackend(path)
     if name == "shm":
         from .shm import SharedMemoryBackend
 
@@ -823,3 +598,18 @@ def create_backend(
         f"unknown triplet-store backend {name!r}; expected one of "
         + ", ".join(BACKEND_NAMES)
     )
+
+
+def require_empty(store: TripletStore, path: Union[str, Path, None]) -> None:
+    """Refuse a simulation's store that already holds triplets.
+
+    A result must not depend on what an earlier run left at ``path``, so
+    such a store is closed untouched and :class:`StoreError` raised.
+    """
+    held = store.size
+    if held:
+        store.close()
+        raise StoreError(
+            f"triplet store {path} already holds {held} triplets; "
+            "a simulation needs an empty one"
+        )

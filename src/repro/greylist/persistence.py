@@ -4,18 +4,14 @@ Postgrey keeps its triplet state in an on-disk BerkeleyDB; restarts must
 not forget who already passed (or every sender would eat the delay again).
 This module provides a text snapshot format for :class:`TripletStore` —
 dump, load, and a compacting save that drops expired entries, mirroring
-Postgrey's periodic database cleanup.
-
-The v1 entry-line format defined here is also the journal op format of
-:class:`~repro.greylist.backends.JournalBackend` (one snapshot line per
-upsert), so :func:`format_entry_line` / :func:`parse_entry_line` are the
-single source of truth for serializing a
-:class:`~repro.greylist.store.TripletEntry`.
+Postgrey's periodic database cleanup.  The snapshot moves state between
+backends and sizes the database for the cost model; the durable backend
+itself is SQLite (:mod:`repro.greylist.backends`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional, TextIO
+from typing import TYPE_CHECKING, List, Optional, TextIO
 
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
@@ -47,56 +43,6 @@ def format_entry_line(entry: TripletEntry) -> str:
         f"{entry.triplet.recipient} {entry.first_seen!r} "
         f"{entry.last_seen!r} {entry.attempts} {passed}"
     )
-
-
-def parse_entry_line(line: str, line_number: int) -> TripletEntry:
-    """Parse one v1 snapshot line back into an entry.
-
-    Raises :class:`PersistenceError` naming ``line_number`` for malformed
-    or internally inconsistent lines.
-    """
-    parts = line.split()
-    if len(parts) != 7:
-        raise PersistenceError(
-            f"malformed snapshot line {line_number}: {line!r}"
-        )
-    client, sender, recipient, first, last, attempts, passed = parts
-    try:
-        triplet = Triplet(IPv4Address.parse(client), sender, recipient)
-        entry = TripletEntry(
-            triplet=triplet,
-            first_seen=float(first),
-            last_seen=float(last),
-            attempts=int(attempts),
-            passed=(passed != "-"),
-            passed_at=None if passed == "-" else float(passed),
-        )
-    except (ValueError, TypeError) as error:
-        raise PersistenceError(
-            f"malformed snapshot line {line_number}: {line!r}"
-        ) from error
-    if entry.attempts < 1 or entry.last_seen < entry.first_seen:
-        raise PersistenceError(
-            f"inconsistent entry on snapshot line {line_number}"
-        )
-    return entry
-
-
-def parse_snapshot(text: str, source: str = "") -> Iterator[TripletEntry]:
-    """Check a v1 snapshot's header, then parse its entry lines in order.
-
-    Blank and ``#`` comment lines are skipped.  ``source`` (a file path,
-    say) prefixes the header error; a malformed entry line raises
-    :func:`parse_entry_line`'s :class:`PersistenceError`.
-    """
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != FORMAT_HEADER:
-        prefix = f"{source}: " if source else ""
-        raise PersistenceError(f"{prefix}missing or unknown snapshot header")
-    for line_number, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield parse_entry_line(line, line_number)
 
 
 def dump_store(store: TripletStore) -> str:
@@ -144,7 +90,34 @@ def load_store(
     if whitelist_lifetime is not None:
         kwargs["whitelist_lifetime"] = whitelist_lifetime
     store = TripletStore(clock, backend=backend, **kwargs)
-    for entry in parse_snapshot(text):
+
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != FORMAT_HEADER:
+        raise PersistenceError("missing or unknown snapshot header")
+    for line_number, line in enumerate(lines[1:], start=2):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            client, sender, recipient, first, last, attempts, passed = (
+                line.split()
+            )
+            entry = TripletEntry(
+                triplet=Triplet(IPv4Address.parse(client), sender, recipient),
+                first_seen=float(first),
+                last_seen=float(last),
+                attempts=int(attempts),
+                passed=(passed != "-"),
+                passed_at=None if passed == "-" else float(passed),
+            )
+        except (ValueError, TypeError) as error:
+            raise PersistenceError(
+                f"malformed snapshot line {line_number}: {line!r}"
+            ) from error
+        if entry.attempts < 1 or entry.last_seen < entry.first_seen:
+            raise PersistenceError(
+                f"inconsistent entry on snapshot line {line_number}"
+            )
         if store._is_expired(entry):
             if entry.passed:
                 store.expired_confirmed += 1

@@ -94,9 +94,9 @@ class GreylistPolicy(ConnectionPolicy):
         triplet.
     store_backend / store_path:
         Storage backend for the triplet database when ``store`` is not
-        given (``"memory"``/``"sqlite"``/``"journal"``, see
-        :mod:`repro.greylist.backends`); ``store_path`` is the on-disk
-        location for the durable backends.  All backends are bit-for-bit
+        given (``"memory"``/``"sqlite"``/``"shm"``, see
+        :mod:`repro.greylist.backends`); ``store_path`` is the SQLite
+        file or the shm sentinel file.  All backends are bit-for-bit
         equivalent, so the choice is absent from :meth:`fingerprint`.
     """
 

@@ -67,9 +67,10 @@ Lifecycle
 ---------
 ``path=None`` creates a private, auto-named segment destroyed on
 :meth:`close` (the ``:memory:`` analogue).  A ``path`` names a sentinel
-file holding the segment name: creating writes it, reopening the same
-path re-attaches to the live segment — state survives backend close and
-reopen, the durable-restart contract the equivalence suite checks.
+file holding the segment name: creating writes it (before the segment),
+reopening the same path re-attaches to the live segment — state survives
+backend close and reopen, the durable-restart contract the equivalence
+suite checks.  A file holding anything else raises ``StoreError``.
 Segments created without ``persist=True`` are removed at process exit.
 Workers attach to an existing segment directly with ``segment=<name>``.
 Attachers must not let Python's resource tracker "clean up" the shared
@@ -83,6 +84,7 @@ from __future__ import annotations
 import fcntl
 import hashlib
 import os
+import re
 import struct
 import tempfile
 from contextlib import contextmanager
@@ -91,7 +93,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ..net.address import IPv4Address
-from .backends import TripletBackend, timestamps_expired
+from .backends import TripletBackend, cannot_open, timestamps_expired
 from .store import TripletEntry
 from .triplet import Triplet
 
@@ -121,6 +123,10 @@ RECORD_SIZE = 304  # _RECORD.size (300) rounded up; 4 spare bytes
 _SEQ = struct.Struct("<I")
 
 _EMPTY, _LIVE, _TOMBSTONE = 0, 1, 2
+
+
+#: What a sentinel file holds: a name :func:`_segment_name_for_path` made.
+_SENTINEL = re.compile(r"rgshm-[0-9a-f]{12}")
 
 
 def _segment_name_for_path(path: Union[str, Path]) -> str:
@@ -225,7 +231,12 @@ class SharedMemoryBackend(TripletBackend):
         if segment is not None:
             self._shm = self._attach(segment)
         elif self.path is not None and self.path.exists():
-            stored = self.path.read_text(encoding="utf-8").strip()
+            try:
+                stored = self.path.read_text(encoding="utf-8", errors="replace").strip()
+            except OSError as exc:
+                raise cannot_open(self.path, exc) from exc
+            if not _SENTINEL.fullmatch(stored):
+                raise cannot_open(self.path, "not a shm sentinel file")
             try:
                 self._shm = self._attach(stored)
             except FileNotFoundError:
@@ -234,14 +245,16 @@ class SharedMemoryBackend(TripletBackend):
                 # — the same semantics as a deleted database file.
                 self._shm = self._create(stored, capacity)
         else:
-            name = (
-                _segment_name_for_path(self.path)
-                if self.path is not None
-                else None
-            )
-            self._shm = self._create(name, capacity)
+            name: Optional[str] = None
             if self.path is not None:
-                self.path.write_text(self._shm.name + "\n", encoding="utf-8")
+                # Sentinel first: a path that cannot be written then
+                # fails before there is a segment to leak.
+                name = _segment_name_for_path(self.path)
+                try:
+                    self.path.write_text(name + "\n", encoding="utf-8")
+                except OSError as exc:
+                    raise cannot_open(self.path, exc) from exc
+            self._shm = self._create(name, capacity)
 
         self.segment = self._shm.name
         self.capacity = self._read_capacity()

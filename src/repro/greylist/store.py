@@ -12,8 +12,9 @@ deployments enforce:
 Storage is pluggable: :class:`TripletStore` is a policy veneer (clock,
 expiry windows, expiry counters) over a
 :class:`~repro.greylist.backends.TripletBackend` — the in-process dict by
-default, SQLite/WAL or an append-only journal for state that must survive
-the interpreter (see :mod:`repro.greylist.backends`).
+default, SQLite/WAL for state that must survive the interpreter, or a
+shared-memory table for prefork workers (see
+:mod:`repro.greylist.backends`).
 """
 
 from __future__ import annotations

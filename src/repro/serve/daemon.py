@@ -39,6 +39,7 @@ from typing import List, Optional
 
 from ..greylist.backends import (
     SERVING_COMMIT_EVERY,
+    StoreError,
     TripletBackend,
     create_backend,
 )
@@ -75,7 +76,8 @@ def serve(args: argparse.Namespace) -> int:
     """Run ``repro serve`` with the CLI's parsed and checked arguments.
 
     ``args.workers`` is the resolved worker count; more than one needs
-    the shm backend.  Returns the process exit status.
+    the shm backend.  Returns the process exit status; a ``--store-path``
+    that cannot be opened raises :class:`StoreError`.
     """
     raise_fd_limit()
     if args.workers > 1:
@@ -132,7 +134,12 @@ def _serve_prefork(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         return _cannot_listen(args.host, args.port, exc)
-    backend = _serve_backend(args)
+    try:
+        backend = _serve_backend(args)
+    except StoreError:
+        for sock in sockets:
+            sock.close()
+        raise
     # The CLI lets --workers > 1 through only with the shm backend.
     assert isinstance(backend, SharedMemoryBackend)
     segment = backend.segment

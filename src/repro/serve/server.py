@@ -21,13 +21,12 @@ Shutdown: SIGTERM/SIGINT stop the listener, already-connected peers get
 :data:`DRAIN_GRACE` seconds to finish their in-flight stanzas (buffered
 requests are always answered — the handler finishes its current batch
 synchronously), stragglers are aborted, and the backend is flushed
-(SQLite commit / journal write-out) before the daemon exits 0.  The
-drain test asserts no acknowledged triplet write is lost across this
-sequence.  :meth:`PolicyServer.start` installs the stop handlers, so a
-daemon that announces its address after ``start`` honours a stop sent
-from then on.
+(the SQLite commit) before the daemon exits 0.  The drain test asserts
+no acknowledged triplet write is lost across this sequence.
+:meth:`PolicyServer.start` installs the stop handlers, so a daemon that
+announces its address after ``start`` honours a stop sent from then on.
 
-Blocking calls: the durable backends commit on the event loop (batched
+Blocking calls: the SQLite backend commits on the event loop (batched
 by ``commit_every``, sub-millisecond in WAL mode) — the same
 single-writer trade iRedAPD makes.  The ASY001 analyzer audits every
 coroutine here; each remaining blocking sink is individually

@@ -366,6 +366,6 @@ def test_shutdown_reaches_backend_flush(real_project):
     for key in [
         ("serve/plugins.py", "PluginChain.close"),
         ("greylist/backends.py", "SQLiteBackend.flush"),
-        ("greylist/backends.py", "JournalBackend.flush"),
+        ("greylist/shm.py", "SharedMemoryBackend.flush"),
     ]:
         assert key in parents, f"{key} no longer reachable from shutdown"

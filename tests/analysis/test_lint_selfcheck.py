@@ -83,7 +83,7 @@ def test_entry_points_resolved_on_real_tree():
     assert "batched_adoption_shard" in entries
     # Every TripletBackend implementation's methods are entries too.
     assert any(name.startswith("SQLiteBackend.") for name in entries)
-    assert any(name.startswith("JournalBackend.") for name in entries)
+    assert any(name.startswith("SharedMemoryBackend.") for name in entries)
 
 
 def test_dead_symbol_report_is_empty_on_real_tree():

@@ -78,12 +78,20 @@ class TestParser:
     def test_engine_defaults_to_columnar(self, command):
         assert build_parser().parse_args([command]).engine == "columnar"
 
-    @pytest.mark.parametrize("command", ["adoption", "internet-scale"])
-    def test_retired_batch_engine_rejected(self, command, capsys):
+    @pytest.mark.parametrize(
+        "argv, retired",
+        [
+            (["adoption", "--engine", "batch"], "batch"),
+            (["internet-scale", "--engine", "batch"], "batch"),
+            (["--store-backend", "journal", "kelihos"], "journal"),
+        ],
+        ids=["adoption", "internet-scale", "journal-store"],
+    )
+    def test_retired_choice_rejected(self, argv, retired, capsys):
         with pytest.raises(SystemExit) as exc:
-            main([command, "--engine", "batch"])
+            main(argv)
         assert exc.value.code == 2
-        assert "invalid choice: 'batch'" in capsys.readouterr().err
+        assert f"invalid choice: '{retired}'" in capsys.readouterr().err
 
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -283,6 +291,26 @@ class TestCommands:
         assert "CDF" in capsys.readouterr().out
         assert path.exists()
 
+    def test_kelihos_refuses_a_store_an_earlier_run_filled(
+        self, tmp_path, capsys
+    ):
+        # A printed figure must not depend on what an earlier run left.
+        path = tmp_path / "kelihos.db"
+        argv = ["--store-backend", "sqlite", "--store-path", str(path)]
+        assert main([*argv, "kelihos", "--messages", "5"]) == 0
+        first = capsys.readouterr().out
+        assert main(["kelihos", "--messages", "5"]) == 0
+        assert capsys.readouterr().out == first
+        before = path.read_bytes()
+        assert main([*argv, "kelihos", "--messages", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: triplet store {path} already holds 5 triplets; "
+            "a simulation needs an empty one"
+        ]
+        assert path.read_bytes() == before
+
     def test_kelihos_long_threshold_prints_figure4(self, capsys):
         assert main(["kelihos", "--threshold", "21600", "--messages", "10"]) == 0
         out = capsys.readouterr().out
@@ -380,7 +408,8 @@ class TestCommands:
 
 
 class TestServeStartupErrors:
-    """A busy port or an absent daemon is one error line, not a traceback."""
+    """A busy port, an absent daemon or a triplet store that cannot be
+    opened is one error line, not a traceback."""
 
     @pytest.mark.parametrize(
         "global_args",
@@ -397,6 +426,80 @@ class TestServeStartupErrors:
         assert result.stdout == ""
         assert result.stderr.splitlines() == [
             f"error: cannot listen on 127.0.0.1:{port}: Address already in use"
+        ]
+
+    @pytest.mark.parametrize(
+        "argv, store, reason",
+        [
+            (
+                ["--store-backend", "sqlite", "--store-path", "{path}",
+                 "serve", "--port", "0"],
+                "missing/x.db",
+                "unable to open database file",
+            ),
+            (
+                ["--store-backend", "sqlite", "--store-path", "{path}",
+                 "serve", "--port", "0"],
+                "old.snap",
+                "file is not a database",
+            ),
+            (
+                ["--store-backend", "shm", "--store-path", "{path}",
+                 "serve", "--port", "0"],
+                "missing/x.shm",
+                "No such file or directory",
+            ),
+            (
+                ["--workers", "2", "--store-backend", "shm", "--store-path",
+                 "{path}", "serve", "--port", "0"],
+                "missing/x.shm",
+                "No such file or directory",
+            ),
+            (
+                ["--store-backend", "shm", "--store-path", "{path}",
+                 "serve", "--port", "0"],
+                "old.snap",
+                "not a shm sentinel file",
+            ),
+            (
+                ["--store-backend", "sqlite", "--store-path", "{path}",
+                 "kelihos", "--messages", "5"],
+                "missing/x.db",
+                "unable to open database file",
+            ),
+            (
+                ["--store-backend", "sqlite", "--store-path", "{path}",
+                 "kelihos", "--messages", "5"],
+                "old.snap",
+                "file is not a database",
+            ),
+        ],
+        ids=[
+            "serve-sqlite-missing-dir",
+            "serve-sqlite-not-a-database",
+            "serve-shm-missing-dir",
+            "two-workers-shm-missing-dir",
+            "serve-shm-not-a-sentinel",
+            "kelihos-sqlite-missing-dir",
+            "kelihos-sqlite-not-a-database",
+        ],
+    )
+    def test_unopenable_store_exits_1_with_one_error_line(
+        self, argv, store, reason, tmp_path
+    ):
+        path = tmp_path / store
+        if store == "old.snap":
+            # A v1 text snapshot: neither a database nor a shm sentinel.
+            path.write_text(
+                "# repro-greylist-db v1\n"
+                "198.51.100.1 s@x.example r@y.example 0.0 0.0 1 -\n",
+                encoding="utf-8",
+            )
+        result = run_cli(*(arg.format(path=path) for arg in argv))
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [
+            f"error: cannot open triplet store {path}: {reason}"
         ]
 
     @pytest.mark.parametrize("mode", [["--check"], ["--connections", "2"]])

@@ -12,9 +12,11 @@ in-process "concurrency" would prove nothing).
 
 import multiprocessing
 import struct
+from multiprocessing import shared_memory
 
 import pytest
 
+from repro.greylist.backends import StoreError
 from repro.greylist.shm import (
     DEFAULT_CAPACITY,
     HEADER_SIZE,
@@ -22,6 +24,8 @@ from repro.greylist.shm import (
     PROBE_WINDOW,
     RECORD_SIZE,
     SharedMemoryBackend,
+    _segment_name_for_path,
+    _unlink_segment,
 )
 from repro.greylist.store import TripletEntry
 from repro.greylist.triplet import Triplet
@@ -328,3 +332,20 @@ class TestCrossProcessContention:
             assert len(backend) == keys
         finally:
             backend.close()
+
+
+class TestSentinel:
+    def test_unwritable_sentinel_leaks_no_segment(self, tmp_path):
+        # A named segment outlives its process, so a failed open must not
+        # have created one.
+        path = tmp_path / "missing" / "grey.shm"
+        with pytest.raises(StoreError, match="No such file or directory"):
+            SharedMemoryBackend(path)
+        name = _segment_name_for_path(path)
+        try:
+            leaked = shared_memory.SharedMemory(name=name)
+        except FileNotFoundError:
+            return
+        leaked.close()
+        _unlink_segment(name)
+        pytest.fail(f"segment {name} outlived the failed open")

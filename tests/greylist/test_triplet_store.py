@@ -152,7 +152,7 @@ class TestTripletStore:
     def test_works_on_every_backend(self):
         from repro.greylist.backends import create_backend
 
-        for name in ("memory", "sqlite", "journal"):
+        for name in ("memory", "sqlite", "shm"):
             clock = Clock()
             store = TripletStore(clock, backend=create_backend(name))
             store.observe(triplet())

@@ -3,8 +3,9 @@
 Every triplet-store backend must produce *identical* greylisting outcomes:
 the same :class:`~repro.greylist.policy.GreylistEvent` stream, store sizes,
 expiry counters and snapshot bytes for the same input stream — with and
-without storage faults (mid-stream restarts, torn journal tails), and
-regardless of how many worker processes the shard runner fans over.
+without a mid-stream restart, and regardless of how many worker processes
+the shard runner fans over.  Crashes of the durable SQLite store are
+covered at the end: a daemon killed without a drain.
 """
 
 import pytest
@@ -81,7 +82,7 @@ class TestBackendEquivalence:
             assert state == reference, name
 
     def test_volatile_backends_equivalent_too(self):
-        # path=None: SQLite :memory:, journal on an in-memory buffer.
+        # path=None: SQLite :memory:, a private shm segment.
         reference = observable_state(run_with_backend("memory"))
         for name in DURABLE_BACKENDS:
             assert observable_state(run_with_backend(name)) == reference
@@ -122,37 +123,6 @@ class TestBackendEquivalence:
             assert expired_confirmed == reference.store.expired_confirmed
             second.close()
 
-    def test_journal_torn_tail_mid_stream(self, tmp_path):
-        """A torn final journal line plus its lost op re-applied on resume.
-
-        Models the real crash: the op that tore was never acknowledged, so
-        on restart the (idempotent) attempt is replayed by the mail client
-        retrying.  Here we tear a *synthetic* garbage line — state on disk
-        is exactly the pre-crash durable state, so resuming must match the
-        uninterrupted memory run bit-for-bit.
-        """
-        reference = run_with_backend("memory", events=400)
-
-        path = tmp_path / "torn.journal-store"
-        clock = Clock()
-        first = TripletStore(clock, backend=create_backend("journal", path))
-        policy_a = GreylistPolicy(clock=clock, delay=300.0, store=first)
-        drive_policy(policy_a, clock, events=200)
-        first.close()
-        journal_path = tmp_path / "torn.journal-store.journal"
-        with open(journal_path, "a", encoding="utf-8") as handle:
-            handle.write("198.51.100.250 torn@x.exa")  # interrupted append
-
-        backend = create_backend("journal", path)
-        assert backend.recovered_torn_tail is True
-        second = TripletStore(clock, backend=backend)
-        policy_b = GreylistPolicy(clock=clock, delay=300.0, store=second)
-        _drive_second_half(policy_b, clock, events=400, split=200)
-
-        assert policy_a.events + policy_b.events == reference.events
-        assert dump_store(second) == dump_store(reference.store)
-        second.close()
-
     def test_dump_load_dump_fixpoint_across_backends(self, tmp_path):
         """dump -> load -> dump is the identity, whatever backend loads it."""
         source = run_with_backend("memory")
@@ -174,7 +144,7 @@ class TestBackendEquivalence:
         migrated = load_store(
             text,
             source.clock,
-            backend=create_backend("journal", tmp_path / "mig.snap"),
+            backend=create_backend("shm", tmp_path / "mig.shm"),
         )
         assert dump_store(migrated) == text
         migrated.close()
@@ -517,3 +487,96 @@ class TestSharedMemoryDrain:
             assert len(list(reopened.scan())) == writes
         finally:
             reopened.unlink()
+
+
+class TestSQLiteKill:
+    """SIGKILL to a SQLite daemon, with no drain, loses no committed write."""
+
+    def test_committed_writes_survive_sigkill(self, tmp_path):
+        import os
+        import socket as socket_module
+        import sqlite3
+        import subprocess
+        import sys
+        import time
+        from pathlib import Path
+
+        import repro
+        from repro.greylist.backends import SQLiteBackend
+
+        store_path = tmp_path / "kill.db"
+        wal_path = Path(f"{store_path}-wal")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = (
+            str(Path(repro.__file__).resolve().parents[1])
+            + os.pathsep
+            + env.get("PYTHONPATH", "")
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro",
+                "--store-backend", "sqlite",
+                "--store-path", str(store_path),
+                "serve", "--clock", "replay",
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            env=env,
+        )
+        writes = 50
+        try:
+            line = proc.stdout.readline().strip()
+            assert line.startswith("listening on "), line
+            host, _, port = line.rpartition(" ")[2].partition(":")
+            stanzas = "".join(
+                "request=smtpd_access_policy\n"
+                f"client_address=198.51.103.{i + 1}\n"
+                f"sender=k{i}@x.example\n"
+                "recipient=r@victim.example\n"
+                f"stamp={float(i)}\n\n"
+                for i in range(writes)
+            )
+            with socket_module.create_connection(
+                (host, int(port)), timeout=10
+            ) as sock:
+                sock.sendall(stanzas.encode())
+                data = b""
+                while data.count(b"\n\n") < writes:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+            assert data.count(b"action=") == writes
+
+            # The daemon batches more writes than this into one commit, so
+            # only its 1 s flush loop commits them: wait until a second,
+            # read-only connection sees every row.
+            reader = sqlite3.connect(f"file:{store_path}?mode=ro", uri=True)
+            try:
+                deadline = time.monotonic() + 30
+                while reader.execute(
+                    "SELECT COUNT(*) FROM greylisting_tracking"
+                ).fetchone()[0] < writes:
+                    assert time.monotonic() < deadline, "no flush committed"
+                    time.sleep(0.05)
+            finally:
+                reader.close()
+            # The rows live in the WAL, not yet checkpointed into the
+            # database file, when the daemon dies without a drain.
+            assert wal_path.exists()
+            proc.kill()
+            assert proc.wait(timeout=30) != 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=30)
+            proc.stdout.close()
+
+        reopened = SQLiteBackend(store_path)
+        try:
+            assert len(reopened) == writes
+            check = reopened._conn.execute("PRAGMA integrity_check")
+            assert check.fetchone()[0] == "ok"
+        finally:
+            reopened.close()
