@@ -284,9 +284,7 @@ class TaintedEntryPoint(GraphRule):
 # ----------------------------------------------------------------------
 
 #: Resolved identities of the process-boundary dispatchers.
-DISPATCH_KEYS = frozenset(
-    [("runner/pool.py", "run_tasks"), ("runner/pool.py", "ExperimentRunner.map")]
-)
+DISPATCH_KEYS = frozenset([("runner/pool.py", "run_tasks")])
 #: Fallback spellings when the pool module is outside the analyzed set.
 DISPATCH_NAMES = frozenset(["run_tasks"])
 

@@ -52,15 +52,6 @@ class DNSBLPolicy(ConnectionPolicy):
         self.events: List[DNSBLEvent] = []
         self.rejections = 0
 
-    def fingerprint(self) -> tuple:
-        """Decision-function identity for the session-outcome cache.
-
-        The blacklist's *current* listing state is per-client dynamics, so
-        the batch engine folds it into the phase component of the cache
-        key rather than the fingerprint.
-        """
-        return ("dnsbl", self.zone_name, self.report_attempts)
-
     def on_rcpt_to(
         self, client: IPv4Address, sender: str, recipient: str
     ) -> PolicyDecision:

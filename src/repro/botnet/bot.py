@@ -53,39 +53,24 @@ def _negative_outcome(reply) -> BotAttemptOutcome:
 def drive_dialogue(session, message: Message, recipient: str, helo_name: str):
     """Drive the bot dialect of the SMTP dialogue against one session.
 
-    Returns ``(outcome, reply_code, transcript)``; the transcript is the
-    replayable wire exchange.  This is the exact dialogue a
-    :class:`SpamBot` speaks, factored out so the batch engine can drive
-    one *real* session per equivalence class and cache the result.
+    Returns ``(outcome, reply_code)`` of the decisive reply.  This is the
+    exact dialogue a :class:`SpamBot` speaks, factored out so the
+    internet-scale engine can drive one *real* session per class.  Each
+    command goes out only after a positive reply to the one before: on
+    the first negative reply the bot drops the connection, without QUIT.
     """
-    transcript = [f"S: {session.banner}"]
-    if not session.banner.is_positive:
-        return (
-            _negative_outcome(session.banner),
-            session.banner.code,
-            tuple(transcript),
-        )
-    steps = (
-        (f"HELO {helo_name}", lambda: session.helo(helo_name)),
-        (
-            f"MAIL FROM:<{message.sender}>",
-            lambda: session.mail_from(message.sender),
-        ),
-        (f"RCPT TO:<{recipient}>", lambda: session.rcpt_to(recipient)),
-    )
-    for command, send in steps:
-        reply = send()
-        transcript.append(f"C: {command}")
-        transcript.append(f"S: {reply}")
-        if not reply.is_positive:
-            # Bots typically drop the connection without QUIT.
-            return _negative_outcome(reply), reply.code, tuple(transcript)
-    reply = session.data(message)
-    transcript.append("C: DATA")
-    transcript.append(f"S: {reply}")
+    reply = session.banner
     if reply.is_positive:
-        return BotAttemptOutcome.DELIVERED, reply.code, tuple(transcript)
-    return _negative_outcome(reply), reply.code, tuple(transcript)
+        reply = session.helo(helo_name)
+    if reply.is_positive:
+        reply = session.mail_from(message.sender)
+    if reply.is_positive:
+        reply = session.rcpt_to(recipient)
+    if reply.is_positive:
+        reply = session.data(message)
+        if reply.is_positive:
+            return BotAttemptOutcome.DELIVERED, reply.code
+    return _negative_outcome(reply), reply.code
 
 
 @dataclass
@@ -185,7 +170,7 @@ class SpamBot:
         """Accept a spam job; one task per recipient, attempted immediately.
 
         ``rng``, when given, becomes the tasks' private retry-randomness
-        stream — the per-message decoupling the batch engine relies on.
+        stream — the per-message decoupling the internet-scale engine relies on.
         """
         created: List[BotTask] = []
         for recipient in message.recipients:
@@ -256,8 +241,11 @@ class SpamBot:
                 self._after_failure(task)
                 return
             try:
-                outcome, reply_code = self._dialogue(
-                    connection.session, task.message, task.recipient
+                outcome, reply_code = drive_dialogue(
+                    connection.session,
+                    task.message,
+                    task.recipient,
+                    self.helo_name,
                 )
             except ConnectionReset:
                 # Session died mid-dialogue: bots treat it exactly like a
@@ -286,13 +274,6 @@ class SpamBot:
             task.abandoned = True
             return
         self._after_failure(task)
-
-    def _dialogue(self, session, message: Message, recipient: str):
-        """Minimal bot dialect of the SMTP dialogue."""
-        outcome, reply_code, _ = drive_dialogue(
-            session, message, recipient, self.helo_name
-        )
-        return outcome, reply_code
 
     def _after_failure(self, task: BotTask) -> None:
         rng = task.rng if task.rng is not None else self.rng

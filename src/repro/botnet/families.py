@@ -56,8 +56,8 @@ class FamilyProfile:
     def helo_name(self) -> str:
         """The family's HELO string — its SMTP dialect identity.
 
-        Also the dialect component of the batch engine's session-playbook
-        cache keys, so it must stay a pure function of the family.
+        Also the dialect half of the internet-scale engine's per-run
+        session memo key, so it must stay a pure function of the family.
         """
         return f"{self.name.lower()}-bot.invalid.example"
 

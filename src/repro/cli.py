@@ -126,7 +126,6 @@ def _cmd_internet_scale(args: argparse.Namespace) -> int:
         cache=cache,
         num_domains=args.domains,
         engine=args.engine,
-        store_backend=args.store_backend,
     )
     print(
         render_table(
@@ -190,12 +189,7 @@ def _cmd_kelihos(args: argparse.Namespace) -> int:
     from .core.reports import figure3_text, figure4_text
 
     result = run_greylist_experiment(
-        KELIHOS,
-        args.threshold,
-        num_messages=args.messages,
-        seed=args.seed,
-        store_backend=args.store_backend,
-        store_path=args.store_path,
+        KELIHOS, args.threshold, num_messages=args.messages, seed=args.seed
     )
     if args.threshold >= 21600:
         print(figure4_text(result))
@@ -234,9 +228,7 @@ def _cmd_synergy(args: argparse.Namespace) -> int:
         )
     )
     print()
-    sweep = sweep_greylist_delay(
-        seed=args.seed, store_backend=args.store_backend
-    )
+    sweep = sweep_greylist_delay(seed=args.seed)
     print(
         render_table(
             headers=("Greylist delay", "Delivery rate"),
@@ -440,16 +432,16 @@ def build_parser() -> argparse.ArgumentParser:
         type=_fault_rate_arg,
         default=0.0,
         help=(
-            "inject measurement-infrastructure faults (host outages, "
-            "port-25 flaps, DNS SERVFAIL/timeouts) at this per-entity "
-            "rate in [0, 1]; 0 disables injection"
+            "adoption only: inject measurement-infrastructure faults "
+            "(host outages, port-25 flaps, DNS SERVFAIL/timeouts) at this "
+            "per-entity rate in [0, 1]; 0 disables injection"
         ),
     )
     parser.add_argument(
         "--fault-seed",
         type=int,
         default=None,
-        help="seed for fault draws (default: --seed)",
+        help="adoption only: seed for fault draws (default: --seed)",
     )
     from .greylist.backends import BACKEND_NAMES
 
@@ -458,8 +450,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=BACKEND_NAMES,
         default="memory",
         help=(
-            "triplet-store backend for greylisting policies (results are "
-            "bit-for-bit identical; sqlite survives restarts)"
+            "serve only: triplet-store backend of the daemon (sqlite "
+            "survives restarts; shm is one table for all --workers); "
+            "simulations keep their triplets in memory"
         ),
     )
     parser.add_argument(
@@ -467,9 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help=(
-            "SQLite file or shm sentinel file for kelihos (which needs "
-            "an empty store) and serve with a backend other than memory "
-            "(default: volatile)"
+            "serve only: SQLite file or shm sentinel file of a backend "
+            "other than memory (default: volatile)"
         ),
     )
     parser.add_argument(
@@ -703,15 +695,33 @@ def _run_profiled(args: argparse.Namespace) -> int:
     return int(status)
 
 
+#: Global flags that only some commands read: the flag, its ``args``
+#: attribute and the commands that read it.  Any other command given the
+#: flag is a usage error rather than a run that silently ignores it.
+_SCOPED_FLAGS = (
+    ("--store-backend", "store_backend", ("serve",)),
+    ("--store-path", "store_path", ("serve",)),
+    ("--fault-rate", "fault_rate", ("adoption",)),
+    ("--fault-seed", "fault_seed", ("adoption",)),
+)
+
+#: What :func:`main` parses a scoped flag the command line omits into.
+_NOT_GIVEN = object()
+
+
 def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    """Usage errors that no single flag's type can see."""
-    if args.store_path is not None and (
-        args.command not in ("kelihos", "serve") or args.store_backend == "memory"
-    ):
-        parser.error(
-            "--store-path applies only to kelihos and serve, with a "
-            "--store-backend other than memory"
-        )
+    """Usage errors that no single flag's type can see.
+
+    ``args`` comes from :func:`main`, whose scoped flags read
+    :data:`_NOT_GIVEN` when omitted; this resolves them to their defaults.
+    """
+    for flag, dest, commands in _SCOPED_FLAGS:
+        if getattr(args, dest) is _NOT_GIVEN:
+            setattr(args, dest, parser.get_default(dest))
+        elif args.command not in commands:
+            parser.error(f"{flag} applies only to {' and '.join(commands)}")
+    if args.store_path is not None and args.store_backend == "memory":
+        parser.error("--store-path needs a --store-backend other than memory")
     if args.command == "adoption":
         # How many domains fit depends on the profile's address space.
         from .scan.profiles import profile_config
@@ -734,13 +744,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     from .greylist.backends import StoreError
 
     parser = build_parser()
-    args = parser.parse_args(argv)
+    unset = {dest: _NOT_GIVEN for _, dest, _ in _SCOPED_FLAGS}
+    args = parser.parse_args(argv, argparse.Namespace(**unset))
     _check_combinations(parser, args)
     try:
         if args.profile or args.profile_out is not None:
             return _run_profiled(args)
         return args.func(args)
-    except StoreError as exc:  # a --store-path kelihos or serve cannot use
+    except StoreError as exc:  # a --store-path serve cannot use
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

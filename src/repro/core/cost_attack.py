@@ -15,7 +15,7 @@ says must be weighed against the techniques' benefit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..greylist.persistence import snapshot_size_bytes
 from ..greylist.policy import GreylistPolicy
@@ -68,27 +68,12 @@ def run_cost_attack(
     sweep_interval_days: float = 1.0,
     sweeping: bool = True,
     seed: int = 41,
-    store_backend: str = "memory",
-    store_path: Optional[str] = None,
 ) -> CostAttackResult:
-    """Rotating-sender spam vs a greylisted server; track DB growth.
-
-    ``store_backend``/``store_path`` select the triplet-store backend
-    (:mod:`repro.greylist.backends`); the growth trajectory is identical
-    across backends.  A store at ``store_path`` that already holds
-    triplets raises :class:`~repro.greylist.backends.StoreError`.
-    """
+    """Rotating-sender spam vs a greylisted server; track DB growth."""
     if spam_per_day < 0 or benign_per_day < 0:
         raise ValueError("volumes must be non-negative")
-    from ..greylist.backends import create_backend, require_empty
-
     scheduler = EventScheduler(Clock())
-    store = TripletStore(
-        scheduler.clock,
-        retry_window=retry_window_days * DAY,
-        backend=create_backend(store_backend, store_path),
-    )
-    require_empty(store, store_path)
+    store = TripletStore(scheduler.clock, retry_window=retry_window_days * DAY)
     policy = GreylistPolicy(clock=scheduler.clock, delay=300.0, store=store)
     spam_pool = AddressPool(IPv4Network.parse("198.51.0.0/16"))
     rng = RandomStream(seed, "cost-attack")

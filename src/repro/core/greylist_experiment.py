@@ -17,7 +17,7 @@ flight.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..analysis.cdf import EmpiricalCDF
 from ..botnet.bot import BotAttemptOutcome
@@ -96,16 +96,8 @@ def run_greylist_experiment(
     seed: int = 23,
     horizon: float = 400000.0,
     unprotected_count: int = 2,
-    store_backend: str = "memory",
-    store_path: Optional[str] = None,
 ) -> GreylistExperimentResult:
-    """Run one family against a greylisted server at one threshold.
-
-    ``store_backend``/``store_path`` select the triplet-store backend of
-    the victim's greylist policy (:mod:`repro.greylist.backends`); every
-    backend produces the identical result from an empty store, and one
-    that already holds triplets raises :class:`~repro.greylist.backends.StoreError`.
-    """
+    """Run one family against a greylisted server at one threshold."""
     domain = "victim.example"
     unprotected = {
         f"postmaster{i}@{domain}" for i in range(unprotected_count)
@@ -115,8 +107,6 @@ def run_greylist_experiment(
             defense=Defense.GREYLISTING,
             victim_domain=domain,
             greylist_delay=threshold,
-            greylist_store_backend=store_backend,
-            greylist_store_path=store_path,
             unprotected_recipients=unprotected,
         )
     )
@@ -176,7 +166,6 @@ def run_kelihos_threshold_sweep(
     num_messages: int = 100,
     seed: int = 23,
     horizon: float = 400000.0,
-    store_backend: str = "memory",
 ) -> List[GreylistExperimentResult]:
     """The paper's three-threshold Kelihos experiment (Figures 3-4)."""
     return [
@@ -186,7 +175,6 @@ def run_kelihos_threshold_sweep(
             num_messages=num_messages,
             seed=seed,
             horizon=horizon,
-            store_backend=store_backend,
         )
         for threshold in thresholds
     ]

@@ -16,9 +16,10 @@ answering "what if adoption grew?" by sweeping the deployment rates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from ..botnet.behavior import MXBehavior, defeats_nolisting
+from ..botnet.bot import BotAttemptOutcome
 from ..botnet.families import FAMILIES, FamilyProfile
 from ..botnet.retry import FireAndForget
 from ..dns.nolisting import setup_nolisting, setup_single_mx
@@ -27,12 +28,11 @@ from ..dns.zone import ZoneStore
 from ..greylist.policy import GreylistPolicy
 from ..net.address import AddressPool, IPv4Network
 from ..net.network import VirtualInternet
-from ..sim.batch import BatchCounters, SessionOutcomeCache
 from ..sim.clock import Clock
 from ..sim.events import EventScheduler
 from ..sim.rng import RandomStream
 from ..smtp.message import Message
-from ..smtp.server import ConnectionPolicy, SMTPServer
+from ..smtp.server import SMTPServer
 
 
 @dataclass
@@ -109,33 +109,21 @@ def run_internet_scale(
     seed: int = 61,
     horizon: float = 400000.0,
     engine: str = "columnar",
-    session_cache: Optional[SessionOutcomeCache] = None,
-    counters: Optional[BatchCounters] = None,
     chunk_domains: int = 100_000,
-    store_backend: str = "memory",
 ) -> InternetScaleResult:
     """Run one spam wave through a mixed-deployment internet.
 
-    ``store_backend`` selects the triplet-store backend of every
-    greylisted domain's policy (:mod:`repro.greylist.backends`);
-    backends are bit-for-bit equivalent, so results are identical for
-    any choice — which the backend-equivalence suite asserts.
-
     ``engine="columnar"``, the default, collapses the wave into (family x
-    deployment) equivalence classes, drives one *real* session per class
-    (memoized in ``session_cache``, a
-    :class:`~repro.sim.batch.SessionOutcomeCache`) and replays only the
-    per-message retry-delay draws.  It *streams* the receiver internet's
+    phase) classes, drives one *real* session per class and run (see
+    :mod:`repro.core.playbooks`) and replays only the per-message
+    retry-delay draws.  It *streams* the receiver internet's
     deployment rolls in chunks of ``chunk_domains`` (see
     :func:`repro.scan.columnar.stream_deployment_rolls`) and bins only the
     targeted ones — peak memory is one chunk plus the wave, independent
     of ``num_domains``, which is what lifts the sweep to 10M domains.
     ``engine="object"`` is the oracle: it simulates every DNS
     lookup, connection and SMTP dialogue on the event scheduler, and
-    produces the identical result.  ``counters``, a
-    :class:`~repro.sim.batch.BatchCounters`, is filled with the columnar
-    run's collapse accounting when given; the cache, counter and chunk
-    knobs are ignored by the object engine.
+    produces the identical result, and ignores ``chunk_domains``.
 
     Both deployment rates must lie in [0, 1] and sum to at most 1.
     """
@@ -152,10 +140,7 @@ def run_internet_scale(
             greylist_delay=greylist_delay,
             seed=seed,
             horizon=horizon,
-            session_cache=session_cache,
-            counters=counters,
             chunk_domains=chunk_domains,
-            store_backend=store_backend,
         )
     rng = RandomStream(seed, "internet-scale")
     scheduler = EventScheduler(Clock())
@@ -176,11 +161,7 @@ def run_internet_scale(
             policy = None
             builder = setup_nolisting
         elif roll < nolisting_rate + greylisting_rate:
-            policy = GreylistPolicy(
-                clock=scheduler.clock,
-                delay=greylist_delay,
-                store_backend=store_backend,
-            )
+            policy = GreylistPolicy(clock=scheduler.clock, delay=greylist_delay)
             builder = setup_single_mx
         else:
             policy = None
@@ -303,16 +284,13 @@ def _resolve_wave(
     rng: RandomStream,
     greylist_delay: float,
     horizon: float,
-    session_cache: Optional[SessionOutcomeCache],
-    counters: Optional[BatchCounters],
-    store_backend: str = "memory",
 ) -> tuple:
-    """Resolve every message of a replayed wave through session playbooks.
+    """Resolve every message of a replayed wave through class sessions.
 
     The core of the columnar engine:
 
     * a nolisted target blocks primary-only senders at the TCP layer (no
-      session exists to cache) and is an open door for everyone else;
+      session exists) and is an open door for everyone else;
     * a plain target delivers on the first real dialogue;
     * a greylisted target defers the first attempt, after which the
       family's *real* retry model — fed by the same ``msg:{index}``
@@ -326,18 +304,20 @@ def _resolve_wave(
     which is exactly what is replayed.  ``deployment_of`` maps a target
     domain index to its deployment kind, backed by the streamed chunks'
     targeted entries only.
+
+    Each (HELO name, phase) class drives one real session, memoized for
+    this run only: with four phases per family, a run drives at most
+    sixteen sessions.
     """
-    from ..sim.batch import EquivalenceClassIndex
     from .playbooks import build_playbook
 
-    cache = session_cache if session_cache is not None else SessionOutcomeCache()
-    misses_before = cache.misses
-    classes: EquivalenceClassIndex = EquivalenceClassIndex()
+    sessions: Dict[Tuple[str, str], BotAttemptOutcome] = {}
 
-    # Policy fingerprints for the cache keys (identical to the ones the
-    # object path's servers would expose).
-    open_fp = ConnectionPolicy().fingerprint()
-    grey_fp = GreylistPolicy(clock=Clock(), delay=greylist_delay).fingerprint()
+    def session(helo_name: str, phase: str) -> BotAttemptOutcome:
+        key = (helo_name, phase)
+        if key not in sessions:
+            sessions[key] = build_playbook(helo_name, phase, greylist_delay)
+        return sessions[key]
 
     per_family_sent: Dict[str, int] = {f.name: 0 for f in FAMILIES}
     per_family_delivered: Dict[str, int] = {f.name: 0 for f in FAMILIES}
@@ -345,41 +325,24 @@ def _resolve_wave(
     for index, family, target in wave:
         deployment = deployment_of(target)
         per_family_sent[family.name] += 1
-        classes.add((family.name, deployment), index)
 
-        if deployment == _NOLISTED:
-            if family.mx_behavior is MXBehavior.PRIMARY_ONLY:
-                # Dead primary, and this family never walks to the live
-                # secondary: every attempt is a refused connection.
-                continue
-            deployment_fp = open_fp
-        elif deployment == _PLAIN:
-            deployment_fp = open_fp
-        else:
-            deployment_fp = grey_fp
-
+        if (
+            deployment == _NOLISTED
+            and family.mx_behavior is MXBehavior.PRIMARY_ONLY
+        ):
+            # Dead primary, and this family never walks to the live
+            # secondary: every attempt is a refused connection.
+            continue
         if deployment != _GREYLISTED:
-            playbook = cache.get_or_build(
-                (family.helo_name, deployment_fp, "open"),
-                lambda f=family: build_playbook(f.helo_name),
-            )  # no greylist policy in these sessions: no store involved
-            if playbook.delivered:
+            if session(family.helo_name, "open") is BotAttemptOutcome.DELIVERED:
                 per_family_delivered[family.name] += 1
             continue
 
-        first = cache.get_or_build(
-            (family.helo_name, grey_fp, "new"),
-            lambda f=family: build_playbook(
-                f.helo_name,
-                greylist_delay=greylist_delay,
-                greylist_phase="new",
-                store_backend=store_backend,
-            ),
-        )
-        if first.delivered:
+        first = session(family.helo_name, "new")
+        if first is BotAttemptOutcome.DELIVERED:
             per_family_delivered[family.name] += 1
             continue
-        if not first.deferred:
+        if first is not BotAttemptOutcome.DEFERRED:
             continue  # permanent rejection: the bot abandons immediately
         model = family.retry_factory()
         if isinstance(model, FireAndForget):
@@ -396,25 +359,12 @@ def _resolve_wave(
                 break  # the retry never fires within the run
             attempts += 1
             phase = "passed" if t >= greylist_delay else "early"
-            retry = cache.get_or_build(
-                (family.helo_name, grey_fp, phase),
-                lambda f=family, p=phase: build_playbook(
-                    f.helo_name,
-                    greylist_delay=greylist_delay,
-                    greylist_phase=p,
-                    store_backend=store_backend,
-                ),
-            )
-            if retry.delivered:
+            retry = session(family.helo_name, phase)
+            if retry is BotAttemptOutcome.DELIVERED:
                 per_family_delivered[family.name] += 1
                 break
-            if not retry.deferred:
+            if retry is not BotAttemptOutcome.DEFERRED:
                 break
-
-    if counters is not None:
-        counters.members += classes.num_members
-        counters.classes += classes.num_classes
-        counters.representative_runs += cache.misses - misses_before
 
     return per_family_sent, per_family_delivered
 
@@ -427,10 +377,7 @@ def _run_internet_scale_columnar(
     greylist_delay: float,
     seed: int,
     horizon: float,
-    session_cache: Optional[SessionOutcomeCache] = None,
-    counters: Optional[BatchCounters] = None,
     chunk_domains: int = 100_000,
-    store_backend: str = "memory",
 ) -> InternetScaleResult:
     """The streaming engine behind ``engine="columnar"``.
 
@@ -468,14 +415,7 @@ def _run_internet_scale_columnar(
             cursor += 1
 
     per_family_sent, per_family_delivered = _resolve_wave(
-        wave,
-        deployment.__getitem__,
-        rng,
-        greylist_delay,
-        horizon,
-        session_cache,
-        counters,
-        store_backend=store_backend,
+        wave, deployment.__getitem__, rng, greylist_delay, horizon
     )
     return _assemble_result(
         num_domains,
@@ -494,7 +434,6 @@ def sweep_deployment_rates(
     cache=None,
     num_domains: int = 60,
     engine: str = "columnar",
-    store_backend: str = "memory",
 ) -> List[InternetScaleResult]:
     """Block rate as deployment grows — the "what if adoption rose" curve.
 
@@ -527,13 +466,6 @@ def sweep_deployment_rates(
             # Only present off the default, so columnar payloads keep the
             # key the object engine's payloads had while it was the default.
             **({"engine": engine} if engine != "columnar" else {}),
-            # Same idiom: the key exists only off the default backend, so
-            # memory-backend payloads keep their pre-backend cache identity.
-            **(
-                {"store_backend": store_backend}
-                if store_backend != "memory"
-                else {}
-            ),
         }
         for (grey, nolist) in rates
     ]

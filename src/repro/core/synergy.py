@@ -69,7 +69,6 @@ def run_synergy_experiment(
     num_messages: int = 20,
     seed: int = 31,
     horizon: float = 400000.0,
-    store_backend: str = "memory",
 ) -> SynergyResult:
     """Run one bot against one policy configuration.
 
@@ -110,13 +109,7 @@ def run_synergy_experiment(
         dnsbl_policy = DNSBLPolicy(blacklist, report_attempts=local_reporting)
         policies.append(dnsbl_policy)
     if configuration in ("greylist", "both"):
-        policies.append(
-            GreylistPolicy(
-                clock=scheduler.clock,
-                delay=greylist_delay,
-                store_backend=store_backend,
-            )
-        )
+        policies.append(GreylistPolicy(clock=scheduler.clock, delay=greylist_delay))
 
     server = SMTPServer(
         hostname="smtp.victim.example",
@@ -223,7 +216,6 @@ def sweep_greylist_delay(
     seed: int = 31,
     workers: int = 1,
     cache=None,
-    store_backend: str = "memory",
 ) -> List[SynergyResult]:
     """Which greylisting threshold buys the blacklist enough time?
 
@@ -244,13 +236,6 @@ def sweep_greylist_delay(
             "reports_per_hour": reports_per_hour,
             "num_messages": num_messages,
             "seed": seed,
-            # The key exists only off the default backend, so
-            # memory-backend payloads keep their pre-backend cache identity.
-            **(
-                {"store_backend": store_backend}
-                if store_backend != "memory"
-                else {}
-            ),
         }
         for delay in delays
     ]

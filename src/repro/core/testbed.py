@@ -83,10 +83,6 @@ class TestbedConfig:
     victim_domain: str = "victim.example"
     greylist_delay: float = 300.0
     greylist_whitelist: Optional[Whitelist] = None
-    #: triplet-store backend for the greylist policy (memory/sqlite/shm)
-    greylist_store_backend: str = "memory"
-    #: on-disk location for an empty durable triplet store (None = volatile)
-    greylist_store_path: Optional[str] = None
     #: recipients that bypass greylisting (the paper's control addresses)
     unprotected_recipients: Set[str] = field(default_factory=set)
     address_space: str = "192.0.2.0/24"
@@ -109,16 +105,11 @@ class Testbed:
         self.greylist: Optional[GreylistPolicy] = None
         policy: ConnectionPolicy
         if config.defense in (Defense.GREYLISTING, Defense.BOTH):
-            from ..greylist.backends import require_empty
-
             self.greylist = GreylistPolicy(
                 clock=self.clock,
                 delay=config.greylist_delay,
                 whitelist=config.greylist_whitelist,
-                store_backend=config.greylist_store_backend,
-                store_path=config.greylist_store_path,
             )
-            require_empty(self.greylist.store, config.greylist_store_path)
             policy = self.greylist
         else:
             policy = ConnectionPolicy()

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..net.address import IPv4Address
-from .store import TripletEntry, TripletStore
+from .store import TripletEntry
 from .triplet import Triplet
 
 #: Backend names :func:`create_backend` understands (CLI choices).
@@ -598,18 +598,3 @@ def create_backend(
         f"unknown triplet-store backend {name!r}; expected one of "
         + ", ".join(BACKEND_NAMES)
     )
-
-
-def require_empty(store: TripletStore, path: Union[str, Path, None]) -> None:
-    """Refuse a simulation's store that already holds triplets.
-
-    A result must not depend on what an earlier run left at ``path``, so
-    such a store is closed untouched and :class:`StoreError` raised.
-    """
-    held = store.size
-    if held:
-        store.close()
-        raise StoreError(
-            f"triplet store {path} already holds {held} triplets; "
-            "a simulation needs an empty one"
-        )

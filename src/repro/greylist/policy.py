@@ -77,7 +77,9 @@ class GreylistPolicy(ConnectionPolicy):
     delay:
         The greylisting threshold in seconds (paper sweeps 5 / 300 / 21600).
     store:
-        Triplet database; a fresh one is created if omitted.
+        Triplet database; a fresh in-memory one is created if omitted.
+        A caller that wants another backend builds the store itself, as
+        the serving daemon does (:mod:`repro.greylist.backends`).
     whitelist:
         Static whitelist (empty by default — the paper removed Postgrey's
         stock whitelist for the Table III experiment).
@@ -92,12 +94,6 @@ class GreylistPolicy(ConnectionPolicy):
         Which greylisting variant to run (see
         :mod:`repro.greylist.keying`).  Defaults to the classic full
         triplet.
-    store_backend / store_path:
-        Storage backend for the triplet database when ``store`` is not
-        given (``"memory"``/``"sqlite"``/``"shm"``, see
-        :mod:`repro.greylist.backends`); ``store_path`` is the SQLite
-        file or the shm sentinel file.  All backends are bit-for-bit
-        equivalent, so the choice is absent from :meth:`fingerprint`.
     """
 
     def __init__(
@@ -109,8 +105,6 @@ class GreylistPolicy(ConnectionPolicy):
         network_prefix: Optional[int] = None,
         auto_whitelist_clients: int = 0,
         key_strategy: KeyStrategy = KeyStrategy.FULL_TRIPLET,
-        store_backend: str = "memory",
-        store_path: Optional[str] = None,
     ) -> None:
         if not 0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and non-negative, got {delay!r}")
@@ -123,11 +117,7 @@ class GreylistPolicy(ConnectionPolicy):
         if store is not None:
             self.store = store
         else:
-            from .backends import create_backend
-
-            self.store = TripletStore(
-                clock, backend=create_backend(store_backend, store_path)
-            )
+            self.store = TripletStore(clock)
         self.whitelist = whitelist if whitelist is not None else Whitelist()
         self.network_prefix = network_prefix
         self.auto_whitelist_clients = auto_whitelist_clients
@@ -139,13 +129,12 @@ class GreylistPolicy(ConnectionPolicy):
         self._auto_whitelisted: Set[IPv4Address] = set()
 
     def fingerprint(self) -> tuple:
-        """Decision-function identity for the session-outcome cache.
+        """Decision-function identity, part of the serving decision-cache key.
 
-        Includes every knob that changes a reply: the delay threshold (the
-        cache's "threshold bucket"), the keying variant, the network
-        prefix and the auto-whitelist setting.  Store *contents* are
-        deliberately absent — they are per-triplet state, which the batch
-        engine encodes as the session's greylist phase (new/early/passed).
+        Includes every knob that changes a reply: the delay threshold, the
+        keying variant, the network prefix and the auto-whitelist setting.
+        Store *contents* and the store's backend are absent: the contents
+        are per-triplet state, and every backend decides identically.
         """
         return (
             "greylist",

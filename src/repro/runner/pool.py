@@ -28,7 +28,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from .cache import ResultCache
@@ -196,37 +195,3 @@ def _run_one(fn: TaskFn, payloads: Sequence[Dict[str, Any]], index: int) -> Any:
             return fn(payloads[index])
         except Exception as second:
             raise TaskFailure(index, first, retry_error=second) from first
-
-
-@dataclass
-class ExperimentRunner:
-    """Reusable workers + cache bundle for a batch of experiment calls.
-
-    The CLI builds one of these from ``--workers`` and hands it to every
-    experiment entry point it invokes::
-
-        runner = ExperimentRunner(workers=4, cache=ResultCache())
-        rows = runner.map(adoption_seed_task, payloads,
-                          experiment="adoption-sensitivity")
-    """
-
-    workers: Optional[int] = 1
-    cache: Optional[ResultCache] = None
-    #: Total payloads dispatched and cache hits observed through this runner.
-    dispatched: int = field(default=0, init=False)
-
-    def map(
-        self,
-        fn: TaskFn,
-        payloads: Sequence[Dict[str, Any]],
-        experiment: Optional[str] = None,
-    ) -> List[Any]:
-        payloads = list(payloads)
-        self.dispatched += len(payloads)
-        return run_tasks(
-            fn,
-            payloads,
-            workers=self.workers,
-            cache=self.cache if experiment is not None else None,
-            experiment=experiment,
-        )

@@ -157,8 +157,7 @@ def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     ``engine: "object"`` runs the point on the per-object oracle; without
     the key it runs on the columnar engine, the default, so columnar
     payloads keep the cache identity object payloads had before the
-    columnar default.  ``store_backend`` follows the same idiom: present
-    only off the default memory backend.
+    columnar default.
     """
     from ..core.internet_scale import run_internet_scale
 
@@ -169,7 +168,6 @@ def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         messages=int(payload["messages"]),
         seed=int(payload["seed"]),
         engine=str(payload.get("engine", "columnar")),
-        store_backend=str(payload.get("store_backend", "memory")),
     )
     return {
         "num_domains": result.num_domains,
@@ -184,11 +182,7 @@ def internet_scale_task(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def synergy_delay_task(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """One greylist-delay point of the synergy threshold sweep.
-
-    ``store_backend`` is present only off the default memory backend, so
-    memory-backend payloads keep their pre-backend cache identity.
-    """
+    """One greylist-delay point of the synergy threshold sweep."""
     from ..core.synergy import run_synergy_experiment
 
     result = run_synergy_experiment(
@@ -197,7 +191,6 @@ def synergy_delay_task(payload: Dict[str, Any]) -> Dict[str, Any]:
         reports_per_hour=float(payload["reports_per_hour"]),
         num_messages=int(payload["num_messages"]),
         seed=int(payload["seed"]),
-        store_backend=str(payload.get("store_backend", "memory")),
     )
     return {
         "configuration": result.configuration,

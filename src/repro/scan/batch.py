@@ -53,7 +53,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..faults.model import FaultPlan, fault_from_params
 from ..net.address import IPv4Address
-from ..sim.batch import EquivalenceClassIndex
 from ..sim.rng import RandomStream
 from .columnar import (
     TOPO_NOLISTING,
@@ -285,7 +284,7 @@ def batched_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         RandomStream(seed, "adoption-scan") if glue_elision_rate > 0 else None
     )
 
-    classes: EquivalenceClassIndex[Outcome, str] = EquivalenceClassIndex()
+    classes: Dict[Outcome, List[str]] = {}
     repaired = 0
     for i in range(chunk.n):
         name = plan.name_of(chunk.start + i)
@@ -305,10 +304,10 @@ def batched_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
             servers = len(records)
             addresses = sum(1 for (_, _, address) in records if address is not None)
         outcome = (chunk.category[i], shape_a, shape_b, servers, addresses)
-        classes.add(outcome, name)
+        classes.setdefault(outcome, []).append(name)
 
     return classify_and_tally(
-        ((outcome, len(names), names) for outcome, names in classes.classes()),
+        ((outcome, len(names), names) for outcome, names in classes.items()),
         repaired,
         lambda tags: [name for names in tags for name in names],
     )

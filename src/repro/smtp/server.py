@@ -59,18 +59,6 @@ class ConnectionPolicy:
     terminology — before the message body is accepted.
     """
 
-    def fingerprint(self) -> tuple:
-        """Canonical description of this policy's decision function.
-
-        The batch engine's session-outcome cache keys on this: two servers
-        whose policies share a fingerprint hand identical replies to
-        identical dialogues (given the same policy *phase*, which the
-        caller encodes separately).  Stateless policies are fully captured
-        by their class name; stateful subclasses must include every
-        constructor knob that changes a decision.
-        """
-        return (type(self).__name__,)
-
     def on_connect(self, client: IPv4Address) -> PolicyDecision:
         return PolicyDecision.ok()
 
@@ -103,11 +91,6 @@ class CompositePolicy(ConnectionPolicy):
         if not policies:
             raise ValueError("composite policy needs at least one policy")
         self.policies = list(policies)
-
-    def fingerprint(self) -> tuple:
-        """Ordered composition of the chained fingerprints (order matters:
-        a DNSBL hit before greylisting spares a triplet insertion)."""
-        return ("composite",) + tuple(p.fingerprint() for p in self.policies)
 
     def _first_reject(self, invoke) -> PolicyDecision:
         for policy in self.policies:

@@ -8,16 +8,13 @@ from repro.greylist.backends import (
     BACKEND_NAMES,
     MemoryBackend,
     SQLiteBackend,
-    StoreError,
     TripletBackend,
     create_backend,
     entry_is_expired,
-    require_empty,
 )
-from repro.greylist.store import TripletEntry, TripletStore
+from repro.greylist.store import TripletEntry
 from repro.greylist.triplet import Triplet
 from repro.net.address import IPv4Address
-from repro.sim.clock import Clock
 
 
 def triplet(i=0, sender=None):
@@ -179,20 +176,6 @@ class TestFactory:
     def test_all_are_backends(self):
         for name in BACKEND_NAMES:
             assert isinstance(create_backend(name), TripletBackend)
-
-    def test_require_empty_refuses_a_store_that_holds_triplets(
-        self, tmp_path
-    ):
-        path = tmp_path / "used.db"
-        fresh = TripletStore(Clock(), backend=SQLiteBackend(path))
-        require_empty(fresh, path)
-        fresh.restore(entry(0))
-        fresh.close()
-        before = path.read_bytes()
-        used = TripletStore(Clock(), backend=SQLiteBackend(path))
-        with pytest.raises(StoreError, match="already holds 1 triplets"):
-            require_empty(used, path)
-        assert path.read_bytes() == before
 
 
 class TestSQLiteBackend:

@@ -20,7 +20,6 @@ from repro.core.internet_scale import run_internet_scale, sweep_deployment_rates
 from repro.core.synergy import sweep_greylist_delay
 from repro.scan.alexa import PAPER_NOLISTING_RANKS
 from repro.scan.profiles import profile_config
-from repro.sim.batch import BatchCounters, SessionOutcomeCache
 
 
 def _assert_adoption_equal(a, b):
@@ -164,19 +163,28 @@ class TestInternetScaleEquivalence:
         )
         assert col == ref
 
-    def test_counters_report_collapse(self):
-        counters = BatchCounters()
-        run_internet_scale(
-            num_domains=5000,
-            messages=300,
-            seed=61,
-            engine="columnar",
-            counters=counters,
-        )
-        assert counters.members == 300
-        # family x deployment classes: at most 4 x 3.
-        assert counters.classes <= 12
-        assert counters.collapse_factor > 10
+    def test_one_session_per_family_and_phase_per_run(self, monkeypatch):
+        # However many messages share a class, the columnar engine drives
+        # one real session per (HELO name, phase): at most four families
+        # x four phases (open, new, early, passed).
+        from repro.core import playbooks
+
+        calls = []
+        real = playbooks.build_playbook
+
+        def counting(*args, **kwargs):
+            calls.append((args, tuple(sorted(kwargs.items()))))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(playbooks, "build_playbook", counting)
+        kwargs = dict(num_domains=5000, messages=300, seed=61, engine="columnar")
+        first = run_internet_scale(**kwargs)
+        driven = len(calls)
+        assert 0 < driven <= 16
+        assert len(set(calls)) == driven
+        # The memo lives for one run: an identical run drives them again.
+        assert run_internet_scale(**kwargs) == first
+        assert calls[driven:] == calls[:driven]
 
     def test_sweep_identical_across_workers_and_engines(self):
         runs = [
@@ -205,27 +213,6 @@ class TestWorkerAndCacheDeterminism:
             for w in (1, 2, 4)
         ]
         assert runs[0] == runs[1] == runs[2]
-
-    def test_shared_cache_matches_fresh_cache(self):
-        # A playbook cached by one run and replayed by the next must not
-        # change anything: the cache is a pure memo.
-        shared = SessionOutcomeCache()
-        kwargs = dict(num_domains=100, messages=200, seed=61, engine="columnar")
-        first = run_internet_scale(session_cache=shared, **kwargs)
-        second = run_internet_scale(session_cache=shared, **kwargs)
-        fresh = run_internet_scale(**kwargs)
-        assert first == second == fresh
-        assert shared.hits > 0
-
-    def test_capacity_one_cache_matches_unbounded(self):
-        # Constant eviction churn (capacity 1) rebuilds playbooks over and
-        # over but must never change the result.
-        tiny = SessionOutcomeCache(capacity=1)
-        kwargs = dict(num_domains=100, messages=200, seed=61, engine="columnar")
-        assert run_internet_scale(session_cache=tiny, **kwargs) == run_internet_scale(
-            **kwargs
-        )
-        assert tiny.evictions > 0
 
 
 class TestPayloadCacheIdentity:

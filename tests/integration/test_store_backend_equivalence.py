@@ -3,8 +3,7 @@
 Every triplet-store backend must produce *identical* greylisting outcomes:
 the same :class:`~repro.greylist.policy.GreylistEvent` stream, store sizes,
 expiry counters and snapshot bytes for the same input stream — with and
-without a mid-stream restart, and regardless of how many worker processes
-the shard runner fans over.  Crashes of the durable SQLite store are
+without a mid-stream restart.  Crashes of the durable SQLite store are
 covered at the end: a daemon killed without a drain.
 """
 
@@ -149,78 +148,6 @@ class TestBackendEquivalence:
         assert dump_store(migrated) == text
         migrated.close()
         source.store.close()
-
-
-class TestExperimentLevelEquivalence:
-    def test_greylist_experiment_all_backends(self, tmp_path):
-        from repro.botnet.families import KELIHOS
-        from repro.core.greylist_experiment import run_greylist_experiment
-
-        reference = run_greylist_experiment(
-            KELIHOS, 300.0, num_messages=30, seed=11
-        )
-        for name in DURABLE_BACKENDS:
-            result = run_greylist_experiment(
-                KELIHOS,
-                300.0,
-                num_messages=30,
-                seed=11,
-                store_backend=name,
-                store_path=str(tmp_path / f"exp.{name}"),
-            )
-            assert result == reference, name
-
-    @pytest.mark.parametrize("engine", ["object", "columnar"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_deployment_sweep_backends_and_workers(self, workers, engine):
-        """Shard-runner leg: every backend x worker count, one answer."""
-        from repro.core.internet_scale import sweep_deployment_rates
-
-        reference = sweep_deployment_rates(
-            rates=[(0.3, 0.1), (0.7, 0.2)],
-            messages=40,
-            seed=19,
-            num_domains=30,
-            workers=1,
-            engine=engine,
-        )
-        for name in BACKEND_NAMES:
-            results = sweep_deployment_rates(
-                rates=[(0.3, 0.1), (0.7, 0.2)],
-                messages=40,
-                seed=19,
-                num_domains=30,
-                workers=workers,
-                engine=engine,
-                store_backend=name,
-            )
-            assert results == reference, (name, workers, engine)
-
-    def test_synergy_all_backends(self):
-        from repro.core.synergy import run_synergy_experiment
-
-        reference = run_synergy_experiment("both", num_messages=12, seed=5)
-        for name in DURABLE_BACKENDS:
-            result = run_synergy_experiment(
-                "both", num_messages=12, seed=5, store_backend=name
-            )
-            assert result == reference, name
-
-    def test_cost_attack_all_backends(self, tmp_path):
-        from repro.core.cost_attack import run_cost_attack
-
-        reference = run_cost_attack(
-            spam_per_day=80, benign_per_day=10, duration_days=4.0
-        )
-        for name in DURABLE_BACKENDS:
-            result = run_cost_attack(
-                spam_per_day=80,
-                benign_per_day=10,
-                duration_days=4.0,
-                store_backend=name,
-                store_path=str(tmp_path / f"cost.{name}"),
-            )
-            assert result == reference, name
 
 
 # ----------------------------------------------------------------------

@@ -6,20 +6,11 @@ from pathlib import Path
 import pytest
 
 from repro.runner.cache import ResultCache
-from repro.runner.pool import (
-    ExperimentRunner,
-    TaskFailure,
-    effective_workers,
-    run_tasks,
-)
+from repro.runner.pool import TaskFailure, effective_workers, run_tasks
 
 
 def square_task(payload):
     return payload["x"] * payload["x"]
-
-
-def name_task(payload):
-    return {"name": payload["name"].upper()}
 
 
 def flaky_task(payload):
@@ -157,20 +148,4 @@ class TestFailureHandling:
             flaky_task, payloads, workers=1, cache=cache, experiment="flaky"
         )
         assert results == [70]
-        assert cache.stores == 1
-
-
-class TestExperimentRunner:
-    def test_map_counts_dispatches(self):
-        runner = ExperimentRunner(workers=1)
-        rows = runner.map(name_task, [{"name": "a"}, {"name": "b"}])
-        assert rows == [{"name": "A"}, {"name": "B"}]
-        assert runner.dispatched == 2
-
-    def test_map_without_experiment_bypasses_cache(self, tmp_path):
-        cache = ResultCache(root=tmp_path)
-        runner = ExperimentRunner(workers=1, cache=cache)
-        runner.map(name_task, [{"name": "a"}])
-        assert cache.stores == 0
-        runner.map(name_task, [{"name": "a"}], experiment="names")
         assert cache.stores == 1
