@@ -6,8 +6,8 @@ The package is layered bottom-up:
 * :mod:`repro.sim` — deterministic discrete-event kernel (clock, scheduler,
   splittable RNG streams);
 * :mod:`repro.net` — virtual IPv4 internet (addresses, hosts, ports);
-* :mod:`repro.faults` — seed-derived fault injection for the synthetic
-  internet (host outages, port flaps, DNS failures, session resets);
+* :mod:`repro.faults` — seed-derived fault injection for the Figure 2
+  scans (host outages, port-25 flaps, DNS failures);
 * :mod:`repro.dns` — zones, resolver, MX handling, nolisting setup;
 * :mod:`repro.smtp` — RFC 5321 server state machine and compliant client;
 * :mod:`repro.greylist` — Postgrey-compatible triplet greylisting;

@@ -1,8 +1,8 @@
 """``EXC001`` — over-broad except blocks that swallow injected faults.
 
-The fault-injection layer (PR 3) raises ``FaultInjected`` /
-``ConnectionReset``-family exceptions *on purpose*: experiments measure
-how senders and scanners behave under faults.  A ``except:`` or
+The fault-injection layer raises ``ServFail`` and ``DNSTimeout`` (both
+``DNSError``) *on purpose*: the Figure 2 scans measure how the
+measurement pipeline behaves under faults.  A ``except:`` or
 ``except Exception:`` that neither re-raises, logs, nor records a counter
 makes an injected fault silently disappear — the experiment then reports
 healthy numbers for a run that was anything but.
@@ -93,7 +93,7 @@ class FaultSwallowingExcept(Checker):
             yield self.finding(
                 ctx,
                 node,
-                f"{caught} swallows FaultInjected/ConnectionReset-family "
-                "exceptions without re-raising or recording them; narrow "
-                "the types, re-raise, or count the event",
+                f"{caught} swallows injected ServFail/DNSTimeout "
+                "(DNSError) faults without re-raising or recording them; "
+                "narrow the types, re-raise, or count the event",
             )

@@ -18,12 +18,7 @@ from typing import List, Optional
 from ..dns.mxutil import MailExchanger, resolve_exchangers
 from ..dns.resolver import DNSError, StubResolver
 from ..net.address import IPv4Address
-from ..net.host import (
-    SMTP_PORT,
-    ConnectionRefused,
-    ConnectionReset,
-    HostUnreachable,
-)
+from ..net.host import SMTP_PORT, ConnectionRefused, HostUnreachable
 from ..net.network import VirtualInternet
 from ..sim.events import EventScheduler
 from ..sim.rng import RandomStream
@@ -240,17 +235,12 @@ class SpamBot:
                     continue
                 self._after_failure(task)
                 return
-            try:
-                outcome, reply_code = drive_dialogue(
-                    connection.session,
-                    task.message,
-                    task.recipient,
-                    self.helo_name,
-                )
-            except ConnectionReset:
-                # Session died mid-dialogue: bots treat it exactly like a
-                # refused connection (retry model decides what happens next).
-                outcome, reply_code = BotAttemptOutcome.CONNECTION_FAILED, None
+            outcome, reply_code = drive_dialogue(
+                connection.session,
+                task.message,
+                task.recipient,
+                self.helo_name,
+            )
             connection.close()
             break
         else:

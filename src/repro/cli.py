@@ -11,9 +11,12 @@ import argparse
 import math
 import os
 import sys
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from .analysis.tables import format_percent, format_seconds, render_table
+
+if TYPE_CHECKING:  # pragma: no cover - loaded only by commands that cache
+    from .runner.cache import ResultCache
 
 
 def _count_arg(noun: str, minimum: int = 1) -> Callable[[str], int]:
@@ -83,15 +86,19 @@ def _fault_rate_arg(value: str) -> float:
     return rate
 
 
+def _result_cache(args: argparse.Namespace) -> Optional["ResultCache"]:
+    """The on-disk shard cache when ``--cache`` is given, else ``None``."""
+    if not args.cache:
+        return None
+    from .runner.cache import ResultCache
+
+    return ResultCache()
+
+
 def _cmd_adoption(args: argparse.Namespace) -> int:
     from .core.adoption import run_adoption_experiment
     from .core.reports import figure2_text
 
-    cache = None
-    if args.cache:
-        from .runner.cache import ResultCache
-
-        cache = ResultCache()
     config = None
     if args.mix_profile != "figure2":
         from .scan.profiles import profile_config
@@ -101,7 +108,7 @@ def _cmd_adoption(args: argparse.Namespace) -> int:
         num_domains=args.domains,
         seed=args.seed,
         workers=args.workers,
-        cache=cache,
+        cache=_result_cache(args),
         fault_rate=args.fault_rate,
         fault_seed=args.fault_seed,
         engine=args.engine,
@@ -114,16 +121,11 @@ def _cmd_adoption(args: argparse.Namespace) -> int:
 def _cmd_internet_scale(args: argparse.Namespace) -> int:
     from .core.internet_scale import sweep_deployment_rates
 
-    cache = None
-    if args.cache:
-        from .runner.cache import ResultCache
-
-        cache = ResultCache()
     results = sweep_deployment_rates(
         messages=args.messages,
         seed=args.seed,
         workers=args.workers,
-        cache=cache,
+        cache=_result_cache(args),
         num_domains=args.domains,
         engine=args.engine,
     )
@@ -228,7 +230,9 @@ def _cmd_synergy(args: argparse.Namespace) -> int:
         )
     )
     print()
-    sweep = sweep_greylist_delay(seed=args.seed)
+    sweep = sweep_greylist_delay(
+        seed=args.seed, workers=args.workers, cache=_result_cache(args)
+    )
     print(
         render_table(
             headers=("Greylist delay", "Delivery rate"),
@@ -699,6 +703,28 @@ def _run_profiled(args: argparse.Namespace) -> int:
 #: attribute and the commands that read it.  Any other command given the
 #: flag is a usage error rather than a run that silently ignores it.
 _SCOPED_FLAGS = (
+    (
+        "--seed",
+        "seed",
+        (
+            "adoption",
+            "internet-scale",
+            "defenses",
+            "kelihos",
+            "deployment",
+            "synergy",
+            "dialects",
+            "filter",
+            "serve-load",
+            "scorecard",
+        ),
+    ),
+    (
+        "--workers",
+        "workers",
+        ("adoption", "internet-scale", "synergy", "scorecard", "serve"),
+    ),
+    ("--cache", "cache", ("adoption", "internet-scale", "synergy")),
     ("--store-backend", "store_backend", ("serve",)),
     ("--store-path", "store_path", ("serve",)),
     ("--fault-rate", "fault_rate", ("adoption",)),
@@ -719,7 +745,9 @@ def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespac
         if getattr(args, dest) is _NOT_GIVEN:
             setattr(args, dest, parser.get_default(dest))
         elif args.command not in commands:
-            parser.error(f"{flag} applies only to {' and '.join(commands)}")
+            *others, last = commands
+            readers = f"{', '.join(others)} and {last}" if others else last
+            parser.error(f"{flag} applies only to {readers}")
     if args.store_path is not None and args.store_backend == "memory":
         parser.error("--store-path needs a --store-backend other than memory")
     if args.command == "adoption":
@@ -731,6 +759,8 @@ def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespac
         except ValueError as error:
             parser.error(str(error))
     if args.command == "serve":
+        if args.shm_capacity is not None and args.store_backend != "shm":
+            parser.error("--shm-capacity needs --store-backend shm")
         args.workers = args.workers or os.cpu_count() or 1
         if args.workers > 1 and args.store_backend != "shm":
             parser.error(

@@ -16,7 +16,7 @@ implements the behaviours the paper's measurement pipeline depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
@@ -78,10 +78,9 @@ class StubResolver:
         queries (cache misses only — cached answers never touch the flaky
         server) may then SERVFAIL, time out, or hit a persistently lame
         delegation, all drawn deterministically per ``(name, epoch)``.
+        The Figure 2 scanners pass one; no other resolver injects faults.
     fault_epoch:
-        Downtime-window index for fault draws: an int pins it (scanners
-        pass the scan index), a callable is evaluated per query
-        (clock-driven simulations).
+        Epoch of those fault draws: the scanners pass the scan index.
     """
 
     def __init__(
@@ -91,7 +90,7 @@ class StubResolver:
         glue_elision_rate: float = 0.0,
         rng: Optional[RandomStream] = None,
         faults: Optional["FaultPlan"] = None,
-        fault_epoch: Union[int, Callable[[], int]] = 0,
+        fault_epoch: int = 0,
     ) -> None:
         if not 0.0 <= glue_elision_rate <= 1.0:
             raise ValueError("glue_elision_rate must be within [0, 1]")
@@ -132,11 +131,7 @@ class StubResolver:
         """Injected transient faults for one authoritative query."""
         if self._faults is None:
             return
-        epoch = (
-            self._fault_epoch()
-            if callable(self._fault_epoch)
-            else self._fault_epoch
-        )
+        epoch = self._fault_epoch
         outcome = self._faults.dns_fault(name, epoch)
         if outcome == "servfail":
             self.query_log.append((qtype, name, "SERVFAIL"))

@@ -1,12 +1,12 @@
-"""Seed-derived fault injection for the synthetic internet.
+"""Seed-derived fault injection for the Figure 2 measurement scans.
 
-* :mod:`repro.faults.model` — :class:`FaultConfig` (rates + seed) and
-  :class:`FaultPlan` (deterministic per-entity, per-epoch fault draws);
-* :mod:`repro.faults.session` — :class:`ResettingSession`, the proxy that
-  turns an established SMTP session into one that dies mid-dialogue.
+:mod:`repro.faults.model` holds :class:`FaultConfig` (rates + seed) and
+:class:`FaultPlan` (deterministic per-entity, per-scan fault draws).
 
-Consumers: :class:`~repro.net.network.VirtualInternet` (host downtime,
-port-25 flaps, connection resets), :class:`~repro.dns.resolver.StubResolver`
-(SERVFAIL/timeout bursts, lame delegation) and the Figure 2 scanners
-(per-scan transient outages the two-scan protocol filters).
+Consumers: :class:`~repro.dns.resolver.StubResolver` (SERVFAIL/timeout
+bursts, lame delegation) under the :class:`~repro.scan.scanner.DNSScanner`,
+the :class:`~repro.scan.scanner.SMTPScanner` (host downtime and port-25
+flaps), and the columnar engine's faulted-shard replay in
+:mod:`repro.scan.batch`.  Each scan draws independently: these are the
+transient outages the paper's two-scan protocol filters.
 """

@@ -1,11 +1,11 @@
-"""Deterministic fault model for the simulation substrate.
+"""Deterministic fault model for the Figure 2 measurement scans.
 
 The paper's world-wide adoption measurement repeats its DNS + SMTP scan
 two months apart precisely because the internet is flaky: hosts sit in
-maintenance windows, resolvers SERVFAIL in bursts, delegations go lame,
-and TCP sessions die mid-dialogue.  This module gives the substrates a
-shared, seed-derived source of exactly those faults so the measurement
-pipeline's transient-outage filtering becomes testable.
+maintenance windows, port 25 flaps, resolvers SERVFAIL or time out in
+bursts, and delegations go lame.  This module gives the resolver and the
+scanners a shared, seed-derived source of exactly those faults so the
+measurement pipeline's transient-outage filtering becomes testable.
 
 Every fault decision is a pure function of ``(fault seed, entity label,
 epoch)`` drawn through the repository's standard ``seed:label``
@@ -14,11 +14,8 @@ yields the same answer in any process, in any order, any number of times.
 That property is what keeps the parallel experiment runner's
 workers-1/2/4 bit-for-bit determinism intact with faults enabled.
 
-Epochs quantize time into scheduled downtime windows.  Scanners use the
-scan index as the epoch (each scan sees an independent fault draw, the
-situation the paper's two-scan protocol is built to filter); clock-driven
-simulations derive the epoch from the simulation time via
-:meth:`FaultConfig.epoch_for`.
+The epoch is the scan index: each scan sees an independent fault draw,
+the situation the paper's two-scan protocol is built to filter.
 """
 
 from __future__ import annotations
@@ -35,7 +32,6 @@ FAULT_KINDS = (
     "dns_servfail",
     "dns_timeout",
     "lame_delegation",
-    "connection_reset",
 )
 
 
@@ -60,10 +56,6 @@ class FaultConfig:
     dns_timeout_rate: float = 0.0
     #: Probability a zone's delegation is (persistently) lame.
     lame_delegation_rate: float = 0.0
-    #: Probability an established SMTP session is reset mid-dialogue.
-    connection_reset_rate: float = 0.0
-    #: Width of one downtime window in simulated seconds (clock epochs).
-    epoch_length: float = 3600.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -72,15 +64,12 @@ class FaultConfig:
             "dns_servfail_rate",
             "dns_timeout_rate",
             "lame_delegation_rate",
-            "connection_reset_rate",
         ):
             rate = getattr(self, name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {rate}")
         if self.dns_servfail_rate + self.dns_timeout_rate > 1.0:
             raise ValueError("dns_servfail_rate + dns_timeout_rate > 1")
-        if self.epoch_length <= 0:
-            raise ValueError("epoch_length must be positive")
 
     @classmethod
     def uniform(cls, rate: float, seed: int = 0) -> "FaultConfig":
@@ -96,25 +85,6 @@ class FaultConfig:
             port_flap_rate=rate,
             dns_servfail_rate=rate,
             dns_timeout_rate=rate / 2.0,
-            connection_reset_rate=rate,
-        )
-
-    def epoch_for(self, now: float) -> int:
-        """Quantize a simulation timestamp into a downtime-window index."""
-        return int(now // self.epoch_length)
-
-    @property
-    def any_enabled(self) -> bool:
-        return any(
-            getattr(self, name) > 0.0
-            for name in (
-                "host_outage_rate",
-                "port_flap_rate",
-                "dns_servfail_rate",
-                "dns_timeout_rate",
-                "lame_delegation_rate",
-                "connection_reset_rate",
-            )
         )
 
 
@@ -127,8 +97,6 @@ def fault_params(config: FaultConfig) -> Dict[str, Any]:
         "dns_servfail_rate": config.dns_servfail_rate,
         "dns_timeout_rate": config.dns_timeout_rate,
         "lame_delegation_rate": config.lame_delegation_rate,
-        "connection_reset_rate": config.connection_reset_rate,
-        "epoch_length": config.epoch_length,
     }
 
 
@@ -141,8 +109,6 @@ def fault_from_params(params: Dict[str, Any]) -> FaultConfig:
         dns_servfail_rate=float(params["dns_servfail_rate"]),
         dns_timeout_rate=float(params["dns_timeout_rate"]),
         lame_delegation_rate=float(params["lame_delegation_rate"]),
-        connection_reset_rate=float(params["connection_reset_rate"]),
-        epoch_length=float(params["epoch_length"]),
     )
 
 
@@ -223,28 +189,6 @@ class FaultPlan:
         return self._hit(
             f"lame:{apex}", self.config.lame_delegation_rate, "lame_delegation"
         )
-
-    # ------------------------------------------------------------------
-    # Connection faults
-    # ------------------------------------------------------------------
-    def session_reset_after(self, label: str) -> Optional[int]:
-        """Commands an established session survives before a reset.
-
-        Returns ``None`` for healthy sessions; otherwise a budget of 1–4
-        commands, after which the session raises
-        :class:`~repro.net.host.ConnectionReset` — mid-dialogue, the way
-        real TCP resets land.  ``label`` must identify the connection
-        uniquely and deterministically (the virtual internet uses its
-        monotone connection counter).
-        """
-        rate = self.config.connection_reset_rate
-        if rate <= 0.0:
-            return None
-        stream = self._stream(f"reset:{label}")
-        if stream.random() >= rate:
-            return None
-        self.events["connection_reset"] += 1
-        return stream.randint(1, 4)
 
     def __repr__(self) -> str:
         injected = {k: v for k, v in self.events.items() if v}

@@ -147,13 +147,6 @@ class QueueManager:
         if result.outcome is AttemptOutcome.BOUNCED:
             self._finish(entry, QueueEntryState.BOUNCED)
             return
-        if result.outcome in (
-            AttemptOutcome.DNS_FAILURE,
-            AttemptOutcome.CONNECTION_RESET,
-        ):
-            # Transient routing/session problems: retry per schedule, like
-            # any deferral — a reset mid-dialogue is not a rejection.
-            pass
 
         queue_age = self.scheduler.now - entry.enqueued_at
         delay = self.schedule.next_delay(entry.attempt_count, queue_age)

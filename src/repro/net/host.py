@@ -24,10 +24,6 @@ class ConnectionRefused(NetError):
     """TCP RST: the target host is up but nothing listens on the port."""
 
 
-class ConnectionReset(NetError):
-    """An established connection died mid-session (RST after accept)."""
-
-
 class HostUnreachable(NetError):
     """No host owns the target address (or the host is administratively down)."""
 

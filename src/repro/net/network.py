@@ -2,22 +2,18 @@
 
 :class:`VirtualInternet` is a registry mapping IPv4 addresses to
 :class:`~repro.net.host.VirtualHost` instances plus a latency model.  It
-offers the two primitives the rest of the system needs:
-
-* ``connect(src, dst, port)`` — TCP-style connect, yielding a
-  :class:`~repro.net.host.Connection` or raising
-  :class:`~repro.net.host.ConnectionRefused` / ``HostUnreachable``; and
-* ``syn_probe(dst, port)`` — a zmap-style half-open probe used by the
-  banner-grab scanner, returning whether the port answered.
+offers the primitive the rest of the system needs:
+``connect(src, dst, port)``, a TCP-style connect yielding a
+:class:`~repro.net.host.Connection` or raising
+:class:`~repro.net.host.ConnectionRefused` / ``HostUnreachable``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Optional, Union
+from typing import Dict, Iterable, Optional
 
 from .address import IPv4Address
 from .host import (
-    SMTP_PORT,
     Connection,
     ConnectionRefused,
     HostUnreachable,
@@ -25,13 +21,6 @@ from .host import (
     VirtualHost,
 )
 from .latency import LatencyModel, ZeroLatency
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..faults.model import FaultPlan
-
-#: Epoch source for fault draws: a fixed window index or a callable (e.g.
-#: ``lambda: plan.config.epoch_for(clock.now)``) evaluated per connection.
-EpochSource = Union[int, Callable[[], int]]
 
 
 class VirtualInternet:
@@ -41,37 +30,8 @@ class VirtualInternet:
         self._hosts_by_address: Dict[IPv4Address, VirtualHost] = {}
         self._hosts_by_name: Dict[str, VirtualHost] = {}
         self.latency = latency if latency is not None else ZeroLatency()
-        self.connections_attempted = 0
         self.connections_established = 0
         self.connections_refused = 0
-        self.connections_reset_scheduled = 0
-        self._faults: Optional["FaultPlan"] = None
-        self._fault_epoch: EpochSource = 0
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def install_faults(
-        self, plan: Optional["FaultPlan"], epoch: EpochSource = 0
-    ) -> None:
-        """Attach (or detach, with ``None``) a fault plan to this internet.
-
-        With a plan installed, :meth:`connect` and :meth:`syn_probe`
-        consult it for scheduled host downtime windows and port-25 flaps,
-        and established connections may carry a mid-session reset budget.
-        ``epoch`` selects the downtime window: an int pins it (scan-style
-        usage), a callable is evaluated per connection (clock-style usage).
-        """
-        self._faults = plan
-        self._fault_epoch = epoch
-
-    @property
-    def faults(self) -> Optional["FaultPlan"]:
-        return self._faults
-
-    def _current_epoch(self) -> int:
-        epoch = self._fault_epoch
-        return epoch() if callable(epoch) else epoch
 
     # ------------------------------------------------------------------
     # Registration
@@ -117,60 +77,16 @@ class VirtualInternet:
         self, source: IPv4Address, destination: IPv4Address, port: int
     ) -> Connection:
         """Open a connection; raises on refusal/unreachability."""
-        self.connections_attempted += 1
         host = self._hosts_by_address.get(destination)
         if host is None or not host.up:
             raise HostUnreachable(f"no route to {destination}")
-        plan = self._faults
-        epoch = self._current_epoch() if plan is not None else 0
-        if plan is not None and plan.host_down(host.name, epoch):
-            raise HostUnreachable(
-                f"{host.name} is in a downtime window (epoch {epoch})"
-            )
-        if (
-            plan is not None
-            and port == SMTP_PORT
-            and plan.port_closed(host.name, epoch)
-        ):
-            self.connections_refused += 1
-            raise ConnectionRefused(
-                f"{host.name} port {port} flapped (epoch {epoch})"
-            )
         try:
             session = host.accept(port, source)
         except ConnectionRefused:
             self.connections_refused += 1
             raise
         self.connections_established += 1
-        if plan is not None:
-            budget = plan.session_reset_after(
-                f"{epoch}:{source}:{destination}:{port}"
-                f":{self.connections_attempted}"
-            )
-            if budget is not None:
-                from ..faults.session import ResettingSession
-
-                self.connections_reset_scheduled += 1
-                session = ResettingSession(session, budget)
         return Connection(source, destination, port, session)
-
-    def syn_probe(self, destination: IPv4Address, port: int) -> bool:
-        """zmap-style SYN probe: ``True`` iff something listens on the port.
-
-        Unlike :meth:`connect` this never materialises a session, mirroring
-        how the scans.io banner-grab dataset was produced.
-        """
-        host = self._hosts_by_address.get(destination)
-        if host is None or not host.is_listening(port):
-            return False
-        plan = self._faults
-        if plan is not None:
-            epoch = self._current_epoch()
-            if plan.host_down(host.name, epoch):
-                return False
-            if port == SMTP_PORT and plan.port_closed(host.name, epoch):
-                return False
-        return True
 
     def rtt(self, source: IPv4Address, destination: IPv4Address) -> float:
         """Round-trip latency between two addresses, in seconds."""

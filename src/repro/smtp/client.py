@@ -25,12 +25,7 @@ from ..dns.mxutil import (
 )
 from ..dns.resolver import DNSError, NXDomain, StubResolver
 from ..net.address import IPv4Address
-from ..net.host import (
-    SMTP_PORT,
-    ConnectionRefused,
-    ConnectionReset,
-    HostUnreachable,
-)
+from ..net.host import SMTP_PORT, ConnectionRefused, HostUnreachable
 from ..net.network import VirtualInternet
 from .message import Message
 from .replies import Reply
@@ -44,7 +39,6 @@ class AttemptOutcome(enum.Enum):
     BOUNCED = "bounced"                # 5yz anywhere — permanent failure
     NO_ROUTE = "no-route"              # every MX unreachable/refused
     DNS_FAILURE = "dns-failure"        # NXDOMAIN / SERVFAIL / no usable MX
-    CONNECTION_RESET = "reset"         # session died mid-dialogue
 
 
 @dataclass
@@ -63,11 +57,7 @@ class AttemptResult:
     @property
     def should_retry(self) -> bool:
         """Transient failures and routing failures warrant a retry."""
-        return self.outcome in (
-            AttemptOutcome.DEFERRED,
-            AttemptOutcome.NO_ROUTE,
-            AttemptOutcome.CONNECTION_RESET,
-        )
+        return self.outcome in (AttemptOutcome.DEFERRED, AttemptOutcome.NO_ROUTE)
 
 
 class SMTPClient:
@@ -137,7 +127,6 @@ class SMTPClient:
                 outcome=AttemptOutcome.DNS_FAILURE,
                 attempts_log=[f"no usable MX for {domain}"],
             )
-        saw_reset = False
         for exchanger in candidates:
             assert exchanger.address is not None
             try:
@@ -147,25 +136,12 @@ class SMTPClient:
             except (ConnectionRefused, HostUnreachable) as exc:
                 log.append(f"{exchanger.hostname}: {exc.__class__.__name__}")
                 continue
-            try:
-                result = self._dialogue(connection.session, message, recipient)
-            except ConnectionReset:
-                # RFC 5321 §5.1: a connection failure means "try the next
-                # address"; a mid-dialogue reset is treated the same way.
-                connection.close()
-                log.append(f"{exchanger.hostname}: ConnectionReset")
-                saw_reset = True
-                continue
+            result = self._dialogue(connection.session, message, recipient)
             connection.close()
             result.exchanger = exchanger
             result.attempts_log = log + result.attempts_log
             return result
-        outcome = (
-            AttemptOutcome.CONNECTION_RESET
-            if saw_reset
-            else AttemptOutcome.NO_ROUTE
-        )
-        return AttemptResult(outcome=outcome, attempts_log=log)
+        return AttemptResult(outcome=AttemptOutcome.NO_ROUTE, attempts_log=log)
 
     def _dialogue(
         self, session, message: Message, recipient: str

@@ -53,14 +53,32 @@ COMMANDS = {
     "scorecard": [],
 }
 
-#: Each global flag that only one command reads: the flag, a value for it
-#: and that command.
+#: Each global flag that only some commands read: the flag, a value for it
+#: (``None`` for a switch) and the commands that read it, as the usage
+#: error names them.
 SCOPED_FLAGS = [
+    (
+        "--seed",
+        "7",
+        "adoption, internet-scale, defenses, kelihos, deployment, synergy, "
+        "dialects, filter, serve-load and scorecard",
+    ),
+    ("--workers", "1", "adoption, internet-scale, synergy, scorecard and serve"),
+    ("--cache", None, "adoption, internet-scale and synergy"),
     ("--store-backend", "sqlite", "serve"),
     ("--store-path", "{path}", "serve"),
     ("--fault-rate", "0.5", "adoption"),
     ("--fault-seed", "3", "adoption"),
 ]
+
+
+def readers(names):
+    """The commands a usage error's ``a, b and c`` names."""
+    return names.replace(" and ", ", ").split(", ")
+
+
+def flag_argv(flag, value, path):
+    return [flag] if value is None else [flag, value.format(path=path)]
 
 
 def assert_usage_error(argv, message, capsys):
@@ -329,14 +347,46 @@ class TestParser:
         self, command, tmp_path, capsys
     ):
         path = tmp_path / "triplets.db"
-        for flag, value, home in SCOPED_FLAGS:
-            if command != home:
+        for flag, value, names in SCOPED_FLAGS:
+            if command not in readers(names):
                 assert_usage_error(
-                    [flag, value.format(path=path), command, *COMMANDS[command]],
-                    f"{flag} applies only to {home}",
+                    [*flag_argv(flag, value, path), command, *COMMANDS[command]],
+                    f"{flag} applies only to {names}",
                     capsys,
                 )
         assert not path.exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_scoped_flags_accepted_by_every_command_that_reads_them(
+        self, command, monkeypatch, tmp_path
+    ):
+        import repro.cli
+
+        ran = []
+        monkeypatch.setattr(
+            repro.cli,
+            "_cmd_" + command.replace("-", "_"),
+            lambda args: ran.append(args) or 0,
+        )
+        path = tmp_path / "triplets.db"
+        for flag, value, names in SCOPED_FLAGS:
+            if command in readers(names):
+                argv = flag_argv(flag, value, path)
+                if flag == "--store-path":
+                    argv = ["--store-backend", "sqlite", *argv]
+                assert main([*argv, command, *COMMANDS[command]]) == 0
+        assert len(ran) == sum(
+            command in readers(names) for _, _, names in SCOPED_FLAGS
+        )
+
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_shm_capacity_needs_the_shm_backend(self, backend, capsys):
+        # Used to be ignored: only the shm backend reads the capacity.
+        assert_usage_error(
+            ["--store-backend", backend, "serve", "--shm-capacity", "1024"],
+            "--shm-capacity needs --store-backend shm",
+            capsys,
+        )
 
     def test_shm_minimum_is_the_backends(self):
         from repro.greylist.shm import PROBE_WINDOW
@@ -462,6 +512,24 @@ class TestCommands:
         assert main(["synergy"]) == 0
         out = capsys.readouterr().out
         assert "both" in out
+
+    def test_synergy_sweep_reads_workers_and_cache(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # Both flags used to be ignored: the sweep ran serially and
+        # cached nothing.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["--workers", "2", "--cache", "synergy"]) == 0
+        cold = capsys.readouterr().out
+        entries = sorted((tmp_path / "synergy-delay").glob("*.json"))
+        assert len(entries) == 4  # one per swept greylist delay
+        written = [entry.stat().st_mtime_ns for entry in entries]
+        assert main(["--workers", "2", "--cache", "synergy"]) == 0
+        assert capsys.readouterr().out == cold
+        assert sorted((tmp_path / "synergy-delay").glob("*.json")) == entries
+        assert [entry.stat().st_mtime_ns for entry in entries] == written
+        assert main(["synergy"]) == 0
+        assert capsys.readouterr().out == cold
 
     def test_adaptation(self, capsys):
         assert main(["adaptation"]) == 0

@@ -106,14 +106,6 @@ class TestVirtualInternet:
         internet.register(VirtualHost("b", [addr("10.0.0.1")]))
         assert internet.host_named("b") is not None
 
-    def test_syn_probe_matches_listening_state(self):
-        internet, server = self._internet_with_server()
-        assert internet.syn_probe(addr("10.0.0.1"), 25) is True
-        assert internet.syn_probe(addr("10.0.0.1"), 80) is False
-        assert internet.syn_probe(addr("10.0.0.99"), 25) is False
-        server.close_port(25)
-        assert internet.syn_probe(addr("10.0.0.1"), 25) is False
-
     def test_multihomed_host(self):
         internet = VirtualInternet()
         host = VirtualHost("farm", [addr("10.0.0.1"), addr("10.0.0.2")])

@@ -84,6 +84,21 @@ class TestHappyPath:
         assert reply.code == replies.CODE_CLOSING
         assert session.state is SessionState.CLOSED
 
+    def test_abort_drops_the_open_envelope_once(self):
+        # A client that vanished mid-transaction: the envelope is
+        # discarded and the teardown counted once, however often reported.
+        server = make_server()
+        session = server.session_factory(CLIENT)
+        session.ehlo("c")
+        session.mail_from("alice@sender.example")
+        session.rcpt_to("user@victim.example")
+        session.abort()
+        session.abort()
+        assert session.state is SessionState.CLOSED
+        assert session.sender is None and session.recipients == []
+        assert server.stats.sessions_aborted == 1
+        assert len(server.mailbox) == 0
+
 
 class TestSequenceEnforcement:
     def test_mail_before_helo_rejected(self):
