@@ -13,10 +13,10 @@ test:
 
 # Whole-program determinism/invariant analyzer always runs (stdlib-only):
 # per-file checkers plus the call-graph phase, over the package AND the
-# test/bench/script trees, ratcheted against .repro-lint-baseline.json.
+# test/bench/script/example trees, ratcheted against .repro-lint-baseline.json.
 # ruff and mypy run when installed (CI installs them; the pinned local
 # env may not have them).
-LINT_PATHS := src/repro tests benchmarks scripts
+LINT_PATHS := src/repro tests benchmarks scripts examples
 lint:
 	PYTHONPATH=src $(PYTHON) -m repro.analysis $(LINT_PATHS)
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; \

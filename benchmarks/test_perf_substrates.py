@@ -35,35 +35,6 @@ def test_perf_event_scheduler(benchmark):
     assert benchmark(run) == 10000
 
 
-def test_perf_scheduler_cancel_churn(benchmark):
-    """Schedule/cancel storms (the MTA retry-timer pattern).
-
-    Also asserts the compaction bound: the heap must stay proportional to
-    the live event count plus the compaction threshold, not to the total
-    number of cancellations (20k per run here).
-    """
-    threshold = 64
-
-    def run():
-        scheduler = EventScheduler(Clock(), compact_min_tombstones=threshold)
-        live = [scheduler.schedule_at(1e9, lambda: None) for _ in range(10)]
-        peak = 0
-        for round_ in range(50):
-            handles = [
-                scheduler.schedule_at(100.0 + round_, lambda: None)
-                for _ in range(400)
-            ]
-            for handle in handles:
-                scheduler.cancel(handle)
-            peak = max(peak, scheduler.heap_size)
-        assert scheduler.pending == len(live)
-        return peak
-
-    # Compaction fires once tombstones reach the threshold and outnumber
-    # half the live entries, so the heap never holds a full round's churn.
-    assert benchmark(run) < 600
-
-
 def test_perf_triplet_store(benchmark):
     """observe/lookup mix over a 5k-triplet database."""
     clock = Clock()

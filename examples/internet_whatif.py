@@ -31,11 +31,11 @@ from repro.scan.serialize import (
 from repro.sim.rng import RandomStream
 
 
-def main() -> None:
+def main(seed: int = 42) -> None:
     # --- 1-2: scan and archive --------------------------------------------
-    internet = SyntheticInternet(PopulationConfig(num_domains=5000), seed=42)
+    internet = SyntheticInternet(PopulationConfig(num_domains=5000), seed=seed)
     dns_scanner = DNSScanner(
-        internet, glue_elision_rate=0.1, rng=RandomStream(42, "whatif")
+        internet, glue_elision_rate=0.1, rng=RandomStream(seed, "whatif")
     )
     smtp_scanner = SMTPScanner(internet)
     with tempfile.TemporaryDirectory(prefix="repro-scans-") as tmp:
@@ -68,6 +68,7 @@ def main() -> None:
     sweep = sweep_deployment_rates(
         rates=[(0.0, 0.0), (0.2, 0.05), (0.5, 0.1), (0.8, 0.2)],
         messages=400,
+        seed=seed,
     )
     print(
         render_table(

@@ -23,7 +23,7 @@ from repro.smtp.client import SMTPClient
 from repro.smtp.message import Message
 
 
-def main() -> None:
+def main(seed: int = 7) -> None:
     # --- the defended server -------------------------------------------
     testbed = Testbed(
         TestbedConfig(defense=Defense.GREYLISTING, greylist_delay=300.0)
@@ -49,7 +49,7 @@ def main() -> None:
     )
 
     # --- two bots with the paper's family behaviours -------------------
-    rng = RandomStream(7, "quickstart")
+    rng = RandomStream(seed, "quickstart")
     cutwail = CUTWAIL.build_bot(
         internet=testbed.internet,
         resolver=testbed.resolver,

@@ -14,10 +14,10 @@ sender the paper says greylisting delays long enough to be caught.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Set
 
 from ..net.address import IPv4Address
-from ..sim.events import EventHandle, EventScheduler
+from ..sim.events import EventScheduler
 from ..sim.rng import RandomStream
 from .dnsbl import ReactiveBlacklist
 
@@ -38,7 +38,7 @@ class TelemetryFeed:
         self.blacklist = blacklist
         self.rng = rng
         self.reports_per_hour = reports_per_hour
-        self._armed: Dict[IPv4Address, EventHandle] = {}
+        self._armed: Set[IPv4Address] = set()
         self.reports_delivered = 0
 
     def arm(self, address: IPv4Address) -> None:
@@ -49,13 +49,8 @@ class TelemetryFeed:
         """
         if address in self._armed:
             return
+        self._armed.add(address)
         self._schedule_next(address)
-
-    def disarm(self, address: IPv4Address) -> None:
-        """Stop reporting (the bot went quiet / was cleaned)."""
-        handle = self._armed.pop(address, None)
-        if handle is not None:
-            self.scheduler.cancel(handle)
 
     @property
     def armed_addresses(self) -> int:
@@ -64,16 +59,13 @@ class TelemetryFeed:
     def _schedule_next(self, address: IPv4Address) -> None:
         rate_per_second = self.reports_per_hour / 3600.0
         delay = self.rng.expovariate(rate_per_second)
-        handle = self.scheduler.schedule_in(
+        self.scheduler.schedule_in(
             delay,
             lambda: self._deliver(address),
             label=f"dnsbl-feed:{address}",
         )
-        self._armed[address] = handle
 
     def _deliver(self, address: IPv4Address) -> None:
-        if address not in self._armed:
-            return
         self.blacklist.report(address)
         self.reports_delivered += 1
         self._schedule_next(address)

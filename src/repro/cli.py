@@ -438,7 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "adoption only: inject measurement-infrastructure faults "
             "(host outages, port-25 flaps, DNS SERVFAIL/timeouts) at this "
-            "per-entity rate in [0, 1]; 0 disables injection"
+            "per-entity rate in [0, 2/3]: DNS timeouts come at half the "
+            "rate and SERVFAILs plus timeouts cannot exceed 1; 0 disables "
+            "injection"
         ),
     )
     parser.add_argument(
@@ -751,13 +753,20 @@ def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespac
     if args.store_path is not None and args.store_backend == "memory":
         parser.error("--store-path needs a --store-backend other than memory")
     if args.command == "adoption":
-        # How many domains fit depends on the profile's address space.
+        # How many domains fit depends on the profile's address space; how
+        # high the fault rate can go, on the rates FaultConfig.uniform
+        # derives from it.
+        from .faults.model import FaultConfig
         from .scan.profiles import profile_config
 
         try:
             profile_config(args.mix_profile, num_domains=args.domains)
         except ValueError as error:
             parser.error(str(error))
+        try:
+            FaultConfig.uniform(args.fault_rate)
+        except ValueError as error:
+            parser.error(f"--fault-rate {args.fault_rate}: {error}")
     if args.command == "serve":
         if args.shm_capacity is not None and args.store_backend != "shm":
             parser.error("--shm-capacity needs --store-backend shm")

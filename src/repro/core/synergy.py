@@ -140,7 +140,6 @@ def run_synergy_experiment(
     for index, job in enumerate(campaign.single_recipient_jobs()):
         bot.assign(job, rng=rng.split(f"msg:{index}"))
     scheduler.run(until=horizon)
-    feed.disarm(bot.source_address)
 
     return SynergyResult(
         configuration=configuration,

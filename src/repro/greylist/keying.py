@@ -42,13 +42,12 @@ def derive_key(
     client: IPv4Address,
     sender: str,
     recipient: str,
-    network_prefix: int = 24,
 ) -> Triplet:
     """Map an observation to its database key under ``strategy``."""
     if strategy is KeyStrategy.FULL_TRIPLET:
         return Triplet(client, sender, recipient)
     if strategy is KeyStrategy.CLIENT_NET_TRIPLET:
-        return Triplet(client, sender, recipient).network_key(network_prefix)
+        return Triplet(client, sender, recipient).network_key()
     if strategy is KeyStrategy.SENDER_DOMAIN:
         return Triplet(
             client, f"{_WILDCARD}@{domain_of(sender)}", recipient

@@ -83,10 +83,6 @@ class GreylistPolicy(ConnectionPolicy):
     whitelist:
         Static whitelist (empty by default — the paper removed Postgrey's
         stock whitelist for the Table III experiment).
-    network_prefix:
-        When set (e.g. 24), triplets are keyed on the client's /prefix
-        network instead of the exact address, tolerating provider IP pools.
-        (Shorthand for ``key_strategy=CLIENT_NET_TRIPLET``.)
     auto_whitelist_clients:
         After this many *passed* triplets, the client IP skips greylisting
         entirely (0 disables, mirroring ``--auto-whitelist-clients=N``).
@@ -102,14 +98,11 @@ class GreylistPolicy(ConnectionPolicy):
         delay: float = DEFAULT_DELAY,
         store: Optional[TripletStore] = None,
         whitelist: Optional[Whitelist] = None,
-        network_prefix: Optional[int] = None,
         auto_whitelist_clients: int = 0,
         key_strategy: KeyStrategy = KeyStrategy.FULL_TRIPLET,
     ) -> None:
         if not 0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and non-negative, got {delay!r}")
-        if network_prefix is not None and not 0 <= network_prefix <= 32:
-            raise ValueError(f"invalid network prefix {network_prefix}")
         if auto_whitelist_clients < 0:
             raise ValueError("auto_whitelist_clients must be >= 0")
         self.clock = clock
@@ -119,10 +112,7 @@ class GreylistPolicy(ConnectionPolicy):
         else:
             self.store = TripletStore(clock)
         self.whitelist = whitelist if whitelist is not None else Whitelist()
-        self.network_prefix = network_prefix
         self.auto_whitelist_clients = auto_whitelist_clients
-        if network_prefix is not None and key_strategy is KeyStrategy.FULL_TRIPLET:
-            key_strategy = KeyStrategy.CLIENT_NET_TRIPLET
         self.key_strategy = key_strategy
         self.events: List[GreylistEvent] = []
         self._client_passes: Dict[IPv4Address, int] = {}
@@ -132,7 +122,7 @@ class GreylistPolicy(ConnectionPolicy):
         """Decision-function identity, part of the serving decision-cache key.
 
         Includes every knob that changes a reply: the delay threshold, the
-        keying variant, the network prefix and the auto-whitelist setting.
+        keying variant and the auto-whitelist setting.
         Store *contents* and the store's backend are absent: the contents
         are per-triplet state, and every backend decides identically.
         """
@@ -140,7 +130,6 @@ class GreylistPolicy(ConnectionPolicy):
             "greylist",
             self.delay,
             self.key_strategy.value,
-            self.network_prefix,
             self.auto_whitelist_clients,
         )
 
@@ -148,13 +137,7 @@ class GreylistPolicy(ConnectionPolicy):
     # Key normalization
     # ------------------------------------------------------------------
     def _key(self, client: IPv4Address, sender: str, recipient: str) -> Triplet:
-        return derive_key(
-            self.key_strategy,
-            client,
-            sender,
-            recipient,
-            network_prefix=self.network_prefix or 24,
-        )
+        return derive_key(self.key_strategy, client, sender, recipient)
 
     # ------------------------------------------------------------------
     # SMTP policy hook

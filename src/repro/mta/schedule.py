@@ -6,9 +6,10 @@ the *maximum queue lifetime* after which the MTA gives up and bounces
 (RFC 5321 recommends at least 4–5 days; Table IV shows the defaults of the
 popular MTAs ranging from 2 to 7 days).
 
-Concrete shapes cover everything Table III/IV exhibit: fixed intervals,
-linearly growing intervals, geometric (doubling) backoff, and fully explicit
-attempt tables.
+Two shapes cover every Table IV default that :mod:`repro.mta.profiles`
+models: fixed intervals (sendmail every 10 minutes, exchange every 15) and
+fully explicit attempt tables (exim, postfix, qmail, courier), which either
+repeat their last gap or stop once the table runs out.
 """
 
 from __future__ import annotations
@@ -85,60 +86,6 @@ class FixedIntervalSchedule(RetrySchedule):
         return self.interval
 
 
-@dataclass
-class LinearBackoffSchedule(RetrySchedule):
-    """Delays grow linearly: base, 2*base, 3*base, ... capped at ``cap``.
-
-    Sendmail's default queue timing is approximately this shape (10, 20,
-    30 ... minutes, Table IV).
-    """
-
-    base: float
-    cap: Optional[float] = None
-    max_queue_time: Optional[float] = 5 * DAY
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ValueError("base must be positive")
-        if self.cap is not None and self.cap < self.base:
-            raise ValueError("cap must be >= base")
-
-    def next_delay(self, attempt_number: int, queue_age: float) -> Optional[float]:
-        delay = self.base * attempt_number
-        if self.cap is not None:
-            delay = min(delay, self.cap)
-        if self._expired(queue_age, delay):
-            return None
-        return delay
-
-
-@dataclass
-class GeometricBackoffSchedule(RetrySchedule):
-    """Delays grow geometrically: base, base*f, base*f^2, ... capped.
-
-    Several webmail providers in Table III show roughly doubling gaps.
-    """
-
-    base: float
-    factor: float = 2.0
-    cap: Optional[float] = None
-    max_queue_time: Optional[float] = 5 * DAY
-
-    def __post_init__(self) -> None:
-        if self.base <= 0:
-            raise ValueError("base must be positive")
-        if self.factor < 1.0:
-            raise ValueError("factor must be >= 1")
-
-    def next_delay(self, attempt_number: int, queue_age: float) -> Optional[float]:
-        delay = self.base * (self.factor ** (attempt_number - 1))
-        if self.cap is not None:
-            delay = min(delay, self.cap)
-        if self._expired(queue_age, delay):
-            return None
-        return delay
-
-
 class TableSchedule(RetrySchedule):
     """A fully explicit schedule given as attempt queue-ages.
 
@@ -186,33 +133,3 @@ class TableSchedule(RetrySchedule):
         if self._expired(queue_age, delay):
             return None
         return delay
-
-
-class GiveUpAfterSchedule(RetrySchedule):
-    """Wrap a schedule but stop after ``max_attempts`` total attempts.
-
-    Models aol.com's behaviour in Table III: a sane cadence, but the task is
-    abandoned after ~30 minutes / 5 attempts — well short of the RFC's 4–5
-    day guidance.
-    """
-
-    def __init__(self, inner: RetrySchedule, max_attempts: int) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        self.inner = inner
-        self.max_attempts = max_attempts
-        self.max_queue_time = inner.max_queue_time
-
-    def next_delay(self, attempt_number: int, queue_age: float) -> Optional[float]:
-        if attempt_number >= self.max_attempts:
-            return None
-        return self.inner.next_delay(attempt_number, queue_age)
-
-
-class NoRetrySchedule(RetrySchedule):
-    """Fire-and-forget: never retry.  The spam-bot default."""
-
-    max_queue_time: Optional[float] = None
-
-    def next_delay(self, attempt_number: int, queue_age: float) -> Optional[float]:
-        return None

@@ -33,8 +33,7 @@ class Connection:
 
     The ``session`` attribute is whatever the listener's factory returned —
     for SMTP it is a server-side protocol state machine the client drives
-    synchronously (virtual time: latency is accounted by the caller, not by
-    blocking).
+    synchronously: a session takes no simulated time.
     """
 
     __slots__ = ("local_address", "remote_address", "port", "session", "_open")

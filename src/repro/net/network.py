@@ -1,11 +1,12 @@
-"""The virtual internet: address routing, connections and latency.
+"""The virtual internet: address routing and connections.
 
 :class:`VirtualInternet` is a registry mapping IPv4 addresses to
-:class:`~repro.net.host.VirtualHost` instances plus a latency model.  It
-offers the primitive the rest of the system needs:
-``connect(src, dst, port)``, a TCP-style connect yielding a
-:class:`~repro.net.host.Connection` or raising
+:class:`~repro.net.host.VirtualHost` instances.  It offers the primitive
+the rest of the system needs: ``connect(src, dst, port)``, a TCP-style
+connect yielding a :class:`~repro.net.host.Connection` or raising
 :class:`~repro.net.host.ConnectionRefused` / ``HostUnreachable``.
+Connections are instantaneous: the delays the experiments measure run
+from minutes to days, so round-trip times are not modelled.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from .host import (
     NetError,
     VirtualHost,
 )
-from .latency import LatencyModel, ZeroLatency
 
 
 class VirtualInternet:
     """Routes connections between registered hosts."""
 
-    def __init__(self, latency: Optional[LatencyModel] = None) -> None:
+    def __init__(self) -> None:
         self._hosts_by_address: Dict[IPv4Address, VirtualHost] = {}
         self._hosts_by_name: Dict[str, VirtualHost] = {}
-        self.latency = latency if latency is not None else ZeroLatency()
         self.connections_established = 0
         self.connections_refused = 0
 
@@ -87,10 +86,6 @@ class VirtualInternet:
             raise
         self.connections_established += 1
         return Connection(source, destination, port, session)
-
-    def rtt(self, source: IPv4Address, destination: IPv4Address) -> float:
-        """Round-trip latency between two addresses, in seconds."""
-        return self.latency.rtt(source, destination)
 
     def __repr__(self) -> str:
         return (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -116,22 +116,5 @@ class RandomStream:
                 return i
         return len(weights) - 1
 
-    def zipf_rank(self, n: int, alpha: float = 1.0) -> int:
-        """Draw a 1-based rank from a Zipf distribution over ``n`` items.
-
-        Used by the synthetic internet to assign Alexa-style popularity.
-        """
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        # Inverse-CDF on the normalized harmonic weights.
-        weights = [1.0 / (rank ** alpha) for rank in range(1, n + 1)]
-        return self.weighted_index(weights) + 1
-
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, label={self.label!r})"
-
-
-def spread(seed: int, labels: Iterable[str]) -> dict:
-    """Convenience: build a dict of independent streams from one seed."""
-    root = RandomStream(seed)
-    return {label: root.split(label) for label in labels}

@@ -11,7 +11,7 @@ from repro.greylist.policy import GreylistPolicy
 from repro.greylist.store import TripletStore
 from repro.mta.profiles import PROFILES
 from repro.mta.queue import QueueEntryState, QueueManager
-from repro.mta.schedule import GiveUpAfterSchedule, TableSchedule
+from repro.mta.schedule import TableSchedule
 from repro.net.address import pool_for
 from repro.smtp.client import SMTPClient
 from repro.smtp.message import Message
@@ -81,18 +81,16 @@ class TestRetryWindowTooShort:
 
 class TestThresholdVsGiveUp:
     def test_threshold_beyond_giveup_loses_mail(self):
-        # An aol-style sender that abandons after ~30 minutes meets a
-        # 1-hour threshold: guaranteed loss.
+        # An aol-style sender that abandons after ~30 minutes (5 attempts)
+        # meets a 1-hour threshold: guaranteed loss.
         testbed = greylisted_testbed(delay=3600.0)
-        schedule = GiveUpAfterSchedule(
-            TableSchedule(ages=[300.0, 600.0, 1200.0, 1800.0],
-                          max_queue_time=None, repeat_last=False),
-            max_attempts=5,
-        )
+        schedule = TableSchedule(ages=[300.0, 600.0, 1200.0, 1800.0],
+                                 max_queue_time=None, repeat_last=False)
         queue = sender(testbed, schedule)
         entry = submit(queue)
         testbed.run(horizon=86400.0)
         assert entry.state is QueueEntryState.ABANDONED
+        assert entry.attempt_count == 5
 
     def test_every_stock_mta_survives_default_threshold(self):
         # The converse guarantee: Postgrey's 300 s default is safe for all

@@ -9,11 +9,7 @@ from repro.dns.records import MXRecord
 from repro.greylist.policy import GreylistPolicy
 from repro.greylist.store import TripletStore
 from repro.greylist.triplet import Triplet
-from repro.mta.schedule import (
-    FixedIntervalSchedule,
-    GeometricBackoffSchedule,
-    TableSchedule,
-)
+from repro.mta.schedule import FixedIntervalSchedule, TableSchedule
 from repro.net.address import IPv4Address
 from repro.sim.clock import Clock, format_duration, parse_duration
 from repro.sim.events import EventScheduler
@@ -105,17 +101,6 @@ class TestScheduleProperties:
         assert times[0] == 0.0
         assert all(b > a for a, b in zip(times, times[1:]))
         assert all(t <= horizon for t in times)
-
-    @given(
-        st.floats(min_value=1.0, max_value=3600.0, allow_nan=False),
-        st.floats(min_value=1.0, max_value=3.0, allow_nan=False),
-    )
-    def test_geometric_delays_nondecreasing(self, base, factor):
-        schedule = GeometricBackoffSchedule(
-            base=base, factor=factor, max_queue_time=None
-        )
-        delays = [schedule.next_delay(n, 0.0) for n in range(1, 10)]
-        assert all(b >= a for a, b in zip(delays, delays[1:]))
 
     @given(
         st.lists(

@@ -5,7 +5,7 @@ from repro.dns.resolver import StubResolver
 from repro.dns.zone import ZoneStore
 from repro.greylist.policy import GreylistPolicy
 from repro.mta.queue import QueueEntryState, QueueManager
-from repro.mta.schedule import FixedIntervalSchedule, NoRetrySchedule
+from repro.mta.schedule import FixedIntervalSchedule, TableSchedule
 from repro.net.address import IPv4Address, pool_for
 from repro.net.network import VirtualInternet
 from repro.sim.clock import Clock
@@ -92,7 +92,9 @@ class TestRetryOnDeferral:
     def test_no_retry_schedule_abandons(self):
         scheduler, server, client = build_world()
         server.policy = GreylistPolicy(clock=scheduler.clock, delay=300)
-        queue = QueueManager(scheduler, client, NoRetrySchedule())
+        queue = QueueManager(
+            scheduler, client, TableSchedule(ages=[], repeat_last=False)
+        )
         entries = queue.submit(make_message())
         scheduler.run()
         assert entries[0].state is QueueEntryState.ABANDONED
