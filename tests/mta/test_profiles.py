@@ -9,6 +9,7 @@ from repro.mta.profiles import (
     build_profiles,
     rfc_compliant_lifetime,
 )
+from repro.mta.schedule import FixedIntervalSchedule, TableSchedule
 
 
 class TestProfileTable:
@@ -86,6 +87,20 @@ class TestScheduleShapes:
         assert minutes[:4] == [15, 30, 45, 60]
         gaps = {round(b - a, 6) for a, b in zip(minutes, minutes[1:])}
         assert gaps == {15.0}
+
+    def test_every_schedule_is_a_fixed_interval_or_a_table(self):
+        # The two shapes repro.mta.schedule keeps cover all of Table IV.
+        shapes = {
+            name: type(PROFILES[name].schedule) for name in PROFILE_ORDER
+        }
+        assert shapes == {
+            "sendmail": FixedIntervalSchedule,
+            "exim": TableSchedule,
+            "postfix": TableSchedule,
+            "qmail": TableSchedule,
+            "courier": TableSchedule,
+            "exchange": FixedIntervalSchedule,
+        }
 
     def test_all_schedules_monotonic(self):
         for name in PROFILE_ORDER:
