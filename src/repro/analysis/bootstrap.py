@@ -83,10 +83,3 @@ def median(samples: Sequence[float]) -> float:
     if n % 2:
         return values[mid]
     return (values[mid - 1] + values[mid]) / 2.0
-
-
-def mean(samples: Sequence[float]) -> float:
-    """Mean helper usable as a bootstrap statistic."""
-    if not samples:
-        raise ValueError("empty sample")
-    return sum(samples) / len(samples)

@@ -1,45 +1,8 @@
-"""Small summary-statistics helpers shared by experiments and benches."""
+"""Binning helper for the Figure 4 retry-delay report."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
-
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-ish summary of a sample."""
-
-    n: int
-    mean: float
-    minimum: float
-    p25: float
-    median: float
-    p75: float
-    p90: float
-    maximum: float
-
-
-def summarize(samples: Iterable[float]) -> Summary:
-    values = sorted(float(s) for s in samples)
-    if not values:
-        raise ValueError("cannot summarize an empty sample")
-    n = len(values)
-
-    def pct(q: float) -> float:
-        index = max(0, min(n - 1, int(-(-q * n // 1)) - 1))
-        return values[index]
-
-    return Summary(
-        n=n,
-        mean=sum(values) / n,
-        minimum=values[0],
-        p25=pct(0.25),
-        median=pct(0.5),
-        p75=pct(0.75),
-        p90=pct(0.9),
-        maximum=values[-1],
-    )
+from typing import List, Sequence, Tuple
 
 
 def histogram(
@@ -62,10 +25,3 @@ def histogram(
     return [
         ((edges[i], edges[i + 1]), counts[i]) for i in range(len(edges) - 1)
     ]
-
-
-def fraction_within(samples: Sequence[float], bound: float) -> float:
-    """Fraction of samples <= bound."""
-    if not samples:
-        raise ValueError("empty sample")
-    return sum(1 for s in samples if s <= bound) / len(samples)

@@ -10,7 +10,7 @@ fixed-width windows and compute per-window rates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -82,11 +82,6 @@ def bin_events(
         )
         for i in range(len(counts))
     ]
-
-
-def rate_series(bins: Sequence[TimeBin]) -> List[Tuple[float, float]]:
-    """(midpoint, rate) pairs for non-empty bins."""
-    return [(b.midpoint, b.rate) for b in bins if b.rate is not None]
 
 
 def rate_stability(bins: Sequence[TimeBin]) -> Optional[float]:

@@ -59,11 +59,7 @@ class TelemetryFeed:
     def _schedule_next(self, address: IPv4Address) -> None:
         rate_per_second = self.reports_per_hour / 3600.0
         delay = self.rng.expovariate(rate_per_second)
-        self.scheduler.schedule_in(
-            delay,
-            lambda: self._deliver(address),
-            label=f"dnsbl-feed:{address}",
-        )
+        self.scheduler.schedule_in(delay, lambda: self._deliver(address))
 
     def _deliver(self, address: IPv4Address) -> None:
         self.blacklist.report(address)

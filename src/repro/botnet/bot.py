@@ -157,7 +157,7 @@ class SpamBot:
         self.tasks: List[BotTask] = []
 
     # ------------------------------------------------------------------
-    # Job intake (called by the C&C)
+    # Job intake (each experiment deals out its campaign's jobs)
     # ------------------------------------------------------------------
     def assign(
         self, message: Message, rng: Optional[RandomStream] = None
@@ -177,11 +177,7 @@ class SpamBot:
             )
             self.tasks.append(task)
             created.append(task)
-            self.scheduler.schedule_in(
-                0.0,
-                lambda t=task: self._attempt(t),
-                label=f"bot:first:{task.task_id}",
-            )
+            self.scheduler.schedule_in(0.0, lambda t=task: self._attempt(t))
         return created
 
     # ------------------------------------------------------------------
@@ -271,11 +267,7 @@ class SpamBot:
         if delay is None:
             task.abandoned = True
             return
-        self.scheduler.schedule_in(
-            delay,
-            lambda t=task: self._attempt(t),
-            label=f"bot:retry:{task.task_id}:{task.attempt_count + 1}",
-        )
+        self.scheduler.schedule_in(delay, lambda t=task: self._attempt(t))
 
     # ------------------------------------------------------------------
     # Introspection

@@ -1,9 +1,9 @@
-"""Spam campaigns and the C&C job model.
+"""Spam campaigns.
 
 A :class:`SpamCampaign` is the bot master's job: one message template and a
 recipient list, handed to bots as concrete :class:`~repro.smtp.message.Message`
-jobs.  A :class:`CommandAndControl` distributes jobs to a fleet of bots —
-used by the larger examples and the combined-defence ablation.
+jobs.  Every experiment deals :meth:`SpamCampaign.single_recipient_jobs` out
+over its own bots.
 
 The single-campaign discipline matters experimentally: the paper ruled out
 the "second spam task re-using greylisted triplets" confound by checking
@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Sequence
 
-from ..sim.rng import RandomStream
 from ..smtp.message import Message, validate_address
-from .bot import SpamBot
 
 _campaign_ids = itertools.count(1)
 
@@ -65,34 +63,3 @@ def make_recipient_list(
     if count < 1:
         raise ValueError("count must be >= 1")
     return [f"{prefix}{i}@{domain}" for i in range(1, count + 1)]
-
-
-class CommandAndControl:
-    """Distributes campaign jobs across a bot fleet."""
-
-    def __init__(self, bots: Iterable[SpamBot], rng: Optional[RandomStream] = None) -> None:
-        self.bots = list(bots)
-        if not self.bots:
-            raise ValueError("C&C needs at least one bot")
-        self.rng = rng
-        self.jobs_dispatched = 0
-
-    def dispatch(self, campaign: SpamCampaign) -> None:
-        """Spread the campaign's recipients over the fleet round-robin.
-
-        With an rng, recipients are shuffled first (real botnets partition
-        target lists arbitrarily); without one, assignment is deterministic.
-        """
-        recipients = list(campaign.recipients)
-        if self.rng is not None:
-            self.rng.shuffle(recipients)
-        for index, recipient in enumerate(recipients):
-            bot = self.bots[index % len(self.bots)]
-            bot.assign(campaign.message_for([recipient]))
-            self.jobs_dispatched += 1
-
-    def __repr__(self) -> str:
-        return (
-            f"CommandAndControl(bots={len(self.bots)}, "
-            f"jobs={self.jobs_dispatched})"
-        )

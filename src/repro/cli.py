@@ -646,14 +646,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--connections",
         type=_count_arg("connection"),
-        default=100,
-        help="concurrent connections for the load phase",
+        help="concurrent connections for the load phase (default 100)",
     )
     p.add_argument(
         "--requests",
         type=_count_arg("request"),
-        default=10000,
-        help="total decisions to request across all connections",
+        help=(
+            "total decisions to request across all connections "
+            "(default 10000)"
+        ),
     )
     p.add_argument(
         "--messages",
@@ -767,6 +768,16 @@ def _check_combinations(parser: argparse.ArgumentParser, args: argparse.Namespac
             FaultConfig.uniform(args.fault_rate)
         except ValueError as error:
             parser.error(f"--fault-rate {args.fault_rate}: {error}")
+    if args.command == "serve-load":
+        # --check replays the trace in order over one connection.
+        for flag, dest, default in (
+            ("--connections", "connections", 100),
+            ("--requests", "requests", 10000),
+        ):
+            if getattr(args, dest) is None:
+                setattr(args, dest, default)
+            elif args.check:
+                parser.error(f"{flag} applies only to the load phase, not --check")
     if args.command == "serve":
         if args.shm_capacity is not None and args.store_backend != "shm":
             parser.error("--shm-capacity needs --store-backend shm")

@@ -275,10 +275,3 @@ def render_scorecard(rows: List[ScorecardRow]) -> str:
         title=f"Reproduction scorecard — {passed}/{len(rows)} claims hold",
     )
     return table
-
-
-def scorecard_text(seed: int = 42, scale: float = 1.0, workers: int = 1) -> str:
-    """Run everything and render the scorecard."""
-    return render_scorecard(
-        build_scorecard(seed=seed, scale=scale, workers=workers)
-    )

@@ -3,8 +3,10 @@
 Nolisting registers a *non-functional* primary MX (an address with port 25
 closed) ahead of the real mail server.  RFC-compliant senders fall through to
 the secondary; primary-only bots fail.  This module builds the DNS + host
-configuration for a nolisted domain in one call, and also offers the plain
-(single-MX and multi-MX) configurations used as controls.
+configuration for a nolisted domain in one call, and the plain single-MX
+configuration used as the control.  The population generator
+(:mod:`repro.scan.population`) builds multi-MX and misconfigured domains
+itself.
 """
 
 from __future__ import annotations
@@ -69,32 +71,6 @@ def setup_single_mx(
     return MailDomainSetup(domain, zone, [host], [mx_name])
 
 
-def setup_multi_mx(
-    internet: VirtualInternet,
-    zones: ZoneStore,
-    pool: AddressPool,
-    domain: str,
-    factory: SMTPFactory,
-    count: int = 2,
-) -> MailDomainSetup:
-    """A domain with ``count`` working MX hosts at increasing preference."""
-    if count < 2:
-        raise ValueError("multi-MX setup needs at least two exchangers")
-    zone = zones.get_or_create(domain)
-    hosts: List[VirtualHost] = []
-    names: List[str] = []
-    for index in range(count):
-        mx_name = f"smtp{index}.{domain}" if index else f"smtp.{domain}"
-        address = pool.allocate()
-        zone.add_a(mx_name, address)
-        zone.add_mx((index + 1) * 10, mx_name)
-        hosts.append(
-            _register_mail_host(internet, mx_name, address, True, factory)
-        )
-        names.append(mx_name)
-    return MailDomainSetup(domain, zone, hosts, names)
-
-
 def setup_nolisting(
     internet: VirtualInternet,
     zones: ZoneStore,
@@ -130,27 +106,3 @@ def setup_nolisting(
     return MailDomainSetup(
         domain, zone, [primary, secondary], [primary_name, secondary_name]
     )
-
-
-def setup_misconfigured(
-    zones: ZoneStore,
-    domain: str,
-    mode: str = "no-mx",
-) -> Zone:
-    """A broken domain of the kind the DNS-ANY dataset contains.
-
-    Modes
-    -----
-    ``no-mx``:
-        The zone exists but has no MX records at all.
-    ``dangling-mx``:
-        The MX points at an exchange with no A record anywhere.
-    """
-    zone = zones.get_or_create(domain)
-    if mode == "no-mx":
-        zone.add_txt(domain, "v=misconfigured")
-    elif mode == "dangling-mx":
-        zone.add_mx(10, f"ghost.{domain}")
-    else:
-        raise ValueError(f"unknown misconfiguration mode {mode!r}")
-    return zone

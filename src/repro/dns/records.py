@@ -1,8 +1,7 @@
 """DNS resource records.
 
 Only the record types the paper's measurement needs are modelled: ``A``
-(address) and ``MX`` (mail exchanger), plus an opaque ``TXT`` used in tests.
-Records are immutable value objects.
+(address) and ``MX`` (mail exchanger).  Records are immutable value objects.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ class RecordType(enum.Enum):
 
     A = "A"
     MX = "MX"
-    TXT = "TXT"
     ANY = "ANY"
 
 
@@ -93,22 +91,3 @@ class MXRecord:
 
     def __str__(self) -> str:
         return f"{self.name} {self.ttl} IN MX {self.preference} {self.exchange}"
-
-
-@dataclass(frozen=True)
-class TXTRecord:
-    """``name IN TXT text`` — only used as an inert extra record in tests."""
-
-    name: str
-    text: str
-    ttl: int = 3600
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "name", normalize_name(self.name))
-
-    @property
-    def rtype(self) -> RecordType:
-        return RecordType.TXT
-
-    def __str__(self) -> str:
-        return f'{self.name} {self.ttl} IN TXT "{self.text}"'

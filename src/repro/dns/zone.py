@@ -13,13 +13,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional
 
 from ..net.address import IPv4Address
-from .records import (
-    ARecord,
-    DNSRecordError,
-    MXRecord,
-    TXTRecord,
-    normalize_name,
-)
+from .records import ARecord, DNSRecordError, MXRecord, normalize_name
 
 
 class Zone:
@@ -29,7 +23,6 @@ class Zone:
         self.apex = normalize_name(apex)
         self._a: Dict[str, List[ARecord]] = {}
         self._mx: Dict[str, List[MXRecord]] = {}
-        self._txt: Dict[str, List[TXTRecord]] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -56,12 +49,6 @@ class Zone:
         self._mx.setdefault(owner, []).append(record)
         return record
 
-    def add_txt(self, name: str, text: str, ttl: int = 3600) -> TXTRecord:
-        name = self._check_in_zone(name)
-        record = TXTRecord(name, text, ttl)
-        self._txt.setdefault(name, []).append(record)
-        return record
-
     def remove_mx(self, name: Optional[str] = None) -> None:
         owner = normalize_name(name) if name else self.apex
         self._mx.pop(owner, None)
@@ -79,20 +66,15 @@ class Zone:
         owner = normalize_name(name) if name else self.apex
         return list(self._mx.get(owner, []))
 
-    def txt_records(self, name: str) -> List[TXTRecord]:
-        return list(self._txt.get(normalize_name(name), []))
-
     def all_records(self) -> Iterable[object]:
         for records in self._a.values():
             yield from records
         for records in self._mx.values():
             yield from records
-        for records in self._txt.values():
-            yield from records
 
     def names(self) -> List[str]:
         """Every owner name with at least one record."""
-        names = set(self._a) | set(self._mx) | set(self._txt)
+        names = set(self._a) | set(self._mx)
         return sorted(names)
 
     def __repr__(self) -> str:

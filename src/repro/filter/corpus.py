@@ -9,7 +9,7 @@ from workplace templates with wider topical spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from ..sim.rng import RandomStream
 
@@ -98,16 +98,4 @@ def build_corpus(
         train_ham=generate_ham(rng.split("train-ham"), train_per_class),
         test_spam=generate_spam(rng.split("test-spam"), test_per_class),
         test_ham=generate_ham(rng.split("test-ham"), test_per_class),
-    )
-
-
-def evaluate(filter_, corpus: Corpus) -> Tuple[float, float]:
-    """(spam recall, ham false-positive rate) of a trained filter."""
-    caught = sum(1 for text in corpus.test_spam if filter_.is_spam(text))
-    false_positives = sum(
-        1 for text in corpus.test_ham if filter_.is_spam(text)
-    )
-    return (
-        caught / len(corpus.test_spam) if corpus.test_spam else 0.0,
-        false_positives / len(corpus.test_ham) if corpus.test_ham else 0.0,
     )

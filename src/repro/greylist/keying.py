@@ -56,17 +56,3 @@ def derive_key(
         return Triplet(client, f"{_WILDCARD}@{_WILDCARD}.invalid",
                        f"{_WILDCARD}@{_WILDCARD}.invalid")
     raise ValueError(f"unknown key strategy {strategy!r}")
-
-
-def resists_sender_rotation(strategy: KeyStrategy) -> bool:
-    """Does rotating envelope senders defeat this strategy's whitelist reuse?
-
-    Under ``FULL_TRIPLET``/``CLIENT_NET_TRIPLET`` a rotating spammer never
-    matches its own history — greylisting keeps blocking it (at the price
-    of database growth).  Under ``SENDER_DOMAIN``/``CLIENT_ONLY`` a single
-    successful pass whitelists the whole rotation.
-    """
-    return strategy in (
-        KeyStrategy.FULL_TRIPLET,
-        KeyStrategy.CLIENT_NET_TRIPLET,
-    )

@@ -2,16 +2,15 @@
 
 Postgrey keeps its triplet state in an on-disk BerkeleyDB; restarts must
 not forget who already passed (or every sender would eat the delay again).
-This module provides a text snapshot format for :class:`TripletStore` —
-dump, load, and a compacting save that drops expired entries, mirroring
-Postgrey's periodic database cleanup.  The snapshot moves state between
-backends and sizes the database for the cost model; the durable backend
-itself is SQLite (:mod:`repro.greylist.backends`).
+This module provides a text snapshot format for :class:`TripletStore`:
+dump and load.  The snapshot moves state between backends and sizes the
+database for the cost model; the durable backend itself is SQLite
+(:mod:`repro.greylist.backends`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, TextIO
+from typing import TYPE_CHECKING, List, Optional
 
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
@@ -126,18 +125,6 @@ def load_store(
             continue
         store.restore(entry)
     return store
-
-
-def save_compacted(store: TripletStore, stream: TextIO) -> int:
-    """Sweep expired entries, then write the snapshot to ``stream``.
-
-    Returns the number of entries written.  This is the Postgrey
-    ``--max-age`` cleanup fused with the database save.
-    """
-    store.sweep()
-    text = dump_store(store)
-    stream.write(text)
-    return store.size
 
 
 def snapshot_size_bytes(store: TripletStore) -> int:

@@ -249,11 +249,7 @@ class UniversityDeployment:
                 return
             fire_at = arrival + next_age
             scheduler.schedule_at(
-                max(fire_at, scheduler.now),
-                lambda: attempt(number + 1),
-                label=f"deploy:{log.message_key}:{number + 1}",
+                max(fire_at, scheduler.now), lambda: attempt(number + 1)
             )
 
-        scheduler.schedule_at(
-            arrival, lambda: attempt(1), label=f"deploy:{log.message_key}:1"
-        )
+        scheduler.schedule_at(arrival, lambda: attempt(1))

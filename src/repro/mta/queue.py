@@ -119,11 +119,7 @@ class QueueManager:
             )
             self.entries.append(entry)
             created.append(entry)
-            self.scheduler.schedule_in(
-                0.0,
-                lambda e=entry: self._attempt(e),
-                label=f"queue:first-attempt:{entry.entry_id}",
-            )
+            self.scheduler.schedule_in(0.0, lambda e=entry: self._attempt(e))
         return created
 
     # ------------------------------------------------------------------
@@ -161,11 +157,7 @@ class QueueManager:
             )
             self._finish(entry, terminal)
             return
-        self.scheduler.schedule_in(
-            delay,
-            lambda e=entry: self._attempt(e),
-            label=f"queue:retry:{entry.entry_id}:{entry.attempt_count + 1}",
-        )
+        self.scheduler.schedule_in(delay, lambda e=entry: self._attempt(e))
 
     def _finish(self, entry: QueueEntry, state: QueueEntryState) -> None:
         entry.state = state

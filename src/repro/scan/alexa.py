@@ -12,35 +12,27 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-from .detect import DomainClass, DomainVerdict
-from .population import DomainCategory, SyntheticInternet
+from .population import DomainCategory
 
 #: The paper's observation: ranks at which nolisting adopters were found.
 PAPER_NOLISTING_RANKS: Sequence[int] = (13, 214, 402, 731, 904)
 
 
-def plant_popular_nolisting(
-    internet: SyntheticInternet, ranks: Sequence[int] = PAPER_NOLISTING_RANKS
+def plant_ranks(
+    domains: Sequence, ranks: Sequence[int] = PAPER_NOLISTING_RANKS
 ) -> List[str]:
     """Force ``len(ranks)`` nolisting domains to hold the given Alexa ranks.
 
     Swaps ranks between the chosen nolisting domains and whichever domains
     currently hold the target ranks, keeping the rank assignment a
     permutation.  Returns the planted domain names.
-    """
-    return plant_ranks(internet.domains, ranks)
 
-
-def plant_ranks(
-    domains: Sequence, ranks: Sequence[int] = PAPER_NOLISTING_RANKS
-) -> List[str]:
-    """Rank-planting over any domain records with name/category/alexa_rank.
-
-    Shared by the full-population path (:class:`DomainTruth` objects) and
-    the parallel runner's coordinator, which plants on the cheap
-    :class:`~repro.scan.population.PlannedDomain` plan *before* sharding —
-    the swap outcome depends only on (order, categories, ranks), so both
-    paths assign identical ranks.
+    Works on any domain records with name/category/alexa_rank: the
+    full-population :class:`DomainTruth` objects and the cheap
+    :class:`~repro.scan.population.PlannedDomain` plan the parallel
+    runner's coordinator plants *before* sharding.  The swap outcome
+    depends only on (order, categories, ranks), so both assign identical
+    ranks.
     """
     nolisted = [d for d in domains if d.category is DomainCategory.NOLISTING]
     if len(nolisted) < len(ranks):
@@ -110,19 +102,6 @@ class PopularityCrossCheck:
     top500: int
     top1000: int
     ranked_adopters: List[int]
-
-
-def crosscheck_popularity(
-    internet: SyntheticInternet, verdicts: List[DomainVerdict]
-) -> PopularityCrossCheck:
-    """Count detected nolisting adopters within the Alexa top-N buckets."""
-    rank_of = {truth.name: truth.alexa_rank for truth in internet.domains}
-    adopter_ranks = sorted(
-        rank_of[v.domain]
-        for v in verdicts
-        if v.domain_class is DomainClass.NOLISTING and rank_of.get(v.domain)
-    )
-    return crosscheck_from_ranks(adopter_ranks)
 
 
 def crosscheck_from_ranks(

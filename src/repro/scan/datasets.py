@@ -15,7 +15,7 @@ works *only* from these, never from ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..net.address import IPv4Address
 
@@ -110,15 +110,3 @@ class SMTPScanDataset:
     @property
     def num_listening(self) -> int:
         return len(self.listening)
-
-
-@dataclass
-class ScanPair:
-    """The two-months-apart scan pair the detection protocol requires."""
-
-    dns: Tuple[DNSScanDataset, DNSScanDataset]
-    smtp: Tuple[SMTPScanDataset, SMTPScanDataset]
-
-    def __post_init__(self) -> None:
-        if self.dns[0].scan_index == self.dns[1].scan_index:
-            raise ValueError("scan pair must contain two distinct scans")

@@ -269,6 +269,9 @@ class PolicyServer:
             while True:
                 data = await reader.read(65536)
                 if not data:
+                    # The peer closed in the middle of a stanza.
+                    if parser.pending:
+                        self.stats.truncated += 1
                     break
                 try:
                     requests = parser.feed(data)
@@ -286,8 +289,6 @@ class PolicyServer:
                         b"".join(self._decide(r) for r in requests)
                     )
                 await writer.drain()
-            if parser.pending:
-                self.stats.truncated += 1
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:

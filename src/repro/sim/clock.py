@@ -78,22 +78,3 @@ def format_duration(seconds: float) -> str:
     total = int(round(seconds))
     minutes, secs = divmod(total, 60)
     return f"{minutes}:{secs:02d}"
-
-
-def parse_duration(text: str) -> float:
-    """Parse a ``mm:ss`` duration back into seconds.
-
-    Inverse of :func:`format_duration`:
-
-    >>> parse_duration("6:02")
-    362.0
-    """
-    parts = text.strip().split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'mm:ss', got {text!r}")
-    minutes, secs = parts
-    m = int(minutes)
-    s = int(secs)
-    if m < 0 or not 0 <= s < 60:
-        raise ValueError(f"invalid duration {text!r}")
-    return float(m * 60 + s)

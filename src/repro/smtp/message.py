@@ -105,16 +105,3 @@ class Envelope:
     @property
     def sender_domain(self) -> str:
         return domain_of(self.sender)
-
-
-def envelopes_for(message: Message) -> List[Envelope]:
-    """Split a message into per-recipient envelopes."""
-    return [
-        Envelope(
-            sender=message.sender,
-            recipient=recipient,
-            message_id=message.message_id,
-            campaign_id=message.campaign_id,
-        )
-        for recipient in message.recipients
-    ]

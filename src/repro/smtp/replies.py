@@ -13,8 +13,6 @@ from dataclasses import dataclass
 CODE_READY = 220
 CODE_CLOSING = 221
 CODE_OK = 250
-# Intermediate
-CODE_START_MAIL_INPUT = 354
 # Transient negative completion (4yz) — the class greylisting lives in
 CODE_SERVICE_UNAVAILABLE = 421
 CODE_MAILBOX_BUSY = 450
@@ -70,10 +68,6 @@ def ok(text: str = "OK") -> Reply:
 
 def closing(hostname: str) -> Reply:
     return Reply(CODE_CLOSING, f"{hostname} closing connection")
-
-
-def start_mail_input() -> Reply:
-    return Reply(CODE_START_MAIL_INPUT, "End data with <CR><LF>.<CR><LF>")
 
 
 def greylisted(retry_after: float) -> Reply:

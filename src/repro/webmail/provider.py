@@ -182,12 +182,8 @@ class WebmailDelivery:
                 return
             delay = (submitted_at + next_age) - now
             self.scheduler.schedule_in(
-                max(delay, 0.0),
-                lambda: attempt(number + 1),
-                label=f"webmail:{self.spec.name}:attempt{number + 1}",
+                max(delay, 0.0), lambda: attempt(number + 1)
             )
 
-        self.scheduler.schedule_in(
-            0.0, lambda: attempt(1), label=f"webmail:{self.spec.name}:attempt1"
-        )
+        self.scheduler.schedule_in(0.0, lambda: attempt(1))
         return outcome

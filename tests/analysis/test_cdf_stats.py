@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.cdf import EmpiricalCDF, ascii_cdf, ks_distance
-from repro.analysis.stats import fraction_within, histogram, summarize
+from repro.analysis.stats import histogram
 from repro.analysis.tables import (
     format_percent,
     format_seconds,
@@ -94,21 +94,6 @@ class TestAsciiCDF:
             ascii_cdf(cdf, width=5, height=2)
 
 
-class TestSummarize:
-    def test_values(self):
-        summary = summarize(range(1, 101))
-        assert summary.n == 100
-        assert summary.minimum == 1
-        assert summary.maximum == 100
-        assert summary.median == 50
-        assert summary.p90 == 90
-        assert summary.mean == pytest.approx(50.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-
 class TestHistogram:
     def test_binning(self):
         bins = histogram([1, 2, 5, 9], edges=[0, 3, 6, 10])
@@ -123,11 +108,6 @@ class TestHistogram:
             histogram([1], edges=[0])
         with pytest.raises(ValueError):
             histogram([1], edges=[5, 0])
-
-    def test_fraction_within(self):
-        assert fraction_within([1, 2, 3, 4], 2) == 0.5
-        with pytest.raises(ValueError):
-            fraction_within([], 1)
 
 
 class TestTables:

@@ -91,3 +91,36 @@ def test_dead_symbol_report_is_empty_on_real_tree():
     assert result.project is not None
     report = result.project.api_report()
     assert report["dead_symbols"] == []
+
+
+#: Public names in ``src/repro`` that only tests reach, each kept for a
+#: result the docs cite.  Anything else only tests reach is to be deleted.
+TEST_ONLY_API = {
+    # The store-backend equivalence suite reads snapshots back through it
+    # in its restart and migration cases.
+    ("greylist/persistence.py", "load_store"),
+    # They back the seed-sensitivity claim in EXPERIMENTS.md.
+    ("core/sensitivity.py", "adoption_sensitivity"),
+    ("core/sensitivity.py", "deployment_sensitivity"),
+    ("core/sensitivity.py", "verdicts_seed_invariant"),
+    # It backs ARCHITECTURE.md's two-scan-under-faults result.
+    ("scan/detect.py", "summarize_single_scan"),
+}
+
+
+def test_only_the_kept_names_are_test_only_api():
+    # Every tree but the tests: a name none of them reaches is test-only.
+    # perfbench counts as a reader; its own findings are not checked here.
+    package = _package_root()
+    repo_root = package.parent.parent
+    trees = [package] + [
+        repo_root / name for name in ("benchmarks", "scripts", "examples", "perfbench")
+    ]
+    result = analyze_paths(trees)
+    assert result.project is not None
+    dead = {
+        (entry["module"], entry["symbol"])
+        for entry in result.project.api_report()["dead_symbols"]
+        if (package / entry["module"]).is_file()
+    }
+    assert dead == TEST_ONLY_API

@@ -5,7 +5,6 @@ import pytest
 from repro.analysis.timeseries import (
     WEEK,
     bin_events,
-    rate_series,
     rate_stability,
 )
 
@@ -75,11 +74,6 @@ class TestBinEvents:
 
 
 class TestRateHelpers:
-    def test_rate_series_skips_empty(self):
-        bins = bins_of([event(10, True), event(350, False)], bin_width=100)
-        series = rate_series(bins)
-        assert series == [(50.0, 1.0), (350.0, 0.0)]
-
     def test_rate_stability(self):
         bins = bins_of(
             [event(10, True), event(20, True), event(110, False), event(120, True)],

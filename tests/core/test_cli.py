@@ -406,6 +406,30 @@ class TestParser:
             capsys,
         )
 
+    @pytest.mark.parametrize("flag", ["--connections", "--requests"])
+    def test_serve_load_check_refuses_load_flags(self, flag, capsys):
+        # Used to be ignored: --check replays the trace in order over one
+        # connection.
+        assert_usage_error(
+            ["serve-load", "--port", "1", "--check", flag, "5"],
+            f"{flag} applies only to the load phase, not --check",
+            capsys,
+        )
+
+    def test_serve_load_defaults_stand_with_and_without_check(self, monkeypatch):
+        import repro.cli
+
+        ran = []
+        monkeypatch.setattr(
+            repro.cli, "_cmd_serve_load", lambda args: ran.append(args) or 0
+        )
+        assert main(["serve-load", "--port", "1"]) == 0
+        assert main(["serve-load", "--port", "1", "--check"]) == 0
+        assert [(args.connections, args.requests) for args in ran] == [
+            (100, 10000),
+            (100, 10000),
+        ]
+
     def test_shm_minimum_is_the_backends(self):
         from repro.greylist.shm import PROBE_WINDOW
 

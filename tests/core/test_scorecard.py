@@ -4,7 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.core import scorecard
-from repro.core.scorecard import build_scorecard, scorecard_text
+from repro.core.scorecard import build_scorecard, render_scorecard
 
 
 class TestScorecard:
@@ -30,8 +30,8 @@ class TestScorecard:
             "§VI",
         } <= artefacts
 
-    def test_text_rendering(self):
-        text = scorecard_text(scale=0.3)
+    def test_text_rendering(self, rows):
+        text = render_scorecard(rows)
         assert "Reproduction scorecard" in text
         assert "claims hold" in text
         # No row carries a failing verdict.

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.filter.bayes import NaiveBayesFilter, tokenize
-from repro.filter.corpus import build_corpus, evaluate, generate_ham, generate_spam
+from repro.filter.corpus import build_corpus, generate_ham, generate_spam
 from repro.filter.policy import ContentFilterPolicy
 from repro.net.address import IPv4Address
 from repro.sim.rng import RandomStream
@@ -94,9 +94,10 @@ class TestCorpus:
         classifier = NaiveBayesFilter(threshold=0.9)
         classifier.train_many(corpus.train_spam, is_spam=True)
         classifier.train_many(corpus.train_ham, is_spam=False)
-        recall, fp_rate = evaluate(classifier, corpus)
-        assert recall > 0.95
-        assert fp_rate < 0.05
+        caught = sum(classifier.is_spam(text) for text in corpus.test_spam)
+        flagged = sum(classifier.is_spam(text) for text in corpus.test_ham)
+        assert caught / len(corpus.test_spam) > 0.95
+        assert flagged / len(corpus.test_ham) < 0.05
 
 
 class TestContentFilterPolicy:

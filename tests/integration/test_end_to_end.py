@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.botnet.campaign import CommandAndControl, SpamCampaign, make_recipient_list
+from repro.botnet.campaign import SpamCampaign, make_recipient_list
 from repro.botnet.families import CUTWAIL, DARKMAILER, KELIHOS
 from repro.core.testbed import Defense, Testbed, TestbedConfig
 from repro.dns.resolver import StubResolver
@@ -84,12 +84,12 @@ class TestBotnetFleetAgainstDefenses:
             )
             for family in (CUTWAIL, KELIHOS, DARKMAILER)
         ]
-        cnc = CommandAndControl(bots, rng=rng.split("dispatch"))
         campaign = SpamCampaign(
             sender="spam@botnet.example",
             recipients=make_recipient_list("victim.example", 30),
         )
-        cnc.dispatch(campaign)
+        for index, job in enumerate(campaign.single_recipient_jobs()):
+            bots[index % len(bots)].assign(job)
         testbed.run(horizon=400000.0)
         # §VI: the combination stops everything these families send.
         assert testbed.spam_delivered_to_protected() == 0

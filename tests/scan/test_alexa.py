@@ -4,10 +4,9 @@ import pytest
 
 from repro.scan.alexa import (
     PAPER_NOLISTING_RANKS,
-    crosscheck_popularity,
-    plant_popular_nolisting,
+    crosscheck_from_ranks,
+    plant_ranks,
 )
-from repro.scan.detect import DomainClass, DomainVerdict
 from repro.scan.population import (
     DomainCategory,
     PopulationConfig,
@@ -19,24 +18,15 @@ def build_internet(num_domains=3000, seed=42):
     return SyntheticInternet(PopulationConfig(num_domains=num_domains), seed=seed)
 
 
-def perfect_verdicts(internet):
-    """Verdicts matching ground truth exactly (pipeline is tested elsewhere)."""
-    mapping = {
-        DomainCategory.SINGLE_MX: DomainClass.ONE_MX,
-        DomainCategory.MULTI_MX: DomainClass.MULTI_MX_NO_NOLISTING,
-        DomainCategory.NOLISTING: DomainClass.NOLISTING,
-        DomainCategory.MISCONFIGURED: DomainClass.DNS_MISCONFIGURED,
-    }
-    return [
-        DomainVerdict(domain=t.name, domain_class=mapping[t.category])
-        for t in internet.domains
-    ]
+def adopter_ranks(internet):
+    """Ranks of the true nolisting adopters (detection is tested elsewhere)."""
+    return [t.alexa_rank for t in internet.domains_in(DomainCategory.NOLISTING)]
 
 
 class TestPlanting:
     def test_planted_ranks_assigned(self):
         internet = build_internet()
-        planted = plant_popular_nolisting(internet)
+        planted = plant_ranks(internet.domains)
         assert len(planted) == len(PAPER_NOLISTING_RANKS)
         rank_of = {t.name: t.alexa_rank for t in internet.domains}
         assert sorted(rank_of[name] for name in planted) == sorted(
@@ -45,13 +35,13 @@ class TestPlanting:
 
     def test_ranks_remain_a_permutation(self):
         internet = build_internet()
-        plant_popular_nolisting(internet)
+        plant_ranks(internet.domains)
         ranks = sorted(t.alexa_rank for t in internet.domains)
         assert ranks == list(range(1, internet.num_domains + 1))
 
     def test_no_accidental_adopters_in_popular_band(self):
         internet = build_internet()
-        plant_popular_nolisting(internet)
+        plant_ranks(internet.domains)
         popular_nolisting = [
             t
             for t in internet.domains_in(DomainCategory.NOLISTING)
@@ -62,21 +52,21 @@ class TestPlanting:
     def test_raises_when_too_few_nolisting_domains(self):
         internet = build_internet(num_domains=200)  # ~1 nolisting domain
         with pytest.raises(ValueError):
-            plant_popular_nolisting(internet)
+            plant_ranks(internet.domains)
 
     def test_raises_naming_a_rank_outside_the_population(self):
         internet = build_internet(num_domains=900)  # 5 nolisting domains
         before = [t.alexa_rank for t in internet.domains]
         with pytest.raises(ValueError, match="rank 904"):
-            plant_popular_nolisting(internet)
+            plant_ranks(internet.domains)
         assert [t.alexa_rank for t in internet.domains] == before
 
 
 class TestCrossCheck:
     def test_matches_paper_buckets(self):
         internet = build_internet()
-        plant_popular_nolisting(internet)
-        result = crosscheck_popularity(internet, perfect_verdicts(internet))
+        plant_ranks(internet.domains)
+        result = crosscheck_from_ranks(adopter_ranks(internet))
         # "one domain in the top-15, two in the top-500 and other two in
         # the top-1000" -> cumulative 1 / 3 / 5.
         assert result.top15 == 1
@@ -85,7 +75,7 @@ class TestCrossCheck:
 
     def test_ranked_adopters_sorted(self):
         internet = build_internet()
-        plant_popular_nolisting(internet)
-        result = crosscheck_popularity(internet, perfect_verdicts(internet))
+        plant_ranks(internet.domains)
+        result = crosscheck_from_ranks(adopter_ranks(internet))
         assert result.ranked_adopters == sorted(result.ranked_adopters)
         assert result.ranked_adopters[:5] == sorted(PAPER_NOLISTING_RANKS)

@@ -7,7 +7,6 @@ from repro.scan.datasets import (
     DNSScanDataset,
     DomainObservation,
     MXObservation,
-    ScanPair,
     SMTPScanDataset,
 )
 
@@ -91,22 +90,3 @@ class TestSMTPScanDataset:
         dataset.add(addr("1.1.1.1"))
         dataset.add(addr("1.1.1.1"))
         assert dataset.num_listening == 1
-
-
-class TestScanPair:
-    def test_valid_pair(self):
-        pair = ScanPair(
-            dns=(DNSScanDataset(scan_index=0), DNSScanDataset(scan_index=1)),
-            smtp=(SMTPScanDataset(scan_index=0), SMTPScanDataset(scan_index=1)),
-        )
-        assert pair.dns[0].scan_index != pair.dns[1].scan_index
-
-    def test_same_index_rejected(self):
-        with pytest.raises(ValueError):
-            ScanPair(
-                dns=(DNSScanDataset(scan_index=0), DNSScanDataset(scan_index=0)),
-                smtp=(
-                    SMTPScanDataset(scan_index=0),
-                    SMTPScanDataset(scan_index=1),
-                ),
-            )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dns.nolisting import setup_multi_mx, setup_nolisting, setup_single_mx
+from repro.dns.nolisting import setup_nolisting, setup_single_mx
 from repro.dns.resolver import StubResolver
 from repro.dns.zone import ZoneStore
 from repro.net.address import IPv4Address, pool_for
@@ -61,11 +61,11 @@ class TestDelivery:
 
     def test_no_route_when_all_mx_dead(self, world):
         internet, zones, pool, _, server = world
-        setup = setup_multi_mx(
-            internet, zones, pool, "foo.net", server.session_factory, count=2
+        setup = setup_nolisting(
+            internet, zones, pool, "foo.net", server.session_factory
         )
-        for host in setup.hosts:
-            host.close_port(25)
+        # The primary never listens; close the secondary's port as well.
+        setup.hosts[1].close_port(25)
         client = make_client(internet, zones)
         result = client.send(make_message(), "user@foo.net")
         assert result.outcome is AttemptOutcome.NO_ROUTE

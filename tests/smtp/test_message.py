@@ -10,7 +10,6 @@ from repro.smtp.message import (
     Envelope,
     Message,
     domain_of,
-    envelopes_for,
     validate_address,
 )
 
@@ -150,18 +149,6 @@ class TestMessage:
 
 
 class TestEnvelopes:
-    def test_envelopes_split_per_recipient(self):
-        message = Message(
-            sender="a@x.net",
-            recipients=["b@y.net", "c@z.net"],
-            campaign_id="c-9",
-        )
-        envelopes = envelopes_for(message)
-        assert len(envelopes) == 2
-        assert {e.recipient for e in envelopes} == {"b@y.net", "c@z.net"}
-        assert all(e.message_id == message.message_id for e in envelopes)
-        assert all(e.campaign_id == "c-9" for e in envelopes)
-
     def test_envelope_domains(self):
         envelope = Envelope(sender="a@x.net", recipient="b@y.net", message_id=1)
         assert envelope.sender_domain == "x.net"

@@ -19,11 +19,6 @@ class TestReplyHelpers:
         assert reply.code == 221
         assert reply.is_positive
 
-    def test_start_mail_input(self):
-        reply = replies.start_mail_input()
-        assert reply.code == 354
-        assert reply.is_positive  # 3yz is intermediate-positive
-
     def test_greylisted_mentions_retry(self):
         reply = replies.greylisted(123.7)
         assert reply.code == 450
