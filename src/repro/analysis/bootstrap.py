@@ -29,10 +29,6 @@ class ConfidenceInterval:
             return NotImplemented  # type: ignore[return-value]
         return self.low <= float(value) <= self.high
 
-    @property
-    def width(self) -> float:
-        return self.high - self.low
-
     def __str__(self) -> str:
         return (
             f"{self.estimate:.4g} "

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -64,10 +64,6 @@ class EmpiricalCDF:
                 continue
             points.append((value, (index + 1) / self.n))
         return points
-
-    def series(self, xs: Sequence[float]) -> List[Tuple[float, float]]:
-        """Evaluate the CDF on a fixed grid (for figure regeneration)."""
-        return [(x, self.at(x)) for x in xs]
 
 
 def ks_distance(a: EmpiricalCDF, b: EmpiricalCDF) -> float:

@@ -39,12 +39,6 @@ class AnalysisResult:
     #: The project graph, for ``--graph-json`` / ``--api-report`` dumps.
     project: Optional[Project] = field(default=None, repr=False)
 
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
-
 
 def run_graph_rules(
     project: Project,

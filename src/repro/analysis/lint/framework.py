@@ -76,6 +76,9 @@ class ModuleContext:
     lines: List[str] = field(default_factory=list)
     #: Whether the module lives in a test tree (checkers commonly opt out).
     is_tests: bool = False
+    #: Whether ``import repro...`` can reach the module: false for a file
+    #: outside every ``repro`` package directory, whatever its path says.
+    importable: bool = True
     #: Lazily-computed ``# repro: noqa`` map (see :func:`parse_noqa`).
     _noqa: Optional[Dict[int, Optional[Set[str]]]] = field(
         default=None, repr=False, compare=False
@@ -153,12 +156,6 @@ class LintResult:
     suppressed: int = 0
     files_checked: int = 0
 
-    def by_rule(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for finding in self.findings:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
-
 
 def default_checkers() -> List[Checker]:
     """The shipped checker suite (imported lazily to avoid cycles)."""
@@ -185,6 +182,7 @@ def context_from_source(
     module_path: str = "<snippet>",
     *,
     is_tests: bool = False,
+    importable: bool = True,
 ) -> Tuple[Optional[ModuleContext], Optional[Finding]]:
     """Parse one source string into a context, or a ``PARSE`` finding."""
     try:
@@ -205,6 +203,7 @@ def context_from_source(
         tree=tree,
         lines=source.splitlines(),
         is_tests=is_tests,
+        importable=importable,
     )
     return ctx, None
 
@@ -331,6 +330,7 @@ def load_context(
         source,
         module_path_for(file_path),
         is_tests=_is_test_path(file_path),
+        importable="repro" in file_path.parts[:-1],
     )
 
 

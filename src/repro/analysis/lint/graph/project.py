@@ -28,7 +28,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
-from ..framework import ModuleContext, context_from_source, dotted_name
+from ..framework import ModuleContext, dotted_name
 from .symbols import (
     ClassSymbol,
     FunctionSymbol,
@@ -112,27 +112,6 @@ class Project:
             for cls in ms.classes.values():
                 for method in cls.methods.values():
                     self.nodes[method.key] = self._build_node(ms, method)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_sources(cls, sources: Dict[str, str]) -> "Project":
-        """Build a project from ``{module_path: source}`` (test fixtures)."""
-        contexts: List[ModuleContext] = []
-        for module_path in sorted(sources):
-            ctx, parse_finding = context_from_source(
-                sources[module_path],
-                module_path,
-                is_tests=module_path.startswith("tests/"),
-            )
-            if parse_finding is not None:
-                raise SyntaxError(
-                    f"fixture module {module_path}: {parse_finding.message}"
-                )
-            assert ctx is not None
-            contexts.append(ctx)
-        return cls(contexts)
 
     # ------------------------------------------------------------------
     # Name resolution
@@ -633,15 +612,37 @@ class Project:
                     referenced.add(resolved.key)
         return referenced
 
+    def attribute_names(self) -> Set[str]:
+        """Every attribute name and string constant in any module.
+
+        A method or property counts as referenced when its name shows up
+        here: receivers are rarely typed, and a string names a method
+        when code patches it by name (``wrap(SMTPSession, "abort", …)``).
+        """
+        names: Set[str] = set()
+        for ms in self.modules.values():
+            for node in ast.walk(ms.context.tree):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    names.add(node.value)
+        return names
+
     def api_report(self) -> Dict[str, Any]:
         """The API-surface / dead-symbol report.
 
         *Surface* is every name exported from a package module (via
         ``__all__`` when present, public names otherwise); *dead* is
         every public top-level function or class in a package module
-        that no other module imports, calls, or names.
+        that no other module imports, calls, or names, and every public
+        method or property of such a class whose name no module uses as
+        an attribute or string.  A class with a direct base outside the
+        project offers no method candidates: frameworks call them by name.
         """
         referenced = self.referenced_symbols()
+        attributes = self.attribute_names()
         surface = {}
         dead = []
         for path in sorted(self.modules):
@@ -660,9 +661,22 @@ class Project:
                 for cls in ms.classes.values()
                 if not cls.name.startswith("_")
             ]
-            for qualname, lineno in sorted(candidates):
-                if (path, qualname) not in referenced:
-                    dead.append(
-                        {"module": path, "symbol": qualname, "line": lineno}
-                    )
+            unused = [
+                (qualname, lineno)
+                for qualname, lineno in candidates
+                if (path, qualname) not in referenced
+            ]
+            for cls in ms.classes.values():
+                # A base the project cannot resolve lies outside it.
+                outside_base = len(self._bases[cls.key]) < len(cls.base_chains)
+                if cls.name.startswith("_") or outside_base:
+                    continue
+                unused.extend(
+                    (method.qualname, method.lineno)
+                    for method in cls.methods.values()
+                    if not method.name.startswith("_")
+                    and method.name not in attributes
+                )
+            for qualname, lineno in sorted(unused):
+                dead.append({"module": path, "symbol": qualname, "line": lineno})
         return {"surface": surface, "dead_symbols": dead}

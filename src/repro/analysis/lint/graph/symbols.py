@@ -272,7 +272,7 @@ def _resolve_relative(
 
 def collect_module(ctx: ModuleContext) -> ModuleSymbols:
     """Build the symbol table for one parsed module."""
-    dotted = dotted_module_name(ctx.module_path)
+    dotted = dotted_module_name(ctx.module_path) if ctx.importable else None
     is_init = ctx.module_path.rsplit("/", 1)[-1] == "__init__.py"
     symbols = ModuleSymbols(
         context=ctx,

@@ -34,10 +34,6 @@ class TimeBin:
             return None
         return self.matching / self.count
 
-    @property
-    def midpoint(self) -> float:
-        return (self.start + self.end) / 2.0
-
 
 def bin_events(
     events: Iterable[T],

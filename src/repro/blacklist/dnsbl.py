@@ -6,9 +6,10 @@ enough for the sender ... to be detected and added into popular spammer
 blacklists — therefore still helping to prevent the final delivery".
 Quantifying that synergy needs a blacklist model, so here is one:
 
-* spam *sightings* of a source address are reported to the blacklist (by
-  our own server and, via :class:`~repro.blacklist.feed.TelemetryFeed`, by
-  the rest of the internet, since a mass-spammer hits many targets);
+* spam *sightings* of a source address are reported to the blacklist by
+  the rest of the internet, through
+  :class:`~repro.blacklist.feed.TelemetryFeed`, since a mass-spammer hits
+  many targets;
 * once an address accumulates ``detection_threshold`` sightings, it is
   listed after a further ``processing_delay`` (operator verification,
   zone-publication lag);
@@ -34,13 +35,8 @@ class ListingState:
 
     address: IPv4Address
     sightings: int = 0
-    first_sighted: Optional[float] = None
     last_sighted: Optional[float] = None
     listed_at: Optional[float] = None
-
-    @property
-    def is_pending(self) -> bool:
-        return self.listed_at is None
 
 
 class ReactiveBlacklist:
@@ -73,7 +69,7 @@ class ReactiveBlacklist:
         now = self.clock.now
         state = self._states.get(address)
         if state is None:
-            state = ListingState(address=address, first_sighted=now)
+            state = ListingState(address=address)
             self._states[address] = state
         state.sightings += 1
         state.last_sighted = now
@@ -106,9 +102,6 @@ class ReactiveBlacklist:
     def listed_at(self, address: IPv4Address) -> Optional[float]:
         state = self._states.get(address)
         return state.listed_at if state is not None else None
-
-    def state_of(self, address: IPv4Address) -> Optional[ListingState]:
-        return self._states.get(address)
 
     @property
     def listed_count(self) -> int:

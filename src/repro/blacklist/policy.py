@@ -34,20 +34,17 @@ class DNSBLPolicy(ConnectionPolicy):
     """Rejects RCPTs from blacklisted client addresses.
 
     The check runs at RCPT time (not on connect) so its decisions land in
-    the same per-envelope server log greylisting uses, and so the policy
-    also reports sightings: every spam attempt our server sees is itself a
-    report to the blacklist — the local contribution alongside the global
-    telemetry feed.
+    the same per-envelope server log greylisting uses.  The policy only
+    reads the blacklist: sightings reach it through the global telemetry
+    feed, so a single burst at our server cannot list a bot by itself.
     """
 
     def __init__(
         self,
         blacklist: ReactiveBlacklist,
-        report_attempts: bool = True,
         zone_name: str = "zen.dnsbl.example",
     ) -> None:
         self.blacklist = blacklist
-        self.report_attempts = report_attempts
         self.zone_name = zone_name
         self.events: List[DNSBLEvent] = []
         self.rejections = 0
@@ -72,7 +69,4 @@ class DNSBLPolicy(ConnectionPolicy):
                     f"using {self.zone_name}",
                 )
             )
-        if self.report_attempts:
-            # Not (yet) listed: this sighting still feeds the blacklist.
-            self.blacklist.report(client)
         return PolicyDecision.ok()

@@ -11,7 +11,6 @@ instrumented server.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -25,8 +24,6 @@ from ..sim.rng import RandomStream
 from ..smtp.message import Message
 from .behavior import MXBehavior, select_targets
 from .retry import BotRetryModel, FireAndForget
-
-_task_ids = itertools.count(1)
 
 
 class BotAttemptOutcome(enum.Enum):
@@ -89,7 +86,6 @@ class BotTask:
     attempts: List[BotAttempt] = field(default_factory=list)
     delivered: bool = False
     abandoned: bool = False
-    task_id: int = field(default_factory=lambda: next(_task_ids))
     #: Task-private randomness (retry-delay draws).  When ``None`` the bot
     #: falls back to its shared stream; experiments that batch over
     #: messages pass one stream per message so tasks stay independent.

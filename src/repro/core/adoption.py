@@ -99,6 +99,11 @@ def run_adoption_experiment(
     """
     if engine not in ("object", "columnar"):
         raise ValueError(f"unknown adoption engine {engine!r}")
+    # Checked once here: the columnar engine never builds a DNSScanner.
+    if not 0.0 <= glue_elision_rate <= 1.0:  # NaN fails both comparisons
+        raise ValueError(
+            f"glue_elision_rate must lie in [0, 1], got {glue_elision_rate}"
+        )
     if config is None:
         config = PopulationConfig(
             num_domains=num_domains,

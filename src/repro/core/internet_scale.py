@@ -54,12 +54,6 @@ class InternetScaleResult:
             return 0.0
         return 1.0 - self.spam_delivered / self.spam_sent
 
-    def family_delivery_rate(self, family: str) -> float:
-        sent = self.per_family_sent.get(family, 0)
-        if sent == 0:
-            return 0.0
-        return self.per_family_delivered.get(family, 0) / sent
-
 
 def _family_blocked_probability(
     family: FamilyProfile, greylisting_rate: float, nolisting_rate: float

@@ -30,14 +30,6 @@ class MTARow:
     max_queue_days: float
     rfc_compliant_lifetime: bool
 
-    def first_gaps_minutes(self, count: int = 6) -> List[float]:
-        """Gaps between the first few retries (shape fingerprint)."""
-        times = [0.0] + self.retransmission_minutes
-        return [
-            round(b - a, 2)
-            for a, b in zip(times, times[1:])
-        ][:count]
-
 
 def survey_mta(profile: MTAProfile, horizon: float = TEN_HOURS) -> MTARow:
     return MTARow(

@@ -38,10 +38,6 @@ class MXClassification:
     inferred: Optional[MXBehavior]
     expected: MXBehavior
 
-    @property
-    def matches_expected(self) -> bool:
-        return self.inferred is self.expected
-
 
 def infer_behavior(
     contacted: List[str], ordered_mx: List[str]

@@ -33,10 +33,6 @@ class AdoptionSensitivity:
     one_mx_pct: List[float]
     misclassified: List[int]
 
-    @property
-    def nolisting_spread(self) -> float:
-        return max(self.nolisting_pct) - min(self.nolisting_pct)
-
 
 def adoption_sensitivity(
     seeds: Sequence[int] = DEFAULT_SEEDS,
@@ -73,10 +69,6 @@ class DeploymentSensitivity:
     medians: List[float]
     median_cis: List[ConfidenceInterval] = field(default_factory=list)
     within_10min: List[float] = field(default_factory=list)
-
-    @property
-    def median_spread(self) -> float:
-        return max(self.medians) - min(self.medians)
 
 
 def deployment_sensitivity(

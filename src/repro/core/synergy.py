@@ -65,7 +65,6 @@ def run_synergy_experiment(
     reports_per_hour: float = 60.0,
     detection_threshold: int = 10,
     processing_delay: float = 60.0,
-    local_reporting: bool = False,
     num_messages: int = 20,
     seed: int = 31,
     horizon: float = 400000.0,
@@ -75,10 +74,10 @@ def run_synergy_experiment(
     ``configuration`` is one of ``"greylist"``, ``"dnsbl"``, ``"both"``.
     With the defaults, the time for the blacklist to list the bot is
     dominated by the telemetry rate: roughly ``detection_threshold /
-    reports_per_hour`` hours plus the processing delay.  ``local_reporting``
-    lets the victim server's own sightings count too (off by default so a
-    single 20-recipient burst does not trip the threshold by itself and
-    the rate lever stays meaningful).
+    reports_per_hour`` hours plus the processing delay.  The victim
+    server's own sightings do not count, so a single 20-recipient burst
+    does not trip the threshold by itself and the rate lever stays
+    meaningful.
     """
     if configuration not in ("greylist", "dnsbl", "both"):
         raise ValueError(f"unknown configuration {configuration!r}")
@@ -106,7 +105,7 @@ def run_synergy_experiment(
     policies: List[ConnectionPolicy] = []
     dnsbl_policy: Optional[DNSBLPolicy] = None
     if configuration in ("dnsbl", "both"):
-        dnsbl_policy = DNSBLPolicy(blacklist, report_attempts=local_reporting)
+        dnsbl_policy = DNSBLPolicy(blacklist)
         policies.append(dnsbl_policy)
     if configuration in ("greylist", "both"):
         policies.append(GreylistPolicy(clock=scheduler.clock, delay=greylist_delay))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from ..dns.nolisting import setup_nolisting, setup_single_mx
 from ..dns.resolver import StubResolver
@@ -149,15 +149,6 @@ class Testbed:
     def run(self, horizon: float) -> None:
         """Advance the simulation to ``horizon`` seconds."""
         self.scheduler.run(until=horizon)
-
-    def delivered_to(self, recipient: str) -> List[Message]:
-        """Messages accepted for a specific recipient."""
-        recipient = recipient.lower()
-        return [
-            message
-            for message in self.server.mailbox
-            if any(r.lower() == recipient for r in message.recipients)
-        ]
 
     def spam_delivered_to_protected(self) -> int:
         """Accepted envelopes excluding the unprotected control addresses."""

@@ -2,9 +2,7 @@
 
 Ordering and target-selection rules for mail exchangers: sort by preference
 (lowest first), break ties deterministically, and resolve each exchange to an
-address — falling back to an explicit follow-up A query when the MX answer's
-additional section omitted the glue (the case the paper's parallel scanner
-had to handle).
+address through the glue in the MX answer's additional section.
 """
 
 from __future__ import annotations
@@ -63,43 +61,25 @@ def shuffle_equal_preferences(
 
 
 def resolve_exchangers(
-    resolver: StubResolver, domain: str, follow_up: bool = True
+    resolver: StubResolver, domain: str
 ) -> List[MailExchanger]:
     """Resolve a domain's complete, ordered mail-exchanger list.
 
-    Parameters
-    ----------
-    resolver:
-        The stub resolver to query.
-    domain:
-        Target domain.
-    follow_up:
-        When ``True`` (the RFC-compliant behaviour), exchanges missing from
-        the MX answer's additional section are re-resolved with explicit A
-        queries.  When ``False`` the caller only sees the glue that came with
-        the answer — modelling lazy clients and unpatched scan pipelines.
-
     Raises whatever DNS error the MX query raises (NXDomain / ServFail).
-    Exchanges that fail to resolve are kept with ``address=None`` so callers
-    can observe partial misconfiguration.
+    The resolver already tried each exchange's A query for the answer's
+    additional section, so an exchange missing from it failed to resolve:
+    it is kept with ``address=None`` so callers can observe partial
+    misconfiguration.
     """
     answer: MXAnswer = resolver.resolve_mx(domain)
-    exchangers: List[MailExchanger] = []
-    for mx in sort_mx(answer.records):
-        address = answer.additional.get(mx.exchange)
-        if address is None and follow_up:
-            try:
-                address = resolver.resolve_address(mx.exchange)
-            except DNSError:
-                address = None
-        exchangers.append(
-            MailExchanger(
-                preference=mx.preference,
-                hostname=mx.exchange,
-                address=address,
-            )
+    return [
+        MailExchanger(
+            preference=mx.preference,
+            hostname=mx.exchange,
+            address=answer.additional.get(mx.exchange),
         )
-    return exchangers
+        for mx in sort_mx(answer.records)
+    ]
 
 
 def implicit_mx(

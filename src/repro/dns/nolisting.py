@@ -32,10 +32,6 @@ class MailDomainSetup:
     hosts: List[VirtualHost]
     mx_hostnames: List[str]
 
-    @property
-    def primary_host(self) -> VirtualHost:
-        return self.hosts[0]
-
 
 def _register_mail_host(
     internet: VirtualInternet,

@@ -6,18 +6,9 @@ Only the record types the paper's measurement needs are modelled: ``A``
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 from ..net.address import IPv4Address
-
-
-class RecordType(enum.Enum):
-    """The DNS record types understood by the simulated resolver."""
-
-    A = "A"
-    MX = "MX"
-    ANY = "ANY"
 
 
 class DNSRecordError(ValueError):
@@ -54,10 +45,6 @@ class ARecord:
         if self.ttl < 0:
             raise DNSRecordError("TTL must be non-negative")
 
-    @property
-    def rtype(self) -> RecordType:
-        return RecordType.A
-
     def __str__(self) -> str:
         return f"{self.name} {self.ttl} IN A {self.address}"
 
@@ -84,10 +71,6 @@ class MXRecord:
             )
         if self.ttl < 0:
             raise DNSRecordError("TTL must be non-negative")
-
-    @property
-    def rtype(self) -> RecordType:
-        return RecordType.MX
 
     def __str__(self) -> str:
         return f"{self.name} {self.ttl} IN MX {self.preference} {self.exchange}"

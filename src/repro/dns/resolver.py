@@ -5,22 +5,19 @@ implements the behaviours the paper's measurement pipeline depends on:
 
 * **NXDOMAIN** vs **NODATA** distinction (a domain that exists but lacks MX
   records is "no data", not "no domain");
-* **additional-section elision** — real DNS answers often omit the glue A
-  record for an MX exchange, forcing the client to issue a second query.
-  The paper's authors had to build a "parallel scanner" to re-resolve those;
-  our resolver models elision probabilistically so the scan pipeline must do
-  the same;
+* the **additional section** of an MX answer, carrying the glue A record of
+  every exchange that resolves (the scanners, not the resolver, model the
+  elided glue the paper's "parallel scanner" had to re-resolve);
 * a positive **cache** honouring TTLs against the simulation clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
-from ..sim.rng import RandomStream
 from .records import ARecord, MXRecord, normalize_name
 from .zone import ZoneStore
 
@@ -48,9 +45,8 @@ class DNSTimeout(DNSError):
 class MXAnswer:
     """Answer to an MX query.
 
-    ``additional`` carries the glue A records the server chose to include;
-    exchanges absent from it must be resolved with a follow-up A query
-    (mirroring the incomplete records in the scans.io DNS-ANY dataset).
+    ``additional`` carries the glue A record of every exchange that
+    resolves; an exchange absent from it has no address.
     """
 
     name: str
@@ -68,11 +64,6 @@ class StubResolver:
     clock:
         Simulation clock used for TTL accounting.  Optional; without a clock
         the cache never expires (fine for single-instant scans).
-    glue_elision_rate:
-        Probability that the glue A record for an MX exchange is omitted
-        from the additional section (0 disables elision).
-    rng:
-        Randomness for glue elision; required when ``glue_elision_rate > 0``.
     faults:
         Optional :class:`~repro.faults.model.FaultPlan`.  Authoritative
         queries (cache misses only — cached answers never touch the flaky
@@ -87,26 +78,17 @@ class StubResolver:
         self,
         zones: ZoneStore,
         clock: Optional[Clock] = None,
-        glue_elision_rate: float = 0.0,
-        rng: Optional[RandomStream] = None,
         faults: Optional["FaultPlan"] = None,
         fault_epoch: int = 0,
     ) -> None:
-        if not 0.0 <= glue_elision_rate <= 1.0:
-            raise ValueError("glue_elision_rate must be within [0, 1]")
-        if glue_elision_rate > 0 and rng is None:
-            raise ValueError("glue elision requires an rng")
         self.zones = zones
         self.clock = clock
-        self.glue_elision_rate = glue_elision_rate
-        self._rng = rng
         self._faults = faults
         self._fault_epoch = fault_epoch
         self._a_cache: Dict[str, Tuple[float, List[ARecord]]] = {}
         self._mx_cache: Dict[str, Tuple[float, List[MXRecord]]] = {}
         self.queries = 0
         self.cache_hits = 0
-        self._broken_zones: Set[str] = set()
         #: chronological (qtype, name, answer-summary) triples of every
         #: authoritative query — the wire trace Figure 1 renders.
         self.query_log: List[Tuple[str, str, str]] = []
@@ -114,19 +96,6 @@ class StubResolver:
     # ------------------------------------------------------------------
     # Failure injection
     # ------------------------------------------------------------------
-    def break_zone(self, apex: str) -> None:
-        """Make every query under ``apex`` SERVFAIL (simulated outage)."""
-        self._broken_zones.add(normalize_name(apex))
-
-    def repair_zone(self, apex: str) -> None:
-        self._broken_zones.discard(normalize_name(apex))
-
-    def _check_broken(self, name: str) -> None:
-        labels = name.split(".")
-        for i in range(len(labels)):
-            if ".".join(labels[i:]) in self._broken_zones:
-                raise ServFail(f"authoritative server for {name!r} failed")
-
     def _check_faults(self, qtype: str, name: str) -> None:
         """Injected transient faults for one authoritative query."""
         if self._faults is None:
@@ -169,10 +138,6 @@ class StubResolver:
         ttl = min(r.ttl for r in records)
         cache[name] = (self._now() + ttl, records)
 
-    def flush_cache(self) -> None:
-        self._a_cache.clear()
-        self._mx_cache.clear()
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -183,7 +148,6 @@ class StubResolver:
         if cached is not None:
             return list(cached)
         self.queries += 1
-        self._check_broken(name)
         self._check_faults("A", name)
         zone = self.zones.zone_for(name)
         if zone is None:
@@ -208,14 +172,13 @@ class StubResolver:
         return records[0].address
 
     def resolve_mx(self, domain: str) -> MXAnswer:
-        """MX query with (possibly elided) glue in the additional section."""
+        """MX query with each exchange's glue in the additional section."""
         domain = normalize_name(domain)
         cached = self._cache_get(self._mx_cache, domain)
         if cached is not None:
             records = list(cached)
         else:
             self.queries += 1
-            self._check_broken(domain)
             self._check_faults("MX", domain)
             zone = self.zones.zone_for(domain)
             if zone is None:
@@ -237,9 +200,6 @@ class StubResolver:
             self._cache_put(self._mx_cache, domain, records)
         additional: Dict[str, IPv4Address] = {}
         for mx in records:
-            if self.glue_elision_rate > 0 and self._rng is not None:
-                if self._rng.random() < self.glue_elision_rate:
-                    continue  # server elided the glue record
             try:
                 a_records = self.resolve_a(mx.exchange)
             except DNSError:

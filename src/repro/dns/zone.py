@@ -49,13 +49,6 @@ class Zone:
         self._mx.setdefault(owner, []).append(record)
         return record
 
-    def remove_mx(self, name: Optional[str] = None) -> None:
-        owner = normalize_name(name) if name else self.apex
-        self._mx.pop(owner, None)
-
-    def remove_a(self, name: str) -> None:
-        self._a.pop(normalize_name(name), None)
-
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
@@ -65,12 +58,6 @@ class Zone:
     def mx_records(self, name: Optional[str] = None) -> List[MXRecord]:
         owner = normalize_name(name) if name else self.apex
         return list(self._mx.get(owner, []))
-
-    def all_records(self) -> Iterable[object]:
-        for records in self._a.values():
-            yield from records
-        for records in self._mx.values():
-            yield from records
 
     def names(self) -> List[str]:
         """Every owner name with at least one record."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 _TOKEN_RE = re.compile(r"[a-z0-9$!]+")
 
@@ -108,26 +108,3 @@ class NaiveBayesFilter:
         spam = math.exp(log_spam - m)
         ham = math.exp(log_ham - m)
         return spam / (spam + ham)
-
-    def is_spam(self, text: str) -> bool:
-        return self.spam_probability(text) >= self.threshold
-
-    def top_spam_tokens(self, k: int = 10) -> List[Tuple[str, float]]:
-        """Tokens with the highest spam/ham likelihood ratio (diagnostics)."""
-        vocabulary = set(self._spam_counts) | set(self._ham_counts)
-        v = len(vocabulary) or 1
-        spam_tokens = sum(self._spam_counts.values())
-        ham_tokens = sum(self._ham_counts.values())
-        scored = []
-        for token in vocabulary:  # repro: noqa ORD001 - scored is fully sorted below
-            p_spam = (self._spam_counts.get(token, 0) + self.smoothing) / (
-                spam_tokens + self.smoothing * v
-            )
-            p_ham = (self._ham_counts.get(token, 0) + self.smoothing) / (
-                ham_tokens + self.smoothing * v
-            )
-            scored.append((token, p_spam / p_ham))
-        # Tie-break on the token so the cut at k does not depend on set
-        # iteration order (i.e. on hash randomization).
-        scored.sort(key=lambda kv: (-kv[1], kv[0]))
-        return scored[:k]

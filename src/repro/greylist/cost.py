@@ -65,10 +65,7 @@ def measure_cost(policy: GreylistPolicy) -> GreylistCostReport:
             GreylistAction.PASSED_KNOWN,
         ):
             passes += 1
-        elif event.action in (
-            GreylistAction.WHITELISTED,
-            GreylistAction.AUTO_WHITELISTED,
-        ):
+        elif event.action is GreylistAction.WHITELISTED:
             whitelist_hits += 1
     # Every deferral means the sender must open one more connection; the
     # retry also repeats the session preamble.

@@ -3,14 +3,12 @@
 Decision procedure for an incoming RCPT, per the Postgrey semantics the
 paper's testbed used:
 
-1. whitelisted client/sender → accept immediately;
+1. whitelisted sender domain → accept immediately;
 2. unknown triplet → record it, defer with 450 ("Greylisted");
 3. known triplet younger than the *delay threshold* → defer again (the
    attempt still refreshes last-seen, and counts);
-4. known triplet at least ``delay`` old → accept, mark the triplet passed
-   (auto-whitelisted for ``whitelist_lifetime``), and optionally promote the
-   client to an IP-level auto-whitelist after ``auto_whitelist_clients``
-   successful triplets (Postgrey ``--auto-whitelist-clients``).
+4. known triplet at least ``delay`` old → accept and mark the triplet
+   passed (auto-whitelisted for ``whitelist_lifetime``).
 
 The policy plugs into :class:`repro.smtp.server.SMTPServer` via the
 ``on_rcpt_to`` hook and records one :class:`GreylistEvent` per decision —
@@ -23,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import List, Optional
 
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
@@ -42,7 +40,6 @@ class GreylistAction(enum.Enum):
     """What the policy did with an attempt."""
 
     WHITELISTED = "whitelisted"          # static whitelist hit
-    AUTO_WHITELISTED = "auto-whitelisted"  # client earned IP-level pass
     GREYLISTED_NEW = "greylisted-new"    # first sighting, deferred
     GREYLISTED_EARLY = "greylisted-early"  # retry before threshold, deferred
     PASSED = "passed"                    # retry after threshold, accepted
@@ -83,9 +80,6 @@ class GreylistPolicy(ConnectionPolicy):
     whitelist:
         Static whitelist (empty by default — the paper removed Postgrey's
         stock whitelist for the Table III experiment).
-    auto_whitelist_clients:
-        After this many *passed* triplets, the client IP skips greylisting
-        entirely (0 disables, mirroring ``--auto-whitelist-clients=N``).
     key_strategy:
         Which greylisting variant to run (see
         :mod:`repro.greylist.keying`).  Defaults to the classic full
@@ -98,13 +92,10 @@ class GreylistPolicy(ConnectionPolicy):
         delay: float = DEFAULT_DELAY,
         store: Optional[TripletStore] = None,
         whitelist: Optional[Whitelist] = None,
-        auto_whitelist_clients: int = 0,
         key_strategy: KeyStrategy = KeyStrategy.FULL_TRIPLET,
     ) -> None:
         if not 0 <= delay < math.inf:
             raise ValueError(f"delay must be finite and non-negative, got {delay!r}")
-        if auto_whitelist_clients < 0:
-            raise ValueError("auto_whitelist_clients must be >= 0")
         self.clock = clock
         self.delay = float(delay)
         if store is not None:
@@ -112,26 +103,18 @@ class GreylistPolicy(ConnectionPolicy):
         else:
             self.store = TripletStore(clock)
         self.whitelist = whitelist if whitelist is not None else Whitelist()
-        self.auto_whitelist_clients = auto_whitelist_clients
         self.key_strategy = key_strategy
         self.events: List[GreylistEvent] = []
-        self._client_passes: Dict[IPv4Address, int] = {}
-        self._auto_whitelisted: Set[IPv4Address] = set()
 
     def fingerprint(self) -> tuple:
         """Decision-function identity, part of the serving decision-cache key.
 
-        Includes every knob that changes a reply: the delay threshold, the
-        keying variant and the auto-whitelist setting.
-        Store *contents* and the store's backend are absent: the contents
-        are per-triplet state, and every backend decides identically.
+        Includes every knob that changes a reply: the delay threshold and
+        the keying variant.  Store *contents* and the store's backend are
+        absent: the contents are per-triplet state, and every backend
+        decides identically.
         """
-        return (
-            "greylist",
-            self.delay,
-            self.key_strategy.value,
-            self.auto_whitelist_clients,
-        )
+        return ("greylist", self.delay, self.key_strategy.value)
 
     # ------------------------------------------------------------------
     # Key normalization
@@ -150,9 +133,6 @@ class GreylistPolicy(ConnectionPolicy):
 
         if self.whitelist.matches(client, sender):
             self._log(triplet, GreylistAction.WHITELISTED, 0, 0.0)
-            return PolicyDecision.ok()
-        if client in self._auto_whitelisted:
-            self._log(triplet, GreylistAction.AUTO_WHITELISTED, 0, 0.0)
             return PolicyDecision.ok()
 
         entry = self.store.observe(triplet)
@@ -178,20 +158,11 @@ class GreylistPolicy(ConnectionPolicy):
 
         self.store.mark_passed(triplet)
         self._log(triplet, GreylistAction.PASSED, entry.attempts, age)
-        self._credit_client(client)
         return PolicyDecision.ok()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _credit_client(self, client: IPv4Address) -> None:
-        if self.auto_whitelist_clients <= 0:
-            return
-        count = self._client_passes.get(client, 0) + 1
-        self._client_passes[client] = count
-        if count >= self.auto_whitelist_clients:
-            self._auto_whitelisted.add(client)
-
     def _log(
         self,
         triplet: Triplet,
@@ -221,18 +192,6 @@ class GreylistPolicy(ConnectionPolicy):
             for e in self.events
             if e.action in (GreylistAction.PASSED, GreylistAction.PASSED_KNOWN)
         ]
-
-    def pass_delay(self, triplet: Triplet) -> Optional[float]:
-        """Time from first sighting to first PASS for a triplet, if any."""
-        first_seen: Optional[float] = None
-        for event in self.events:
-            if event.triplet != triplet:
-                continue
-            if first_seen is None:
-                first_seen = event.timestamp
-            if event.action is GreylistAction.PASSED:
-                return event.timestamp - first_seen
-        return None
 
     def __repr__(self) -> str:
         return (

@@ -426,9 +426,6 @@ class SharedMemoryBackend(TripletBackend):
     def _offset(self, index: int) -> int:
         return HEADER_SIZE + index * RECORD_SIZE
 
-    def _read_seq(self, index: int) -> int:
-        return _SEQ.unpack_from(self._shm.buf, self._offset(index))[0]
-
     def _read_slot(self, index: int) -> Tuple:
         """Seqlock-consistent snapshot of one record (retry on torn)."""
         offset = self._offset(index)

@@ -42,10 +42,6 @@ class TripletEntry:
     passed: bool = False
     passed_at: Optional[float] = None
 
-    @property
-    def age_at_last_seen(self) -> float:
-        return self.last_seen - self.first_seen
-
 
 class TripletStore:
     """Triplet database bound to the simulation clock.

@@ -34,12 +34,9 @@ class Triplet:
         object.__setattr__(self, "sender", validate_address(self.sender))
         object.__setattr__(self, "recipient", validate_address(self.recipient))
 
-    def network_key(self, prefix: int = 24) -> "Triplet":
-        """Coarsen the client part to its /prefix network base address."""
-        if not 0 <= prefix <= 32:
-            raise ValueError(f"invalid prefix {prefix}")
-        mask = 0 if prefix == 0 else ((1 << 32) - 1) << (32 - prefix) & ((1 << 32) - 1)
-        base = IPv4Address(self.client.value & mask)
+    def network_key(self) -> "Triplet":
+        """Coarsen the client part to its /24 network base address."""
+        base = IPv4Address(self.client.value & 0xFFFFFF00)
         return Triplet(base, self.sender, self.recipient)
 
     def __str__(self) -> str:

@@ -1,131 +1,41 @@
-"""Client whitelists for greylisting.
+"""Sender-domain whitelists for greylisting.
 
 Postgrey ships a default whitelist of big senders (notably the large webmail
 providers) precisely because their multi-IP retry farms interact badly with
 triplet matching — the paper removes that default whitelist to measure the
 raw provider behaviour in Table III, and §VI concludes whitelisting them is
-essential.  We model whitelisting by exact IP, CIDR block, sender domain and
-HELO-name suffix.
+essential.  We model whitelisting by sender domain, fixed when the list is
+built.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set
+from typing import FrozenSet, Iterable
 
-from ..net.address import IPv4Address, IPv4Network
+from ..net.address import IPv4Address
 from ..smtp.message import domain_of
 
 
 class Whitelist:
-    """A composite allow-list consulted before greylisting applies."""
+    """A frozen set of sender domains consulted before greylisting applies."""
 
-    def __init__(self) -> None:
-        self._addresses: Set[IPv4Address] = set()
-        self._networks: List[IPv4Network] = []
-        self._sender_domains: Set[str] = set()
-        self._helo_suffixes: List[str] = []
-        #: Mutation counter: bumped by every populating call so cached
-        #: verdict layers (the serving daemon's ``CachedWhitelist``) can
-        #: key on it and drop stale entries after a live update.
-        self.generation = 0
+    __slots__ = ("_sender_domains",)
 
-    # ------------------------------------------------------------------
-    # Population
-    # ------------------------------------------------------------------
-    def add_address(self, address: IPv4Address) -> None:
-        self._addresses.add(address)
-        self.generation += 1
+    def __init__(self, sender_domains: Iterable[str] = ()) -> None:
+        self._sender_domains: FrozenSet[str] = frozenset(
+            domain.strip().lower().rstrip(".") for domain in sender_domains
+        )
 
-    def add_network(self, network: IPv4Network) -> None:
-        # Deduplicated but order-preserving: matching scans this list, so
-        # repeated adds (or merges) must not inflate the per-lookup cost.
-        if network not in self._networks:
-            self._networks.append(network)
-        self.generation += 1
-
-    def add_cidr(self, cidr: str) -> None:
-        self.add_network(IPv4Network.parse(cidr))
-
-    def add_sender_domain(self, domain: str) -> None:
-        self._sender_domains.add(domain.strip().lower().rstrip("."))
-        self.generation += 1
-
-    def add_helo_suffix(self, suffix: str) -> None:
-        suffix = suffix.strip().lower().rstrip(".")
-        if suffix not in self._helo_suffixes:
-            self._helo_suffixes.append(suffix)
-        self.generation += 1
-
-    def update(self, other: "Whitelist") -> None:
-        """Merge another whitelist into this one.
-
-        Idempotent: merging the same whitelist twice (or two lists with
-        overlapping entries) leaves one copy of each network and HELO
-        suffix, so repeated merges don't linearly inflate match cost.
-        (The generation counter still advances on a no-op merge — cached
-        verdicts are re-derived, never wrong.)
-        """
-        self._addresses |= other._addresses
-        for network in other._networks:
-            self.add_network(network)
-        self._sender_domains |= other._sender_domains
-        for suffix in other._helo_suffixes:
-            self.add_helo_suffix(suffix)
-        self.generation += 1
-
-    # ------------------------------------------------------------------
-    # Matching
-    # ------------------------------------------------------------------
-    def matches_client(self, client: IPv4Address) -> bool:
-        if client in self._addresses:
-            return True
-        return any(client in network for network in self._networks)
-
-    def matches_sender(self, sender: str) -> bool:
-        # Stored domains are lowercased on add; the probe must be too, or
+    def matches(self, client: IPv4Address, sender: str) -> bool:
+        """Whether ``sender``'s domain is listed (``client`` is not consulted)."""
+        # Stored domains are lowercased; the probe must be too, or
         # ``User@Gmail.com`` misses a ``gmail.com`` entry (domains are
         # case-insensitive per RFC 1035, and senders arrive raw here —
         # before triplet canonicalization).
-        return (
-            domain_of(sender).lower().rstrip(".") in self._sender_domains
-        )
-
-    def matches_helo(self, helo_name: Optional[str]) -> bool:
-        if not helo_name:
-            return False
-        name = helo_name.strip().lower().rstrip(".")
-        return any(
-            name == suffix or name.endswith("." + suffix)
-            for suffix in self._helo_suffixes
-        )
-
-    def matches(
-        self,
-        client: IPv4Address,
-        sender: str,
-        helo_name: Optional[str] = None,
-    ) -> bool:
-        return (
-            self.matches_client(client)
-            or self.matches_sender(sender)
-            or self.matches_helo(helo_name)
-        )
-
-    @property
-    def is_empty(self) -> bool:
-        return not (
-            self._addresses
-            or self._networks
-            or self._sender_domains
-            or self._helo_suffixes
-        )
+        return domain_of(sender).lower().rstrip(".") in self._sender_domains
 
     def __repr__(self) -> str:
-        return (
-            f"Whitelist(addresses={len(self._addresses)}, "
-            f"networks={len(self._networks)}, "
-            f"domains={len(self._sender_domains)})"
-        )
+        return f"Whitelist(domains={len(self._sender_domains)})"
 
 
 # The big providers Postgrey's stock whitelist covers; used by the Table III
@@ -144,10 +54,6 @@ DEFAULT_WHITELISTED_DOMAINS = (
 )
 
 
-def default_provider_whitelist(domains: Iterable[str] = DEFAULT_WHITELISTED_DOMAINS) -> Whitelist:
+def default_provider_whitelist() -> Whitelist:
     """Build the Postgrey-style stock whitelist of big webmail senders."""
-    whitelist = Whitelist()
-    for domain in domains:
-        whitelist.add_sender_domain(domain)
-        whitelist.add_helo_suffix(domain)
-    return whitelist
+    return Whitelist(DEFAULT_WHITELISTED_DOMAINS)

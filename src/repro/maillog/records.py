@@ -36,10 +36,6 @@ class GreylistedMessageLog:
             raise ValueError("attempt times must be non-decreasing")
 
     @property
-    def first_attempt(self) -> Optional[float]:
-        return self.attempt_times[0] if self.attempt_times else None
-
-    @property
     def attempts(self) -> int:
         return len(self.attempt_times)
 
@@ -53,12 +49,6 @@ class GreylistedMessageLog:
         if not self.delivered or len(self.attempt_times) < 1:
             return None
         return self.attempt_times[-1] - self.attempt_times[0]
-
-    def inter_attempt_gaps(self) -> List[float]:
-        return [
-            b - a
-            for a, b in zip(self.attempt_times, self.attempt_times[1:])
-        ]
 
 
 # ----------------------------------------------------------------------

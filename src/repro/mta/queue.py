@@ -13,16 +13,13 @@ Figure 5 deployment analysis and the Table III webmail experiment read.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from ..sim.events import EventScheduler
 from ..smtp.client import AttemptOutcome, AttemptResult, SMTPClient
 from ..smtp.message import Message
 from .schedule import RetrySchedule
-
-_entry_ids = itertools.count(1)
 
 
 class QueueEntryState(enum.Enum):
@@ -53,7 +50,6 @@ class QueueEntry:
     state: QueueEntryState = QueueEntryState.QUEUED
     attempts: List[QueueAttempt] = field(default_factory=list)
     finished_at: Optional[float] = None
-    entry_id: int = field(default_factory=lambda: next(_entry_ids))
 
     @property
     def attempt_count(self) -> int:
@@ -66,14 +62,6 @@ class QueueEntry:
             return None
         assert self.finished_at is not None
         return self.finished_at - self.enqueued_at
-
-    def attempt_delays(self) -> List[float]:
-        """Queue age of each attempt — the Table III 'DELAYS' column."""
-        return [a.timestamp - self.enqueued_at for a in self.attempts]
-
-
-# Called whenever an entry reaches a terminal state.
-CompletionCallback = Callable[[QueueEntry], None]
 
 
 class QueueManager:
@@ -88,8 +76,6 @@ class QueueManager:
         (webmail) or bot client to change sending behaviour.
     schedule:
         Retry timing policy.
-    on_complete:
-        Optional hook fired when an entry terminates.
     """
 
     def __init__(
@@ -97,12 +83,10 @@ class QueueManager:
         scheduler: EventScheduler,
         client: SMTPClient,
         schedule: RetrySchedule,
-        on_complete: Optional[CompletionCallback] = None,
     ) -> None:
         self.scheduler = scheduler
         self.client = client
         self.schedule = schedule
-        self.on_complete = on_complete
         self.entries: List[QueueEntry] = []
 
     # ------------------------------------------------------------------
@@ -162,8 +146,6 @@ class QueueManager:
     def _finish(self, entry: QueueEntry, state: QueueEntryState) -> None:
         entry.state = state
         entry.finished_at = self.scheduler.now
-        if self.on_complete is not None:
-            self.on_complete(entry)
 
     # ------------------------------------------------------------------
     # Introspection

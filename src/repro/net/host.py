@@ -25,7 +25,7 @@ class ConnectionRefused(NetError):
 
 
 class HostUnreachable(NetError):
-    """No host owns the target address (or the host is administratively down)."""
+    """No host owns the target address."""
 
 
 class Connection:
@@ -50,10 +50,6 @@ class Connection:
         self.port = port
         self.session = session
         self._open = True
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
 
     def close(self) -> None:
         self._open = False
@@ -89,7 +85,6 @@ class VirtualHost:
         self.name = name
         self.addresses = list(addresses)
         self._listeners: Dict[int, ListenerFactory] = {}
-        self.up = True
 
     @property
     def primary_address(self) -> IPv4Address:
@@ -101,17 +96,11 @@ class VirtualHost:
             raise NetError(f"invalid port {port}")
         self._listeners[port] = factory
 
-    def close_port(self, port: int) -> None:
-        """Remove the listener (subsequent connects are refused)."""
-        self._listeners.pop(port, None)
-
     def is_listening(self, port: int) -> bool:
-        return self.up and port in self._listeners
+        return port in self._listeners
 
     def accept(self, port: int, client_address: IPv4Address) -> Any:
         """Produce an application session for an incoming connection."""
-        if not self.up:
-            raise HostUnreachable(f"host {self.name} is down")
         factory = self._listeners.get(port)
         if factory is None:
             raise ConnectionRefused(

@@ -11,7 +11,7 @@ from minutes to days, so round-trip times are not modelled.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 from .address import IPv4Address
 from .host import (
@@ -50,21 +50,6 @@ class VirtualInternet:
             self._hosts_by_address[address] = host
         return host
 
-    def unregister(self, host: VirtualHost) -> None:
-        self._hosts_by_name.pop(host.name, None)
-        for address in host.addresses:
-            self._hosts_by_address.pop(address, None)
-
-    def host_at(self, address: IPv4Address) -> Optional[VirtualHost]:
-        return self._hosts_by_address.get(address)
-
-    def host_named(self, name: str) -> Optional[VirtualHost]:
-        return self._hosts_by_name.get(name)
-
-    @property
-    def hosts(self) -> Iterable[VirtualHost]:
-        return self._hosts_by_name.values()
-
     @property
     def num_hosts(self) -> int:
         return len(self._hosts_by_name)
@@ -77,7 +62,7 @@ class VirtualInternet:
     ) -> Connection:
         """Open a connection; raises on refusal/unreachability."""
         host = self._hosts_by_address.get(destination)
-        if host is None or not host.up:
+        if host is None:
             raise HostUnreachable(f"no route to {destination}")
         try:
             session = host.accept(port, source)

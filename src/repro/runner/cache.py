@@ -111,9 +111,6 @@ class ResultCache:
         self.hits += 1
         return value
 
-    def contains(self, experiment: str, params: Dict[str, Any]) -> bool:
-        return self._read(self.path_for(experiment, params)) is not _MISS
-
     def put(self, experiment: str, params: Dict[str, Any], value: Any) -> Path:
         """Store a JSON-able value; returns the entry's path."""
         path = self.path_for(experiment, params)

@@ -55,14 +55,6 @@ class DomainObservation:
         """
         return self.servfail or self.timeout
 
-    @property
-    def has_mx(self) -> bool:
-        return bool(self.mx)
-
-    @property
-    def unresolved_count(self) -> int:
-        return sum(1 for record in self.mx if not record.resolved)
-
     def sorted_mx(self) -> List[MXObservation]:
         return sorted(self.mx, key=lambda r: (r.preference, r.exchange))
 
@@ -84,11 +76,6 @@ class DNSScanDataset:
     def num_domains(self) -> int:
         return len(self.observations)
 
-    @property
-    def num_unresolved_mx(self) -> int:
-        """How many MX records arrived without a usable address."""
-        return sum(o.unresolved_count for o in self.observations.values())
-
     def __iter__(self):
         return iter(self.observations.values())
 
@@ -106,7 +93,3 @@ class SMTPScanDataset:
 
     def __contains__(self, address: IPv4Address) -> bool:
         return address in self.listening
-
-    @property
-    def num_listening(self) -> int:
-        return len(self.listening)

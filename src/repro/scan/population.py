@@ -142,13 +142,6 @@ class DomainTruth:
             return None
         return min(self.mx_hosts, key=lambda h: h[1])
 
-    @property
-    def secondaries(self) -> List[Tuple[str, int, Optional[IPv4Address]]]:
-        if len(self.mx_hosts) < 2:
-            return []
-        primary = self.primary
-        return [h for h in self.mx_hosts if h is not primary]
-
 
 @dataclass
 class PopulationConfig:
@@ -504,15 +497,12 @@ class SyntheticInternet:
         self.seed = seed
         self.zones = ZoneStore()
         self.domains: List[DomainTruth] = []
-        # One-time ground-truth indexes, maintained during generation so the
-        # accessors below never rescan the population.  Categories are fixed
+        # Ground-truth category counts, maintained during generation so
+        # truth_counts() never rescans the population.  Categories are fixed
         # at generation (planting only moves ranks), so nothing here needs
         # invalidation.
         self._truth_counts: Dict[DomainCategory, int] = {
             c: 0 for c in DomainCategory
-        }
-        self._by_category: Dict[DomainCategory, List[DomainTruth]] = {
-            c: [] for c in DomainCategory
         }
         self._mail_addresses: List[IPv4Address] = []
         self._listening: Dict[IPv4Address, bool] = {}
@@ -601,7 +591,6 @@ class SyntheticInternet:
                 self._down_during_scan[truth.primary[2]] = outage
             self.domains.append(truth)
             self._truth_counts[category] += 1
-            self._by_category[category].append(truth)
 
     def _ensure_provider_pool(self, pool_id: int) -> None:
         """Provision pool ``pool_id``'s zone, glue and listeners once."""
@@ -638,10 +627,6 @@ class SyntheticInternet:
     def truth_counts(self) -> Dict[DomainCategory, int]:
         """Category counts, maintained incrementally during generation."""
         return dict(self._truth_counts)
-
-    def domains_in(self, category: DomainCategory) -> List[DomainTruth]:
-        """Generated domains of one category, via the one-time index."""
-        return list(self._by_category[category])
 
     @property
     def num_domains(self) -> int:

@@ -50,7 +50,6 @@ from .protocol import (
 #: replies also carry the 450 text, compared separately where it matters).
 _EVENT_VERBS = {
     GreylistAction.WHITELISTED: ACTION_DUNNO,
-    GreylistAction.AUTO_WHITELISTED: ACTION_DUNNO,
     GreylistAction.PASSED: ACTION_DUNNO,
     GreylistAction.PASSED_KNOWN: ACTION_DUNNO,
     GreylistAction.GREYLISTED_NEW: ACTION_DEFER_IF_PERMIT,

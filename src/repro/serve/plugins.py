@@ -12,9 +12,8 @@ equivalence suite replays identical bot traffic through both and
 asserts identical :class:`~repro.greylist.policy.GreylistEvent`
 streams and triplet-store state).
 
-Hot-path caching: whitelist matching scans CIDR lists and HELO suffixes
-per request.  Those verdicts are *stable for the lifetime of a
-serving process* (the static lists never change while the daemon runs),
+Hot-path caching: whitelist verdicts are *stable for the lifetime of a
+serving process* (a whitelist never changes once a policy holds it),
 so :class:`DecisionCache` memoizes them in an LRU keyed by the owning
 policy's fingerprint plus the (client, sender) pair.  Greylisting
 decisions are deliberately never cached — they depend on triplet state
@@ -93,11 +92,8 @@ class CachedWhitelist:
 
     Same ``matches`` interface the greylist policy calls, but the
     (client, sender) verdict is served from the :class:`DecisionCache`
-    after the first scan.  The whitelist's ``generation`` counter is
-    part of every cache key, so a live update (an operator whitelisting
-    a provider mid-flight, another worker merging entries) immediately
-    stops stale verdicts from matching — superseded keys age out of the
-    LRU rather than being swept.
+    after the first lookup.  A whitelist is frozen once built, so a
+    cached verdict never goes stale.
     """
 
     __slots__ = ("inner", "cache", "_fingerprint")
@@ -112,28 +108,13 @@ class CachedWhitelist:
         self.cache = cache
         self._fingerprint = ("whitelist",) + fingerprint
 
-    def matches(
-        self,
-        client: IPv4Address,
-        sender: str,
-        helo_name: Optional[str] = None,
-    ) -> bool:
-        if helo_name is not None:
-            # HELO-qualified probes are not on the serving hot path;
-            # bypass the cache rather than key on a third dimension.
-            return self.inner.matches(client, sender, helo_name)
-        key = self._fingerprint + (
-            self.inner.generation, client.value, sender,
-        )
+    def matches(self, client: IPv4Address, sender: str) -> bool:
+        key = self._fingerprint + (client.value, sender)
         verdict = self.cache.get(key)
         if verdict is MISS:
             verdict = self.inner.matches(client, sender)
             self.cache.put(key, verdict)
         return bool(verdict)
-
-    def __getattr__(self, name: str) -> object:
-        # Population helpers etc. fall through to the real whitelist.
-        return getattr(self.inner, name)
 
 
 class PolicyPlugin:

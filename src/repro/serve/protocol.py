@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence
 
 #: Stanza terminator: an empty line.  Postfix sends bare LF; the CRLF
 #: alternative keeps recorded transcripts and manual netcat sessions
@@ -65,7 +65,18 @@ ACTION_REJECT = "REJECT"
 
 
 class ProtocolError(ValueError):
-    """Raised on a malformed or oversized policy stanza."""
+    """Raised on a malformed or oversized policy stanza.
+
+    ``requests`` holds the well-formed requests the same read completed
+    ahead of the bad stanza, in order: they were pipelined before it and
+    are still owed their answers.
+    """
+
+    def __init__(
+        self, message: str, requests: Sequence[PolicyRequest] = ()
+    ) -> None:
+        super().__init__(message)
+        self.requests = list(requests)
 
 
 class PolicyRequest:
@@ -152,7 +163,11 @@ class StanzaParser:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> List[PolicyRequest]:
-        """Consume ``data``; return every request it completed."""
+        """Consume ``data``; return every request it completed.
+
+        A bad stanza raises :class:`ProtocolError` carrying the requests
+        completed ahead of it.
+        """
         buffer = self._buffer
         buffer += data
         requests: List[PolicyRequest] = []
@@ -167,9 +182,14 @@ class StanzaParser:
             end = match.start()
             if end - start > self.max_request_bytes:
                 raise ProtocolError(
-                    f"policy request exceeds {self.max_request_bytes} bytes"
+                    f"policy request exceeds {self.max_request_bytes} bytes",
+                    requests,
                 )
-            requests.append(self._parse(bytes(buffer[start:end])))
+            try:
+                requests.append(self._parse(bytes(buffer[start:end])))
+            except ProtocolError as error:
+                error.requests = requests
+                raise
             start = match.end()
             scan = start
         if start:
@@ -177,7 +197,8 @@ class StanzaParser:
         if len(buffer) > self.max_request_bytes:
             raise ProtocolError(
                 f"policy request exceeds {self.max_request_bytes} bytes "
-                "without a terminating empty line"
+                "without a terminating empty line",
+                requests,
             )
         self._scan = max(0, len(buffer) - 2)
         return requests

@@ -203,11 +203,6 @@ class PolicyServer:
             await self.shutdown()
         return 0
 
-    def request_shutdown(self) -> None:
-        """Signal :meth:`run_until_signalled` to stop (thread-safe not
-        required: the daemon is single-loop by design)."""
-        self._stopping.set()
-
     async def shutdown(self) -> None:
         """Graceful stop: drain in-flight connections, flush, close.
 
@@ -275,8 +270,15 @@ class PolicyServer:
                     break
                 try:
                     requests = parser.feed(data)
-                except ProtocolError:
+                except ProtocolError as error:
+                    # Count the error, answer what was pipelined ahead
+                    # of the bad stanza in one write, then close.
                     self.stats.protocol_errors += 1
+                    if error.requests:
+                        writer.write(
+                            b"".join(self._decide(r) for r in error.requests)
+                        )
+                        await writer.drain()
                     break
                 if not requests:
                     continue

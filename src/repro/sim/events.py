@@ -102,13 +102,6 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> bool:
-        """Fire the single next pending event.
-
-        Returns ``True`` if an event fired, ``False`` if the queue is empty.
-        This is ``run(max_events=1)``, so it is not re-entrant either.
-        """
-        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains (or limits are hit).

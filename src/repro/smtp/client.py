@@ -14,7 +14,7 @@ is the mechanism both nolisting and greylisting exploit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..dns.mxutil import (
@@ -48,16 +48,10 @@ class AttemptResult:
     outcome: AttemptOutcome
     reply: Optional[Reply] = None
     exchanger: Optional[MailExchanger] = None
-    attempts_log: List[str] = field(default_factory=list)
 
     @property
     def succeeded(self) -> bool:
         return self.outcome is AttemptOutcome.DELIVERED
-
-    @property
-    def should_retry(self) -> bool:
-        """Transient failures and routing failures warrant a retry."""
-        return self.outcome in (AttemptOutcome.DEFERRED, AttemptOutcome.NO_ROUTE)
 
 
 class SMTPClient:
@@ -121,46 +115,38 @@ class SMTPClient:
         source = source_override or self.source_address
         domain = recipient.rsplit("@", 1)[1]
         candidates = self.candidate_exchangers(domain)
-        log: List[str] = []
         if not candidates:
-            return AttemptResult(
-                outcome=AttemptOutcome.DNS_FAILURE,
-                attempts_log=[f"no usable MX for {domain}"],
-            )
+            return AttemptResult(outcome=AttemptOutcome.DNS_FAILURE)
         for exchanger in candidates:
             assert exchanger.address is not None
             try:
                 connection = self.internet.connect(
                     source, exchanger.address, SMTP_PORT
                 )
-            except (ConnectionRefused, HostUnreachable) as exc:
-                log.append(f"{exchanger.hostname}: {exc.__class__.__name__}")
+            except (ConnectionRefused, HostUnreachable):
                 continue
             result = self._dialogue(connection.session, message, recipient)
             connection.close()
             result.exchanger = exchanger
-            result.attempts_log = log + result.attempts_log
             return result
-        return AttemptResult(outcome=AttemptOutcome.NO_ROUTE, attempts_log=log)
+        return AttemptResult(outcome=AttemptOutcome.NO_ROUTE)
 
     def _dialogue(
         self, session, message: Message, recipient: str
     ) -> AttemptResult:
         """Run the SMTP command sequence against an open session."""
-        log: List[str] = [f"banner: {session.banner}"]
         if not session.banner.is_positive:
             outcome = (
                 AttemptOutcome.DEFERRED
                 if session.banner.is_transient_failure
                 else AttemptOutcome.BOUNCED
             )
-            return AttemptResult(outcome, session.banner, attempts_log=log)
-        for step, reply in (
-            ("ehlo", session.ehlo(self.helo_name)),
-            ("mail", session.mail_from(message.sender)),
-            ("rcpt", session.rcpt_to(recipient)),
+            return AttemptResult(outcome, session.banner)
+        for reply in (
+            session.ehlo(self.helo_name),
+            session.mail_from(message.sender),
+            session.rcpt_to(recipient),
         ):
-            log.append(f"{step}: {reply}")
             if not reply.is_positive:
                 session.quit()
                 outcome = (
@@ -168,20 +154,17 @@ class SMTPClient:
                     if reply.is_transient_failure
                     else AttemptOutcome.BOUNCED
                 )
-                return AttemptResult(outcome, reply, attempts_log=log)
+                return AttemptResult(outcome, reply)
         reply = session.data(message)
-        log.append(f"data: {reply}")
         session.quit()
         if reply.is_positive:
-            return AttemptResult(
-                AttemptOutcome.DELIVERED, reply, attempts_log=log
-            )
+            return AttemptResult(AttemptOutcome.DELIVERED, reply)
         outcome = (
             AttemptOutcome.DEFERRED
             if reply.is_transient_failure
             else AttemptOutcome.BOUNCED
         )
-        return AttemptResult(outcome, reply, attempts_log=log)
+        return AttemptResult(outcome, reply)
 
     def __repr__(self) -> str:
         return f"SMTPClient(source={self.source_address}, helo={self.helo_name!r})"

@@ -215,17 +215,6 @@ class DialectFingerprinter:
             features=features,
         )
 
-    def classify_many(
-        self, transcripts: Sequence[SessionTranscript]
-    ) -> Dict[str, int]:
-        """Histogram of best-match dialects over many transcripts."""
-        counts: Dict[str, int] = {}
-        for transcript in transcripts:
-            result = self.classify(transcript)
-            key = result.dialect or "unknown"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
 
 def play_dialect(
     profile: DialectProfile,

@@ -97,11 +97,3 @@ class Envelope:
     recipient: str
     message_id: int
     campaign_id: Optional[str] = None
-
-    @property
-    def recipient_domain(self) -> str:
-        return domain_of(self.recipient)
-
-    @property
-    def sender_domain(self) -> str:
-        return domain_of(self.sender)

@@ -81,7 +81,3 @@ def greylisted(retry_after: float) -> Reply:
 
 def bad_sequence(expected: str) -> Reply:
     return Reply(CODE_BAD_SEQUENCE, f"Bad sequence of commands; expected {expected}")
-
-
-def mailbox_unavailable(address: str) -> Reply:
-    return Reply(CODE_MAILBOX_UNAVAILABLE, f"5.1.1 <{address}>: user unknown")

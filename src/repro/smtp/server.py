@@ -2,9 +2,9 @@
 
 The :class:`SMTPSession` implements the RFC 5321 command sequence
 (HELO/EHLO → MAIL FROM → RCPT TO → DATA → QUIT) as an explicit state
-machine.  Site policy — greylisting, recipient validation, rate limits — is
-injected via :class:`ConnectionPolicy` hooks so the same engine serves the
-plain, nolisted-secondary and greylisted server configurations used in the
+machine.  Site policy — greylisting, DNSBL lookups — is injected via
+:class:`ConnectionPolicy` hooks so the same engine serves the plain,
+nolisted-secondary and greylisted server configurations used in the
 experiments.
 
 Every accepted message and every policy rejection is appended to the owning
@@ -150,7 +150,7 @@ class SMTPServerStats:
 
 
 class SMTPServer:
-    """A mail server: session factory + mailbox + structured log."""
+    """A mail server: session factory + structured log."""
 
     def __init__(
         self,
@@ -158,18 +158,11 @@ class SMTPServer:
         clock: Clock,
         policy: Optional[ConnectionPolicy] = None,
         local_domains: Optional[List[str]] = None,
-        valid_recipients: Optional[set] = None,
     ) -> None:
         self.hostname = hostname
         self.clock = clock
         self.policy = policy if policy is not None else ConnectionPolicy()
         self.local_domains = [d.lower() for d in (local_domains or [])]
-        self.valid_recipients = (
-            {validate_address(r) for r in valid_recipients}
-            if valid_recipients is not None
-            else None
-        )
-        self.mailbox: List[Message] = []
         self.log: List[DeliveryRecord] = []
         self.stats = SMTPServerStats()
 
@@ -181,19 +174,14 @@ class SMTPServer:
         return SMTPSession(self, client)
 
     # ------------------------------------------------------------------
-    # Recipient validation (pre-greylisting, as noted in §II of the paper:
-    # servers refuse unknown recipients before applying greylisting)
+    # Relay control (pre-greylisting, as noted in §II of the paper:
+    # servers refuse recipients they do not serve before greylisting)
     # ------------------------------------------------------------------
     def recipient_is_local(self, recipient: str) -> bool:
         if not self.local_domains:
             return True
         domain = recipient.rsplit("@", 1)[1]
         return domain in self.local_domains
-
-    def recipient_exists(self, recipient: str) -> bool:
-        if self.valid_recipients is None:
-            return True
-        return recipient in self.valid_recipients
 
     # ------------------------------------------------------------------
     # Log plumbing
@@ -226,9 +214,6 @@ class SMTPServer:
             self.stats.envelopes_accepted += 1
         else:
             self.stats.envelopes_rejected += 1
-
-    def accepted_messages(self) -> List[Message]:
-        return list(self.mailbox)
 
     def __repr__(self) -> str:
         return (
@@ -309,17 +294,11 @@ class SMTPSession:
             self.server.stats.protocol_errors += 1
             return Reply(replies.CODE_PARAM_SYNTAX_ERROR, "bad recipient address")
         assert self.sender is not None
-        # Recipient validation happens before greylisting (paper §II).
+        # Relay control happens before greylisting (paper §II).
         if not self.server.recipient_is_local(recipient):
             reply = Reply(replies.CODE_USER_NOT_LOCAL, "relaying denied")
             self.server.record(
                 self.client, self.sender, recipient, False, reply.code, "relay"
-            )
-            return reply
-        if not self.server.recipient_exists(recipient):
-            reply = replies.mailbox_unavailable(recipient)
-            self.server.record(
-                self.client, self.sender, recipient, False, reply.code, "rcpt"
             )
             return reply
         decision = self.server.policy.on_rcpt_to(
@@ -367,7 +346,6 @@ class SMTPSession:
             )
             accepted_any = accepted_any or decision.accept
         if accepted_any:
-            self.server.mailbox.append(message)
             self.server.stats.messages_accepted += 1
         # Per-recipient DATA responses are not expressible in SMTP; report
         # success when any recipient accepted (matching real MTA behaviour

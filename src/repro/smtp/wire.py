@@ -47,13 +47,6 @@ class Command:
     parameters: Tuple[Tuple[str, Optional[str]], ...] = ()
     raw: str = ""
 
-    def parameter(self, name: str) -> Optional[str]:
-        name = name.upper()
-        for key, value in self.parameters:
-            if key == name:
-                return value
-        return None
-
     def __str__(self) -> str:
         return self.raw or f"{self.verb} {self.argument}".rstrip()
 
@@ -91,8 +84,8 @@ def parse_command(line: str) -> Command:
     """Parse one SMTP command line.
 
     >>> cmd = parse_command("MAIL FROM:<a@b.net> SIZE=1024")
-    >>> cmd.verb, cmd.argument, cmd.parameter("SIZE")
-    ('MAIL', 'a@b.net', '1024')
+    >>> cmd.verb, cmd.argument, cmd.parameters
+    ('MAIL', 'a@b.net', (('SIZE', '1024'),))
     """
     raw = line.rstrip("\r\n")
     stripped = raw.strip()

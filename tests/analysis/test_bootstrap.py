@@ -44,13 +44,13 @@ class TestBootstrapCI:
     def test_narrower_for_larger_samples(self):
         small = bootstrap_ci([float(i % 10) for i in range(20)], fmean, seed=1)
         large = bootstrap_ci([float(i % 10) for i in range(2000)], fmean, seed=1)
-        assert large.width < small.width
+        assert large.high - large.low < small.high - small.low
 
     def test_higher_level_wider(self):
         samples = [float(i % 17) for i in range(100)]
         narrow = bootstrap_ci(samples, fmean, level=0.5, seed=1)
         wide = bootstrap_ci(samples, fmean, level=0.99, seed=1)
-        assert wide.width >= narrow.width
+        assert wide.high - wide.low >= narrow.high - narrow.low
 
     def test_constant_sample_zero_width(self):
         ci = bootstrap_ci([5.0] * 30, fmean, seed=1)

@@ -57,11 +57,6 @@ class TestEmpiricalCDF:
         steps = cdf.steps()
         assert steps == [(1.0, 2 / 3), (2.0, 1.0)]
 
-    def test_series_on_grid(self):
-        cdf = EmpiricalCDF.from_samples([1, 2, 3])
-        series = cdf.series([0, 2, 5])
-        assert series == [(0, 0.0), (2, 2 / 3), (5, 1.0)]
-
 
 class TestKSDistance:
     def test_identical_samples_zero(self):

@@ -1,15 +1,6 @@
 """Call-graph construction: edges, method resolution, reachability."""
 
-import textwrap
-
-from repro.analysis.lint.graph import Project
-
-
-def project(sources):
-    """Build a project from a ``{module_path: source}`` fixture dict."""
-    return Project.from_sources(
-        {path: textwrap.dedent(src) for path, src in sources.items()}
-    )
+from graph_fixtures import project_from_sources as project
 
 
 def edges(proj, module_path, qualname):
@@ -364,6 +355,46 @@ class TestDumps:
         assert ("core/a.py", "entry") not in dead
         # main is itself unreferenced, by design of the fixture.
         assert ("core/b.py", "main") in dead
+
+    def test_api_report_finds_dead_method(self):
+        proj = project(
+            {
+                "core/a.py": """\
+                import enum
+
+                class Box:
+                    def used(self):
+                        pass
+
+                    @property
+                    def patched(self):
+                        pass
+
+                    def never_called(self):
+                        pass
+
+                class Color(enum.Enum):
+                    def never_called_either(self):
+                        pass
+                """,
+                "core/b.py": """\
+                from repro.core.a import Box, Color
+
+                def main(box: Box, patcher):
+                    box.used()
+                    patcher.wrap(Box, "patched")
+                    return Color
+                """,
+            }
+        )
+        dead = {
+            (d["module"], d["symbol"]) for d in proj.api_report()["dead_symbols"]
+        }
+        assert ("core/a.py", "Box.never_called") in dead
+        assert ("core/a.py", "Box.used") not in dead
+        assert ("core/a.py", "Box.patched") not in dead
+        # A direct base outside the project: frameworks call by name.
+        assert ("core/a.py", "Color.never_called_either") not in dead
 
     def test_api_surface_uses_exports(self):
         proj = project(

@@ -1,15 +1,12 @@
 """Positive, negative and noqa fixtures for every interprocedural rule."""
 
-import textwrap
+from graph_fixtures import project_from_sources
 
 from repro.analysis.lint.analyze import run_graph_rules
-from repro.analysis.lint.graph import Project
 
 
 def findings_for(sources, rule_id=None):
-    proj = Project.from_sources(
-        {path: textwrap.dedent(src) for path, src in sources.items()}
-    )
+    proj = project_from_sources(sources)
     result = run_graph_rules(proj)
     if rule_id is None:
         return result

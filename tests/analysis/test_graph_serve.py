@@ -13,21 +13,15 @@ daemon's whole decision path flows through ``self.attr.method()`` calls
   chain and the durable backends' blocking sinks.
 """
 
-import textwrap
 from pathlib import Path
 
 import pytest
+from graph_fixtures import project_from_sources as project
 
 import repro
 from repro.analysis.lint.analyze import run_graph_rules
 from repro.analysis.lint.framework import load_contexts
 from repro.analysis.lint.graph import Project
-
-
-def project(sources):
-    return Project.from_sources(
-        {path: textwrap.dedent(src) for path, src in sources.items()}
-    )
 
 
 def edges(proj, module_path, qualname):

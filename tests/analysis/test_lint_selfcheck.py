@@ -10,6 +10,8 @@ fails with the exact rule and location.
 import time
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.analysis.lint import analyze_paths, lint_paths, render_human
 
@@ -93,8 +95,9 @@ def test_dead_symbol_report_is_empty_on_real_tree():
     assert report["dead_symbols"] == []
 
 
-#: Public names in ``src/repro`` that only tests reach, each kept for a
-#: result the docs cite.  Anything else only tests reach is to be deleted.
+#: Public names, methods and properties in ``src/repro`` that only tests
+#: reach, each kept for a reason given here.  Anything else only tests
+#: reach is to be deleted.
 TEST_ONLY_API = {
     # The store-backend equivalence suite reads snapshots back through it
     # in its restart and migration cases.
@@ -105,6 +108,13 @@ TEST_ONLY_API = {
     ("core/sensitivity.py", "verdicts_seed_invariant"),
     # It backs ARCHITECTURE.md's two-scan-under-faults result.
     ("scan/detect.py", "summarize_single_scan"),
+    # Gauges ROADMAP's observability item exposes: scheduler throughput
+    # and shm table health.
+    ("sim/events.py", "EventScheduler.events_processed"),
+    ("greylist/shm.py", "SharedMemoryBackend.spill_count"),
+    ("greylist/shm.py", "SharedMemoryBackend.tombstone_count"),
+    # The crash-restart test's only probe of live workers.
+    ("serve/prefork.py", "PreforkSupervisor.worker_pids"),
 }
 
 
@@ -124,3 +134,23 @@ def test_only_the_kept_names_are_test_only_api():
         if (package / entry["module"]).is_file()
     }
     assert dead == TEST_ONLY_API
+
+
+@pytest.mark.parametrize("where", ["repo root", "elsewhere"])
+def test_report_names_no_module_outside_the_package(where, tmp_path, monkeypatch):
+    # Only a file under a ``repro`` directory gets a ``repro.*`` name, so
+    # perfbench never joins the report, whichever directory it runs from.
+    package = _package_root()
+    repo_root = package.parent.parent
+    perfbench = repo_root / "perfbench"
+    if not perfbench.is_dir():
+        pytest.skip("perfbench is not shipped with this tree")
+    monkeypatch.chdir(repo_root if where == "repo root" else tmp_path)
+    result = analyze_paths([package, perfbench])
+    assert result.project is not None
+    outside = [
+        entry["module"]
+        for entry in result.project.api_report()["dead_symbols"]
+        if not (package / entry["module"]).is_file()
+    ]
+    assert outside == []

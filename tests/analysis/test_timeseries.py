@@ -68,10 +68,6 @@ class TestBinEvents:
         with pytest.raises(ValueError):
             bins_of([event(1, True)], bin_width=10, start=100.0, end=0.0)
 
-    def test_midpoint(self):
-        bins = bins_of([event(10, True)], bin_width=100)
-        assert bins[0].midpoint == 50.0
-
 
 class TestRateHelpers:
     def test_rate_stability(self):

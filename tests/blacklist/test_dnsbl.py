@@ -145,7 +145,8 @@ class TestTelemetryFeed:
         for horizon in (60.0, 600.0, 3600.0):
             scheduler.run(until=horizon)
             assert scheduler.pending == 2
-        sightings = [blacklist.state_of(a).sightings for a in (BOT, OTHER)]
+        # report() returns the state; its own sighting is the extra one.
+        sightings = [blacklist.report(a).sightings - 1 for a in (BOT, OTHER)]
         assert min(sightings) > 0
         assert sum(sightings) == feed.reports_delivered == scheduler.events_processed
 
@@ -157,15 +158,16 @@ class TestTelemetryFeed:
 
 
 class TestDNSBLPolicy:
-    def test_unlisted_client_accepted_and_reported(self):
+    def test_unlisted_client_accepted_and_not_reported(self):
         clock = Clock()
         blacklist = ReactiveBlacklist(
             clock, detection_threshold=100, processing_delay=0.0
         )
-        policy = DNSBLPolicy(blacklist, report_attempts=True)
+        policy = DNSBLPolicy(blacklist)
         decision = policy.on_rcpt_to(BOT, "s@x.example", "r@y.example")
         assert decision.accept
-        assert blacklist.state_of(BOT).sightings == 1
+        # Only the telemetry feed reports: this is the first sighting.
+        assert blacklist.report(BOT).sightings == 1
 
     def test_listed_client_rejected_permanently(self):
         clock = Clock()
@@ -180,19 +182,13 @@ class TestDNSBLPolicy:
         assert decision.reply.is_permanent_failure
         assert policy.rejections == 1
 
-    def test_local_reporting_can_be_disabled(self):
-        clock = Clock()
-        blacklist = ReactiveBlacklist(clock, detection_threshold=100)
-        policy = DNSBLPolicy(blacklist, report_attempts=False)
-        policy.on_rcpt_to(BOT, "s@x.example", "r@y.example")
-        assert blacklist.state_of(BOT) is None
-
     def test_events_logged(self):
         clock = Clock()
         blacklist = ReactiveBlacklist(
             clock, detection_threshold=1, processing_delay=0.0
         )
-        policy = DNSBLPolicy(blacklist, report_attempts=True)
+        policy = DNSBLPolicy(blacklist)
         policy.on_rcpt_to(BOT, "s@x.example", "r@y.example")
+        blacklist.report(BOT)
         policy.on_rcpt_to(BOT, "s@x.example", "r@y.example")
         assert [e.listed for e in policy.events] == [False, True]

@@ -250,7 +250,7 @@ class TestAgainstGreylisting:
 
     def test_permanent_rejection_abandons(self):
         testbed = Testbed(TestbedConfig(defense=Defense.NONE))
-        testbed.server.valid_recipients = set()  # all recipients unknown
+        testbed.server.local_domains = ["elsewhere.example"]  # relaying denied
         bot = make_bot(testbed, MXBehavior.PRIMARY_ONLY)
         bot.assign(spam())
         testbed.run(horizon=60)

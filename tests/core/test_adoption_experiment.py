@@ -66,6 +66,15 @@ def test_planting_skipped_when_a_target_rank_is_missing(num_domains, engine):
     assert planted.summary.total_domains == num_domains
 
 
+@pytest.mark.parametrize("engine", ["object", "columnar"])
+@pytest.mark.parametrize("rate", [1.5, float("nan"), -0.2])
+def test_out_of_range_glue_elision_rate_rejected(rate, engine):
+    with pytest.raises(ValueError, match="glue_elision_rate"):
+        run_adoption_experiment(
+            num_domains=300, glue_elision_rate=rate, engine=engine
+        )
+
+
 class TestTwoScanAblation:
     def test_single_scan_has_false_positives(self):
         counts = single_scan_false_positives(

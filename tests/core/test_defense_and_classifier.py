@@ -113,7 +113,6 @@ class TestClassifySamples:
         for sample in collect_samples():
             result = classify_sample(sample)
             assert result.inferred is result.expected, sample.label
-            assert result.matches_expected
 
     def test_kelihos_trace_touches_only_primary(self):
         result = classify_sample(samples_of("Kelihos")[0])

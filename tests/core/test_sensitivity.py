@@ -20,7 +20,7 @@ class TestAdoptionSensitivity:
     def test_nolisting_share_stable(self, result):
         # The generator apportions categories exactly; the measured share
         # barely moves across seeds.
-        assert result.nolisting_spread < 0.2
+        assert max(result.nolisting_pct) - min(result.nolisting_pct) < 0.2
         for pct in result.nolisting_pct:
             assert pct == pytest.approx(0.52, abs=0.15)
 
@@ -45,9 +45,6 @@ class TestDeploymentSensitivity:
     def test_within_10min_fraction_stable(self, result):
         for fraction in result.within_10min:
             assert 0.30 <= fraction <= 0.75
-
-    def test_spread_reported(self, result):
-        assert result.median_spread >= 0.0
 
 
 class TestVerdictInvariance:

@@ -134,4 +134,4 @@ class TestTable4Survey:
     def test_survey_single_profile(self):
         row = survey_mta(PROFILES["postfix"])
         assert row.mta == "postfix"
-        assert row.first_gaps_minutes(3) == [5.0, 5.0, 5.0]
+        assert row.retransmission_minutes[:3] == [5, 10, 15]

@@ -10,7 +10,6 @@ from repro.dns.zone import ZoneStore
 from repro.net.address import IPv4Address, pool_for
 from repro.net.host import SMTP_PORT
 from repro.net.network import VirtualInternet
-from repro.sim.rng import RandomStream
 
 
 def addr(text):
@@ -59,20 +58,6 @@ class TestResolveExchangers:
         ]
         assert all(e.resolvable for e in exchangers)
 
-    def test_follow_up_repairs_missing_glue(self, zones):
-        resolver = StubResolver(
-            zones, glue_elision_rate=1.0, rng=RandomStream(1)
-        )
-        exchangers = resolve_exchangers(resolver, "foo.net", follow_up=True)
-        assert all(e.resolvable for e in exchangers)
-
-    def test_without_follow_up_glue_gaps_remain(self, zones):
-        resolver = StubResolver(
-            zones, glue_elision_rate=1.0, rng=RandomStream(1)
-        )
-        exchangers = resolve_exchangers(resolver, "foo.net", follow_up=False)
-        assert all(not e.resolvable for e in exchangers)
-
     def test_dangling_exchange_kept_unresolvable(self, zones):
         zones.zone_for("foo.net").add_mx(20, "ghost.foo.net")
         resolver = StubResolver(zones)
@@ -102,7 +87,7 @@ class TestDomainSetups:
             internet, zones, pool, "foo.net", lambda client: "session"
         )
         assert len(setup.hosts) == 1
-        assert setup.primary_host.is_listening(SMTP_PORT)
+        assert setup.hosts[0].is_listening(SMTP_PORT)
         assert len(zones.zone_for("foo.net").mx_records()) == 1
 
     def test_nolisting_primary_closed_secondary_open(self):
@@ -149,4 +134,6 @@ class TestDomainSetups:
         for setup in (single, nolisted):
             exchangers = resolve_exchangers(resolver, setup.domain)
             assert [e.hostname for e in exchangers] == setup.mx_hostnames
-            assert [internet.host_at(e.address) for e in exchangers] == setup.hosts
+            assert [e.address for e in exchangers] == [
+                host.primary_address for host in setup.hosts
+            ]

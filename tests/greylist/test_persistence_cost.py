@@ -164,8 +164,7 @@ class TestCostAccounting:
 
     def test_whitelist_hits_cost_nothing_extra(self):
         clock = Clock()
-        whitelist = Whitelist()
-        whitelist.add_address(CLIENT)
+        whitelist = Whitelist(["x.example"])
         policy = GreylistPolicy(clock=clock, delay=300, whitelist=whitelist)
         policy.on_rcpt_to(CLIENT, "s@x.example", "r@y.example")
         report = measure_cost(policy)

@@ -11,7 +11,7 @@ from repro.mta.profiles import PROFILES
 from repro.mta.queue import QueueEntryState, QueueManager
 from repro.net.address import pool_for
 from repro.sim.rng import RandomStream
-from repro.smtp.client import SMTPClient
+from repro.smtp.client import AttemptOutcome, SMTPClient
 from repro.smtp.message import Message
 
 
@@ -168,8 +168,7 @@ class TestWhitelistedProviderSkipsGreylisting:
             recipients=["user@victim.example"],
         )
         result = client.send(message, "user@victim.example")
-        assert not result.succeeded
-        assert result.should_retry
+        assert result.outcome is AttemptOutcome.DEFERRED
 
 
 class TestGreylistStateAcrossCampaigns:

@@ -9,28 +9,49 @@ check the system degrades the way the components promise.
 from repro.botnet.families import DARKMAILER, KELIHOS
 from repro.core.testbed import Defense, Testbed, TestbedConfig
 from repro.dns.resolver import StubResolver
+from repro.faults.model import FaultConfig, FaultPlan
 from repro.mta.profiles import PROFILES
 from repro.mta.queue import QueueEntryState, QueueManager
 from repro.net.address import pool_for
+from repro.net.host import SMTP_PORT, ConnectionRefused
 from repro.sim.rng import RandomStream
 from repro.smtp.client import AttemptOutcome, SMTPClient
 from repro.smtp.message import Message
 
 
-def make_client(testbed, pool):
+def make_client(testbed, pool, resolver=None):
     return SMTPClient(
         internet=testbed.internet,
-        resolver=StubResolver(testbed.zones, clock=testbed.clock),
+        resolver=resolver or StubResolver(testbed.zones, clock=testbed.clock),
         source_address=pool.allocate(),
     )
+
+
+def outage_resolver(testbed):
+    """A resolver whose every authoritative query SERVFAILs."""
+    plan = FaultPlan(FaultConfig(dns_servfail_rate=1.0))
+    return StubResolver(testbed.zones, clock=testbed.clock, faults=plan)
+
+
+class FlappingListener:
+    """Wraps a host's port-25 listener; refuses while ``down`` is set."""
+
+    def __init__(self, host, factory):
+        self.down = False
+        self._factory = factory
+        host.listen(SMTP_PORT, self)
+
+    def __call__(self, client):
+        if self.down:
+            raise ConnectionRefused("port 25 flapped")
+        return self._factory(client)
 
 
 class TestDNSOutages:
     def test_servfail_defers_then_recovers(self):
         testbed = Testbed(TestbedConfig(defense=Defense.NONE))
         pool = pool_for("203.0.113.0/24")
-        client = make_client(testbed, pool)
-        client.resolver.break_zone("victim.example")
+        client = make_client(testbed, pool, outage_resolver(testbed))
         queue = QueueManager(
             testbed.scheduler, client, PROFILES["postfix"].schedule
         )
@@ -40,8 +61,9 @@ class TestDNSOutages:
             )
         )
         # Repair DNS after two failed attempts (~10 minutes in).
+        healthy = StubResolver(testbed.zones, clock=testbed.clock)
         testbed.scheduler.schedule_at(
-            700.0, lambda: client.resolver.repair_zone("victim.example")
+            700.0, lambda: setattr(client, "resolver", healthy)
         )
         testbed.run(horizon=7200.0)
         entry = queue.entries[0]
@@ -52,8 +74,7 @@ class TestDNSOutages:
     def test_persistent_dns_outage_expires_the_message(self):
         testbed = Testbed(TestbedConfig(defense=Defense.NONE))
         pool = pool_for("203.0.113.0/24")
-        client = make_client(testbed, pool)
-        client.resolver.break_zone("victim.example")
+        client = make_client(testbed, pool, outage_resolver(testbed))
         queue = QueueManager(
             testbed.scheduler, client, PROFILES["exchange"].schedule
         )
@@ -65,10 +86,9 @@ class TestDNSOutages:
 
     def test_bot_gives_up_on_dns_outage(self):
         testbed = Testbed(TestbedConfig(defense=Defense.NONE))
-        testbed.resolver.break_zone("victim.example")
         bot = DARKMAILER.build_bot(
             internet=testbed.internet,
-            resolver=testbed.resolver,
+            resolver=outage_resolver(testbed),
             scheduler=testbed.scheduler,
             source_address=testbed.allocate_bot_address(),
             rng=RandomStream(1, "bot"),
@@ -85,15 +105,19 @@ class TestHostFlaps:
         testbed = Testbed(TestbedConfig(defense=Defense.NONE))
         pool = pool_for("203.0.113.0/24")
         client = make_client(testbed, pool)
-        host = testbed.domain_setup.primary_host
-        host.up = False
+        listener = FlappingListener(
+            testbed.domain_setup.hosts[0], testbed.server.session_factory
+        )
+        listener.down = True
         queue = QueueManager(
             testbed.scheduler, client, PROFILES["postfix"].schedule
         )
         queue.submit(
             Message(sender="a@x.example", recipients=["user@victim.example"])
         )
-        testbed.scheduler.schedule_at(400.0, lambda: setattr(host, "up", True))
+        testbed.scheduler.schedule_at(
+            400.0, lambda: setattr(listener, "down", False)
+        )
         testbed.run(horizon=7200.0)
         entry = queue.entries[0]
         assert entry.state is QueueEntryState.DELIVERED
@@ -115,9 +139,15 @@ class TestHostFlaps:
         bot.assign(
             Message(sender="s@bot.example", recipients=["u@victim.example"])
         )
-        host = testbed.domain_setup.primary_host
-        testbed.scheduler.schedule_at(100.0, lambda: setattr(host, "up", False))
-        testbed.scheduler.schedule_at(250.0, lambda: setattr(host, "up", True))
+        listener = FlappingListener(
+            testbed.domain_setup.hosts[0], testbed.server.session_factory
+        )
+        testbed.scheduler.schedule_at(
+            100.0, lambda: setattr(listener, "down", True)
+        )
+        testbed.scheduler.schedule_at(
+            250.0, lambda: setattr(listener, "down", False)
+        )
         testbed.run(horizon=200000.0)
         assert bot.tasks[0].delivered
 

@@ -37,19 +37,12 @@ class TestMessageLog:
         )
         assert log.delivery_delay == 400.0
         assert log.attempts == 2
-        assert log.first_attempt == 100.0
 
     def test_undelivered_has_no_delay(self):
         log = GreylistedMessageLog(
             message_key="k", attempt_times=[100.0], delivered=False
         )
         assert log.delivery_delay is None
-
-    def test_gaps(self):
-        log = GreylistedMessageLog(
-            message_key="k", attempt_times=[0.0, 300.0, 900.0]
-        )
-        assert log.inter_attempt_gaps() == [300.0, 600.0]
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):

@@ -14,13 +14,18 @@ from repro.scan.population import (
 )
 
 
+def domains_in(internet, category):
+    """The generated domains of one category, in generation order."""
+    return [t for t in internet.domains if t.category is category]
+
+
 def build_internet(num_domains=3000, seed=42):
     return SyntheticInternet(PopulationConfig(num_domains=num_domains), seed=seed)
 
 
 def adopter_ranks(internet):
     """Ranks of the true nolisting adopters (detection is tested elsewhere)."""
-    return [t.alexa_rank for t in internet.domains_in(DomainCategory.NOLISTING)]
+    return [t.alexa_rank for t in domains_in(internet, DomainCategory.NOLISTING)]
 
 
 class TestPlanting:
@@ -44,7 +49,7 @@ class TestPlanting:
         plant_ranks(internet.domains)
         popular_nolisting = [
             t
-            for t in internet.domains_in(DomainCategory.NOLISTING)
+            for t in domains_in(internet, DomainCategory.NOLISTING)
             if t.alexa_rank <= 1000
         ]
         assert len(popular_nolisting) == len(PAPER_NOLISTING_RANKS)

@@ -1,7 +1,5 @@
 """Unit tests for the scan-dataset containers."""
 
-import pytest
-
 from repro.net.address import IPv4Address
 from repro.scan.datasets import (
     DNSScanDataset,
@@ -32,22 +30,6 @@ class TestDomainObservation:
             (20, "b.d.example"),
         ]
 
-    def test_unresolved_count(self):
-        observation = DomainObservation(
-            domain="d.example",
-            mx=[
-                MXObservation(10, "a.d.example", None),
-                MXObservation(20, "b.d.example", addr("1.1.1.1")),
-            ],
-        )
-        assert observation.unresolved_count == 1
-        assert observation.has_mx
-
-    def test_empty_observation(self):
-        observation = DomainObservation(domain="d.example")
-        assert not observation.has_mx
-        assert observation.unresolved_count == 0
-
 
 class TestDNSScanDataset:
     def test_add_get_iterate(self):
@@ -66,16 +48,6 @@ class TestDNSScanDataset:
         assert dataset.num_domains == 1
         assert dataset.get("a.example").nxdomain
 
-    def test_unresolved_totals(self):
-        dataset = DNSScanDataset(scan_index=0)
-        dataset.add(
-            DomainObservation(
-                domain="a.example",
-                mx=[MXObservation(10, "mx.a.example", None)],
-            )
-        )
-        assert dataset.num_unresolved_mx == 1
-
 
 class TestSMTPScanDataset:
     def test_membership(self):
@@ -83,10 +55,10 @@ class TestSMTPScanDataset:
         dataset.add(addr("1.1.1.1"))
         assert addr("1.1.1.1") in dataset
         assert addr("2.2.2.2") not in dataset
-        assert dataset.num_listening == 1
+        assert len(dataset.listening) == 1
 
     def test_duplicates_collapse(self):
         dataset = SMTPScanDataset(scan_index=1)
         dataset.add(addr("1.1.1.1"))
         dataset.add(addr("1.1.1.1"))
-        assert dataset.num_listening == 1
+        assert len(dataset.listening) == 1

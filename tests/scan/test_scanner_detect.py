@@ -248,7 +248,17 @@ class TestScannersEndToEnd:
             internet, glue_elision_rate=0.5, rng=RandomStream(1)
         )
         dataset = scanner.scan(0)
-        assert dataset.num_unresolved_mx > 0
+        assert any(not r.resolved for o in dataset for r in o.mx)
+
+    def test_elision_requires_rng(self):
+        internet = SyntheticInternet(PopulationConfig(num_domains=300), seed=11)
+        with pytest.raises(ValueError):
+            DNSScanner(internet, glue_elision_rate=0.5)
+
+    def test_elision_rate_bounds(self):
+        internet = SyntheticInternet(PopulationConfig(num_domains=300), seed=11)
+        with pytest.raises(ValueError):
+            DNSScanner(internet, glue_elision_rate=1.5, rng=RandomStream(1))
 
     def test_parallel_resolve_repairs_elided_glue(self, world):
         _, dns_a, dns_b, *_ = world
@@ -262,7 +272,7 @@ class TestScannersEndToEnd:
     def test_smtp_scan_counts(self, world):
         internet, _, _, smtp_a, _ = world
         assert smtp_a.probed == len(internet.all_mail_addresses())
-        assert 0 < smtp_a.num_listening <= smtp_a.probed
+        assert 0 < len(smtp_a.listening) <= smtp_a.probed
 
     def test_detector_recovers_ground_truth(self, world):
         internet, dns_a, dns_b, smtp_a, smtp_b = world

@@ -147,6 +147,25 @@ class TestStanzaParser:
         with pytest.raises(ProtocolError):
             parser.feed(b"filler=" + b"x" * 200)
 
+    def test_malformed_line_error_carries_earlier_requests(self):
+        good = b"sender=a@b.example\n\n"
+        with pytest.raises(ProtocolError) as caught:
+            StanzaParser().feed(good + b"no equals\n\n")
+        assert [r.sender for r in caught.value.requests] == ["a@b.example"]
+
+    def test_oversized_complete_error_carries_earlier_requests(self):
+        good = b"sender=a@b.example\n\n"
+        parser = StanzaParser(max_request_bytes=128)
+        with pytest.raises(ProtocolError) as caught:
+            parser.feed(good + b"filler=" + b"x" * 200 + b"\n\n")
+        assert [r.sender for r in caught.value.requests] == ["a@b.example"]
+
+    def test_oversized_unterminated_error_carries_earlier_requests(self):
+        good = b"sender=a@b.example\n\n"
+        with pytest.raises(ProtocolError) as caught:
+            StanzaParser().feed(good + b"x" * 20_000)
+        assert [r.sender for r in caught.value.requests] == ["a@b.example"]
+
     def test_oversized_guard_spans_feeds(self):
         parser = StanzaParser(max_request_bytes=128)
         parser.feed(b"filler=" + b"x" * 100)

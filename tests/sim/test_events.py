@@ -183,16 +183,6 @@ class TestRunLimits:
         assert sched.run(max_events=0) == 0
         assert (sched.now, sched.pending, sched.events_processed) == (0.0, 1, 0)
 
-    def test_step_returns_false_when_empty(self, sched):
-        assert sched.step() is False
-
-    def test_step_fires_exactly_one_event(self, sched):
-        fired = []
-        for t in (2.0, 3.0):
-            sched.schedule_at(t, lambda t=t: fired.append(t))
-        assert sched.step() is True
-        assert (fired, sched.now, sched.pending) == ([2.0], 2.0, 1)
-
     def test_run_returns_count_of_this_call(self, sched):
         for t in (1.0, 2.0, 3.0):
             sched.schedule_at(t, lambda: None)
@@ -205,7 +195,7 @@ class TestRunLimits:
         for t in (1.0, 2.0):
             sched.schedule_at(t, lambda: None)
         assert sched.pending == 2
-        sched.step()
+        sched.run(max_events=1)
         assert sched.pending == 1
         sched.run()
         assert sched.pending == 0
@@ -225,9 +215,9 @@ class TestRunLimits:
         sched.schedule_at(4.0, lambda: None)
         sched.schedule_at(2.0, lambda: None)
         assert sched.next_event_time() == 2.0
-        sched.step()
+        sched.run(max_events=1)
         assert sched.next_event_time() == 4.0
-        sched.step()
+        sched.run(max_events=1)
         assert sched.next_event_time() is None
 
     def test_not_reentrant(self, sched):
@@ -235,12 +225,6 @@ class TestRunLimits:
             sched.run()
 
         sched.schedule_at(1.0, nested)
-        with pytest.raises(SchedulerError):
-            sched.run()
-
-    def test_step_inside_callback_not_reentrant(self, sched):
-        sched.schedule_at(1.0, sched.step)
-        sched.schedule_at(2.0, lambda: None)
         with pytest.raises(SchedulerError):
             sched.run()
 
@@ -277,5 +261,5 @@ class TestClock:
     def test_repr_reports_state(self, sched):
         sched.schedule_at(1.0, lambda: None)
         sched.schedule_at(2.0, lambda: None)
-        sched.step()
+        sched.run(max_events=1)
         assert repr(sched) == "EventScheduler(now=1.000, pending=1, processed=1)"

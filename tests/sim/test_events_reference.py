@@ -61,12 +61,6 @@ class ReferenceScheduler:
         self.events_processed += 1
         event.callback()
 
-    def step(self) -> bool:
-        if not self.queue:
-            return False
-        self._fire(self.queue.pop(0))
-        return True
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         processed = 0
         while self.queue and (max_events is None or processed < max_events):
@@ -136,7 +130,7 @@ def _drive(sched, seed: int, ops: int, mix: str = "seconds") -> list:
         elif roll < 0.74:
             log.append(("run-both", sched.run(until=sched.now + 2.0, max_events=rng.randint(1, 4))))
         elif roll < 0.84:
-            log.append(("step", sched.step()))
+            log.append(("step", sched.run(max_events=1) == 1))
         elif roll < 0.92:
             log.append(("next", sched.next_event_time()))
         else:

@@ -115,14 +115,6 @@ class TestFingerprinting:
         # HELO + no QUIT = 2 deviations out of 4.
         assert result.bot_likelihood == pytest.approx(0.5)
 
-    def test_classify_many_histogram(self, fingerprinter):
-        transcripts = []
-        for profile in (COMPLIANT_MTA, COMPLIANT_MTA, CUTWAIL_DIALECT):
-            transcript, _ = transcript_for(profile)
-            transcripts.append(transcript)
-        counts = fingerprinter.classify_many(transcripts)
-        assert counts == {"compliant-mta": 2, "cutwail": 1}
-
     def test_requires_dialects(self):
         with pytest.raises(ValueError):
             DialectFingerprinter([])

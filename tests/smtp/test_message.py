@@ -7,7 +7,6 @@ import pytest
 
 from repro.smtp.message import (
     AddressSyntaxError,
-    Envelope,
     Message,
     domain_of,
     validate_address,
@@ -147,9 +146,3 @@ class TestMessage:
         )
         assert message.campaign_id == "c-1"
 
-
-class TestEnvelopes:
-    def test_envelope_domains(self):
-        envelope = Envelope(sender="a@x.net", recipient="b@y.net", message_id=1)
-        assert envelope.sender_domain == "x.net"
-        assert envelope.recipient_domain == "y.net"

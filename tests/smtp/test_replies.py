@@ -31,11 +31,6 @@ class TestReplyHelpers:
         assert "MAIL FROM" in reply.text
         assert reply.is_permanent_failure
 
-    def test_mailbox_unavailable(self):
-        reply = replies.mailbox_unavailable("ghost@x.example")
-        assert reply.code == 550
-        assert "ghost@x.example" in reply.text
-
     def test_str_rendering(self):
         assert str(replies.ok("fine")) == "250 fine"
         assert str(replies.Reply(451)) == "451"

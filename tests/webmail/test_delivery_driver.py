@@ -104,7 +104,7 @@ class TestWebmailDelivery:
             continuation_interval=60.0,
         )
         testbed, delivery = build(spec, defense=Defense.NONE)
-        testbed.server.valid_recipients = set()  # everyone unknown -> 550
+        testbed.server.local_domains = ["elsewhere.example"]  # relaying denied
         outcome = send(testbed, delivery)
         assert not outcome.delivered
         assert outcome.attempts == 1
