@@ -28,15 +28,12 @@ from repro.scan.serialize import (
     load_dns_scan,
     load_smtp_scan,
 )
-from repro.sim.rng import RandomStream
 
 
 def main(seed: int = 42) -> None:
     # --- 1-2: scan and archive --------------------------------------------
     internet = SyntheticInternet(PopulationConfig(num_domains=5000), seed=seed)
-    dns_scanner = DNSScanner(
-        internet, glue_elision_rate=0.1, rng=RandomStream(seed, "whatif")
-    )
+    dns_scanner = DNSScanner(internet, glue_elision_rate=0.1, seed=seed)
     smtp_scanner = SMTPScanner(internet)
     with tempfile.TemporaryDirectory(prefix="repro-scans-") as tmp:
         archive = Path(tmp)

@@ -38,4 +38,4 @@ Quick start::
     print(table2_text(matrix))
 """
 
-__version__ = "1.1.0"
+__version__ = "1.2.0"

@@ -212,15 +212,13 @@ def single_scan_false_positives(
     from ..scan.detect import SingleScanVerdict, classify_single_scan
     from ..scan.population import SyntheticInternet
     from ..scan.scanner import DNSScanner, SMTPScanner
-    from ..sim.rng import RandomStream
 
     config = PopulationConfig(
         num_domains=num_domains,
         transient_outage_rate=transient_outage_rate,
     )
     internet = SyntheticInternet(config, seed=seed)
-    rng = RandomStream(seed, "single-scan")
-    dns = DNSScanner(internet, glue_elision_rate=0.0, rng=rng).scan(0)
+    dns = DNSScanner(internet, glue_elision_rate=0.0).scan(0)
     smtp = SMTPScanner(internet).scan(0)
 
     truth_by_domain = {t.name: t.category for t in internet.domains}

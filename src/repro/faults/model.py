@@ -8,10 +8,10 @@ scanners a shared, seed-derived source of exactly those faults so the
 measurement pipeline's transient-outage filtering becomes testable.
 
 Every fault decision is a pure function of ``(fault seed, entity label,
-epoch)`` drawn through the repository's standard ``seed:label``
-RNG-splitting scheme: asking whether ``host-x`` is down during epoch 3
-yields the same answer in any process, in any order, any number of times.
-That property is what keeps the parallel experiment runner's
+epoch)``: one keyed draw (:func:`repro.sim.rng.keyed_words`) per query,
+with no generator state.  Asking whether ``host-x`` is down during epoch
+3 yields the same answer in any process, in any order, any number of
+times.  That property is what keeps the parallel experiment runner's
 workers-1/2/4 bit-for-bit determinism intact with faults enabled.
 
 The epoch is the scan index: each scan sees an independent fault draw,
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..sim.rng import RandomStream
+from ..sim.rng import keyed_words
 
 #: Fault kinds counted by :class:`FaultPlan` (observability, not results).
 FAULT_KINDS = (
@@ -115,30 +115,28 @@ def fault_from_params(params: Dict[str, Any]) -> FaultConfig:
 class FaultPlan:
     """Answers "is this entity faulted right now?" deterministically.
 
-    Each query derives a private :class:`RandomStream` from
-    ``(config.seed, kind, epoch, entity)``, so the answers are independent
-    of query order and of which other entities were ever asked about —
-    the same stability contract the population generator's chunked
-    generation relies on.  The plan also counts the faults it injects
+    Each query reads word 0 of the keyed draw for ``(config.seed,
+    "faults:<kind>:<epoch>:<entity>")`` as one uniform, so the answers are
+    independent of query order and of which other entities were ever
+    asked about.  The plan also counts the faults it injects
     (:attr:`events`) for observability; counters never feed back into any
     decision.
     """
 
     def __init__(self, config: FaultConfig) -> None:
         self.config = config
-        self._root = RandomStream(config.seed, "faults")
         self.events: Dict[str, int] = {kind: 0 for kind in FAULT_KINDS}
 
     # ------------------------------------------------------------------
     # Draw plumbing
     # ------------------------------------------------------------------
-    def _stream(self, label: str) -> RandomStream:
-        return self._root.split(label)
+    def _uniform(self, label: str) -> float:
+        return (keyed_words(self.config.seed, f"faults:{label}")[0] >> 11) / 2**53
 
     def _hit(self, label: str, rate: float, kind: str) -> bool:
         if rate <= 0.0:
             return False
-        if self._stream(label).random() < rate:
+        if self._uniform(label) < rate:
             self.events[kind] += 1
             return True
         return False
@@ -175,7 +173,7 @@ class FaultPlan:
         timeout = self.config.dns_timeout_rate
         if servfail <= 0.0 and timeout <= 0.0:
             return None
-        draw = self._stream(f"dns:{epoch}:{name}").random()
+        draw = self._uniform(f"dns:{epoch}:{name}")
         if draw < servfail:
             self.events["dns_servfail"] += 1
             return "servfail"

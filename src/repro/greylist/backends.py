@@ -386,6 +386,16 @@ class SQLiteBackend(TripletBackend):
         self._closed = False
 
     # -- batching ------------------------------------------------------
+    def _begin(self) -> None:
+        """Open the batch's transaction before its first mutation.
+
+        The connection runs in autocommit mode (``isolation_level=None``),
+        so without an explicit ``BEGIN`` every statement would commit on
+        its own and ``commit_every`` would batch nothing.
+        """
+        if not self._conn.in_transaction:
+            self._conn.execute("BEGIN")
+
     def _mutated(self, count: int = 1) -> None:
         self._pending += count
         if self._pending >= self.commit_every:
@@ -463,10 +473,12 @@ class SQLiteBackend(TripletBackend):
         )
 
     def put(self, entry: TripletEntry) -> None:
+        self._begin()
         self._conn.execute(_UPSERT_SQL, self._row_from_entry(entry))
         self._mutated()
 
     def bulk_load(self, entries: List[TripletEntry]) -> None:
+        self._begin()
         self._conn.executemany(
             _UPSERT_SQL,
             [self._row_from_entry(entry) for entry in entries],
@@ -474,6 +486,7 @@ class SQLiteBackend(TripletBackend):
         self._mutated(len(entries))
 
     def delete(self, triplet: Triplet) -> bool:
+        self._begin()
         cursor = self._conn.execute(
             _DELETE_SQL,
             (triplet.client.value, triplet.sender, triplet.recipient),
@@ -524,6 +537,8 @@ class SQLiteBackend(TripletBackend):
                     unconfirmed += 1
         # Chunked IN-list deletes: ~1000x fewer statements than a
         # one-row-per-execute plan at million-entry sweeps.
+        if doomed:
+            self._begin()
         for start in range(0, len(doomed), 500):
             chunk = doomed[start:start + 500]
             self._conn.execute(
@@ -536,6 +551,7 @@ class SQLiteBackend(TripletBackend):
         return unconfirmed, confirmed
 
     def mark_passed(self, triplet: Triplet, now: float) -> bool:
+        self._begin()
         cursor = self._conn.execute(
             _MARK_PASSED_SQL,
             (now, triplet.client.value, triplet.sender, triplet.recipient),

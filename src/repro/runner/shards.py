@@ -52,7 +52,6 @@ def adoption_shard_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     from ..scan.detect import DomainClass
     from ..scan.population import SyntheticInternet, population_from_params
     from ..scan.scanner import DNSScanner, SMTPScanner
-    from ..sim.rng import RandomStream
     from ..core.adoption import _TRUTH_TO_CLASS
 
     config = population_from_params(payload["population"])
@@ -63,11 +62,10 @@ def adoption_shard_task(payload: Dict[str, Any]) -> Dict[str, Any]:
     if payload.get("faults") is not None:
         faults = FaultPlan(fault_from_params(payload["faults"]))
 
-    rng = RandomStream(seed, "adoption-scan")
     dns_scanner = DNSScanner(
         internet,
         glue_elision_rate=float(payload["glue_elision_rate"]),
-        rng=rng,
+        seed=seed,
         faults=faults,
     )
     smtp_scanner = SMTPScanner(internet, faults=faults)

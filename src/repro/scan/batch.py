@@ -20,8 +20,8 @@ class's size.  Both producers of classes share that one fold:
   chunk's classes by outcome key, five column cells per domain;
 * :func:`batched_adoption_shard` (this module) replays a *faulted* chunk
   domain by domain from the same :class:`~repro.scan.columnar.ColumnarChunk`
-  cells.  Fault draws are per-entity stream seedings, so which glue and
-  which listeners a fault removes is known only domain by domain.
+  cells.  Fault draws are keyed per entity, so which glue and which
+  listeners a fault removes is known only domain by domain.
 
 The result dict is bit-for-bit identical to the object path's for the same
 payload — a property the engine-equivalence suite asserts over seeds, fault
@@ -38,9 +38,9 @@ Every random decision the object path makes is either
 * a *fault* draw keyed purely by ``(fault seed, kind, epoch, entity
   label)`` (stateless: skipping draws the verdict never consumes cannot
   perturb any other draw), or
-* a *glue-elision* draw from the per-domain stream
-  ``"elision:<scan>:<domain>"`` consumed once per glue-carrying record in
-  record order (replayed verbatim by :func:`elided_glue`).
+* a *glue-elision* draw keyed by ``(seed, "elision:<domain>")``, one
+  word per glue-carrying record in record order (:func:`elided_glue`,
+  which the object scanner calls too).
 
 Addresses are arithmetic, not allocated: chunk ``k`` owns the address
 slice ``base + k * stride`` and hands addresses out sequentially, so the
@@ -53,7 +53,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar
 
 from ..faults.model import FaultPlan, fault_from_params
 from ..net.address import IPv4Address
-from ..sim.rng import RandomStream
+from ..sim.rng import keyed_words
 from .columnar import (
     TOPO_NOLISTING,
     ColumnarChunk,
@@ -68,7 +68,12 @@ from .detect import (
     classify_single_scan,
     classify_two_scans,
 )
-from .population import CATEGORY_ORDER, PopulationPlan, population_from_params
+from .population import (
+    CATEGORY_ORDER,
+    MAX_ADDRESSES_PER_DOMAIN,
+    PopulationPlan,
+    population_from_params,
+)
 
 #: One MX record of a replayed domain: hostname, preference, address value
 #: (``None`` for a dangling/ghost exchange), as in ``DomainTruth.mx_hosts``.
@@ -86,26 +91,40 @@ _Tag = TypeVar("_Tag")
 
 
 def elided_glue(
-    elision_root: RandomStream,
-    scan_index: int,
+    seed: int,
     name: str,
-    carrying: int,
+    carrying: Dict[int, int],
     glue_elision_rate: float,
-) -> int:
-    """How many of a domain's ``carrying`` glue records one capture drops.
+) -> Dict[int, List[bool]]:
+    """Which glue records a domain's captures drop.
 
-    The draw contract of :meth:`~repro.scan.scanner.DNSScanner.
-    iter_observations`: one uniform per glue-carrying MX record, in record
-    order, from the per-domain stream ``"elision:<scan>:<name>"``; a draw
-    below the rate elides that record's glue.  Only the count matters
-    downstream (the parallel re-resolve repairs every elided record), and
-    an answer carrying no glue consumes no draws, so its stream is never
-    seeded.
+    ``carrying`` maps a capture's scan index to how many of the domain's
+    MX records arrive with glue in it; the result maps the same index to
+    one verdict per such record, in record order, true where the capture
+    drops that record's glue.  This is the draw contract of
+    :meth:`~repro.scan.scanner.DNSScanner.iter_observations`, the
+    faulted-shard replay and the columnar count: one keyed draw per
+    domain (:func:`~repro.sim.rng.keyed_words` under
+    ``"elision:<name>"``), whose word ``4 * s + r`` decides capture
+    ``s``'s ``r``-th glue-carrying record.  An answer holds at most
+    :data:`~repro.scan.population.MAX_ADDRESSES_PER_DOMAIN` records, so
+    the eight words cover scans 0 and 1; anything more raises
+    :class:`ValueError` rather than reuse another capture's words.
     """
-    if carrying == 0:
-        return 0
-    stream = elision_root.split(f"elision:{scan_index}:{name}")
-    return sum(1 for draw in stream.random_block(carrying) if draw < glue_elision_rate)
+    words = keyed_words(seed, f"elision:{name}")
+    limit = glue_elision_rate * 2**53
+    dropped = {}
+    for scan_index, count in carrying.items():
+        if scan_index not in (0, 1) or count > MAX_ADDRESSES_PER_DOMAIN:
+            raise ValueError(
+                f"{name}: no elision draws for {count} glue records in "
+                f"scan {scan_index}"
+            )
+        first = MAX_ADDRESSES_PER_DOMAIN * scan_index
+        dropped[scan_index] = [
+            word >> 11 < limit for word in words[first:first + count]
+        ]
+    return dropped
 
 
 def _shape_verdict(shape: _Shape) -> SingleScanVerdict:
@@ -206,7 +225,7 @@ def _scan_shape(
     records: List[_Record],
     scan_index: int,
     faults: FaultPlan,
-    elision_root: Optional[RandomStream],
+    seed: int,
     glue_elision_rate: float,
 ) -> Tuple[_Shape, int]:
     """Domain ``i``'s single-scan shape plus its repaired-record count."""
@@ -234,10 +253,9 @@ def _scan_shape(
     # and every resolvable record that lacked glue counts as repaired.
     n_resolved = sum(1 for (_, _, address) in records if address is not None)
     repaired = n_resolved - carrying
-    if elision_root is not None:
-        repaired += elided_glue(
-            elision_root, scan_index, name, carrying, glue_elision_rate
-        )
+    if carrying and glue_elision_rate > 0:
+        dropped = elided_glue(seed, name, {scan_index: carrying}, glue_elision_rate)
+        repaired += sum(dropped[scan_index])
 
     if n_records < 2 or n_resolved < 2:
         # ONE_MX / MISCONFIGURED shapes never consult the banner grab.
@@ -280,9 +298,6 @@ def batched_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     plan = PopulationPlan(config, seed)
     chunk = build_columnar_chunk(plan, config, seed, int(payload["chunk"]))
-    elision_root = (
-        RandomStream(seed, "adoption-scan") if glue_elision_rate > 0 else None
-    )
 
     classes: Dict[Outcome, List[str]] = {}
     repaired = 0
@@ -290,10 +305,10 @@ def batched_adoption_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
         name = plan.name_of(chunk.start + i)
         records = chunk_records(chunk, i, name)
         shape_a, repaired_a = _scan_shape(
-            chunk, i, name, records, 0, faults, elision_root, glue_elision_rate
+            chunk, i, name, records, 0, faults, seed, glue_elision_rate
         )
         shape_b, repaired_b = _scan_shape(
-            chunk, i, name, records, 1, faults, elision_root, glue_elision_rate
+            chunk, i, name, records, 1, faults, seed, glue_elision_rate
         )
         repaired += repaired_a + repaired_b
         # Coverage figures come from the scan-0 capture only; a failed MX

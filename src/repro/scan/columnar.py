@@ -13,12 +13,14 @@ Each column is a stdlib :mod:`array` buffer of fixed-width integers.
 
 Determinism contract
 --------------------
-Every random draw comes from the same Mersenne Twister streams the
+Every generation draw comes from the same Mersenne Twister streams the
 per-object path advances (:meth:`~repro.sim.rng.RandomStream.random_block`
-bulk-draws the identical sequence).  What the fast engine saves is work
-*after* the draws: it counts each chunk's distinct outcome keys and runs
-the real classifiers once per key, which is what keeps it bit-for-bit
-identical to the object oracle at any N.
+bulk-draws the identical sequence), and the glue-elision count reads the
+object scanner's keyed draws (:func:`repro.scan.batch.elided_glue`).
+What the fast engine saves is work *after* the draws: it counts each
+chunk's distinct outcome keys and runs the real classifiers once per
+key, which is what keeps it bit-for-bit identical to the object oracle
+at any N.
 
 >>> CATEGORY_TOPOLOGIES[TOPO_NOLISTING].value
 'nolisting'
@@ -389,25 +391,23 @@ def _elided_in_chunk(
     """Glue records a fault-free chunk's two captures elide.
 
     Without faults every non-ghost MX record carries glue, so a domain's
-    glue-carrying count is its ``mx_count`` — except a dangling domain's
-    ghost exchange, which carries none (and a no-MX domain has no records
-    at all).  The per-domain draws are :func:`repro.scan.batch.
-    elided_glue`'s, the contract the faulted replay shares.
+    glue-carrying count is its ``mx_count`` in both captures — except a
+    dangling domain's ghost exchange, which carries none (and a no-MX
+    domain has no records at all).  Each domain's verdicts for both
+    captures come from one :func:`repro.scan.batch.elided_glue` call, the
+    contract the scanner and the faulted replay share.
     """
     from .batch import elided_glue
 
     if glue_elision_rate <= 0:
         return 0
-    elision_root = RandomStream(seed, "adoption-scan")
     elided = 0
     for i, (topology, carrying) in enumerate(zip(chunk.topology, chunk.mx_count)):
         if topology == TOPO_DANGLING or not carrying:
             continue
         name = plan.name_of(chunk.start + i)
-        for scan_index in (0, 1):
-            elided += elided_glue(
-                elision_root, scan_index, name, carrying, glue_elision_rate
-            )
+        both = elided_glue(seed, name, {0: carrying, 1: carrying}, glue_elision_rate)
+        elided += sum(both[0]) + sum(both[1])
     return elided
 
 

@@ -12,12 +12,12 @@ address list, producing the listening-host set.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from ..dns.resolver import DNSTimeout, NXDomain, ServFail, StubResolver
 from ..faults.model import FaultPlan
 from ..net.address import IPv4Address
-from ..sim.rng import RandomStream
+from .batch import elided_glue
 from .datasets import (
     DNSScanDataset,
     DomainObservation,
@@ -35,8 +35,11 @@ class DNSScanner:
     internet:
         The population under measurement.
     glue_elision_rate:
-        Fraction of MX answers whose glue A record is dropped from the
-        capture (the scans.io dataset's "not properly resolved" entries).
+        Fraction of glue A records dropped from the capture (the scans.io
+        dataset's "not properly resolved" entries).
+    seed:
+        Keys the elision draws; required when ``glue_elision_rate`` is
+        positive.
     faults:
         Optional :class:`~repro.faults.model.FaultPlan`.  Resolution then
         suffers SERVFAIL/timeout bursts and lame delegations, drawn per
@@ -48,16 +51,16 @@ class DNSScanner:
         self,
         internet: SyntheticInternet,
         glue_elision_rate: float = 0.1,
-        rng: Optional[RandomStream] = None,
+        seed: Optional[int] = None,
         faults: Optional[FaultPlan] = None,
     ) -> None:
         if not 0.0 <= glue_elision_rate <= 1.0:
             raise ValueError("glue_elision_rate must lie in [0, 1]")
-        if glue_elision_rate > 0 and rng is None:
-            raise ValueError("glue elision requires an rng")
+        if glue_elision_rate > 0 and seed is None:
+            raise ValueError("glue elision requires a seed")
         self.internet = internet
         self.glue_elision_rate = glue_elision_rate
-        self.rng = rng
+        self.seed = seed
         self.faults = faults
 
     def iter_observations(self, scan_index: int) -> Iterator[DomainObservation]:
@@ -68,16 +71,16 @@ class DNSScanner:
         a columnar consumer fold observations into fixed-width columns
         chunk by chunk instead of materializing the whole capture.
 
-        Glue elision draws come from a per-domain RNG stream
-        (``"elision:<scan>:<domain>"``), so whether a record's glue is
-        elided depends only on (seed, scan, domain) — scanning a shard of
-        the population captures exactly what a full scan would for the
-        same domains, which the parallel runner's merge relies on.
+        Glue elision draws come from :func:`repro.scan.batch.elided_glue`,
+        one keyed draw per domain, so whether a record's glue is elided
+        depends only on (seed, domain, scan, the record's place among the
+        answer's glue-carrying records) — scanning a shard of the
+        population captures exactly what a full scan would for the same
+        domains, which the parallel runner's merge relies on.
         """
         resolver = StubResolver(
             self.internet.zones, faults=self.faults, fault_epoch=scan_index
         )
-        elide = self.glue_elision_rate > 0 and self.rng is not None
         for truth in self.internet.domains:
             observation = DomainObservation(domain=truth.name)
             try:
@@ -94,21 +97,25 @@ class DNSScanner:
                 observation.servfail = True
                 yield observation
                 continue
-            elision_rng = (
-                self.rng.split(f"elision:{scan_index}:{truth.name}")
-                if elide
-                else None
-            )
-            for mx in answer.records:
-                address: Optional[IPv4Address] = answer.additional.get(
-                    mx.exchange
+            addresses: List[Optional[IPv4Address]] = [
+                answer.additional.get(mx.exchange) for mx in answer.records
+            ]
+            carrying = sum(1 for address in addresses if address is not None)
+            if carrying and self.glue_elision_rate > 0:
+                assert self.seed is not None
+                dropped = iter(
+                    elided_glue(
+                        self.seed,
+                        truth.name,
+                        {scan_index: carrying},
+                        self.glue_elision_rate,
+                    )[scan_index]
                 )
-                if (
-                    address is not None
-                    and elision_rng is not None
-                    and elision_rng.random() < self.glue_elision_rate
-                ):
-                    address = None
+                addresses = [
+                    None if address is None or next(dropped) else address
+                    for address in addresses
+                ]
+            for mx, address in zip(answer.records, addresses):
                 observation.mx.append(
                     MXObservation(
                         preference=mx.preference,

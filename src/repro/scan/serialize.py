@@ -37,7 +37,12 @@ def dump_dns_scan(dataset: DNSScanDataset) -> str:
         <domain> ok <pref>:<exchange>:<ip|-> ...
         <domain> nxdomain
         <domain> servfail
+        <domain> timeout
         <domain> nomx
+
+    ``servfail`` and ``timeout`` are transient failures the two-scan
+    protocol falls back on the other scan for; ``nomx`` is an
+    authoritative answer without MX records.
     """
     lines: List[str] = [DNS_HEADER, f"# scan-index {dataset.scan_index}"]
     for domain in sorted(dataset.observations):
@@ -46,6 +51,8 @@ def dump_dns_scan(dataset: DNSScanDataset) -> str:
             lines.append(f"{domain} nxdomain")
         elif observation.servfail:
             lines.append(f"{domain} servfail")
+        elif observation.timeout:
+            lines.append(f"{domain} timeout")
         elif not observation.mx:
             lines.append(f"{domain} nomx")
         else:
@@ -83,6 +90,8 @@ def load_dns_scan(text: str) -> DNSScanDataset:
             observation.nxdomain = True
         elif status == "servfail":
             observation.servfail = True
+        elif status == "timeout":
+            observation.timeout = True
         elif status == "nomx":
             pass
         elif status == "ok":

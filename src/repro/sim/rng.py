@@ -1,19 +1,32 @@
-"""Deterministic random-number streams.
+"""Deterministic random numbers: sequential streams and keyed draws.
 
 Every experiment takes a single integer ``seed``; components derive their own
 independent sub-streams by *splitting* the root stream with a string label.
 Splitting is stable: the same (seed, label-path) always yields the same
 stream, regardless of what other components do — adding a new component to an
 experiment never perturbs the randomness seen by existing ones.
+
+A decision about one entity that needs only a few uniforms — whether a
+capture drops a domain's glue, whether a host is down during a scan —
+does not build a stream at all.  :func:`keyed_words` hashes the entity's
+``(seed, label)`` into eight 64-bit words, a counter-based draw in the
+sense of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"
+(SC 2011): no generator is seeded and no state is kept, so query order,
+chunking, engine and worker count cannot change a draw.
+:class:`RandomStream` stays for sequential draws: the population
+generator, bots, message specs and deployment rolls.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+import struct
+from typing import List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
+
+_KEYED_WORDS = struct.Struct("<8Q")
 
 
 def _derive_seed(seed: int, label: str) -> int:
@@ -25,6 +38,19 @@ def _derive_seed(seed: int, label: str) -> int:
     payload = f"{seed}:{label}".encode("utf-8")
     digest = hashlib.sha256(payload).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def keyed_words(seed: int, label: str) -> Tuple[int, ...]:
+    """The eight 64-bit words keyed by ``(seed, label)``.
+
+    The little-endian words of the 64-byte BLAKE2b digest of
+    ``"<seed>:<label>"``, the text :func:`_derive_seed` hashes.  Word
+    ``w`` stands for the uniform ``(w >> 11) / 2**53``, built from the
+    53 bits :meth:`random.Random.random` uses, so "below ``rate``" is
+    exactly ``w >> 11 < rate * 2**53``.
+    """
+    payload = f"{seed}:{label}".encode("utf-8")
+    return _KEYED_WORDS.unpack(hashlib.blake2b(payload, digest_size=64).digest())
 
 
 class RandomStream:

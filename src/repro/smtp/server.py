@@ -321,6 +321,7 @@ class SMTPSession:
             return replies.bad_sequence("RCPT TO")
         assert self.sender is not None
         accepted_any = False
+        refusals: List[Optional[Reply]] = []
         for recipient in self.recipients:
             envelope = Envelope(
                 sender=self.sender,
@@ -334,6 +335,8 @@ class SMTPSession:
             code = replies.CODE_OK if decision.accept else (
                 decision.reply.code if decision.reply else replies.CODE_MAILBOX_BUSY
             )
+            if not decision.accept:
+                refusals.append(decision.reply)
             self.server.record(
                 self.client,
                 self.sender,
@@ -356,6 +359,17 @@ class SMTPSession:
         self.recipients = []
         if accepted_any:
             return replies.ok("2.0.0 message accepted for delivery")
+        # Every recipient was refused.  If every refusal was a 4xx reply,
+        # the policy only deferred: answer with the first, so the client
+        # retries instead of bouncing.  A refusal that names no reply
+        # leaves nothing to answer with, so it keeps the 554.
+        deferrals = [
+            reply
+            for reply in refusals
+            if reply is not None and reply.is_transient_failure
+        ]
+        if len(deferrals) == len(refusals):
+            return deferrals[0]
         return Reply(replies.CODE_TRANSACTION_FAILED, "transaction failed")
 
     def abort(self) -> None:

@@ -98,6 +98,29 @@ class TestFaultPlan:
     def test_event_counter_keys(self):
         assert set(FaultPlan(FaultConfig()).events) == set(FAULT_KINDS)
 
+    def test_uniform_rates_calibrated(self):
+        # Each kind fires at its configured rate, within four binomial
+        # standard deviations over 20,000 entities.
+        config = FaultConfig.uniform(0.05, seed=11)
+        plan = FaultPlan(config)
+        queries = 20_000
+        hosts = [f"10.0.{i >> 8}.{i & 255}" for i in range(queries)]
+        host_down = sum(plan.host_down(host, 0) for host in hosts)
+        port_flap = sum(plan.port_closed(host, 0) for host in hosts)
+        answers = [plan.dns_fault(f"dom{i:07d}.example", 1) for i in range(queries)]
+        for hits, rate in (
+            (host_down, config.host_outage_rate),
+            (port_flap, config.port_flap_rate),
+            (answers.count("servfail"), config.dns_servfail_rate),
+            (answers.count("timeout"), config.dns_timeout_rate),
+        ):
+            sd = (queries * rate * (1 - rate)) ** 0.5
+            assert abs(hits - queries * rate) <= 4 * sd, (hits, rate)
+        # One draw per query: a query gets at most one DNS fault kind.
+        assert plan.events["dns_servfail"] + plan.events["dns_timeout"] == sum(
+            answer is not None for answer in answers
+        )
+
 
 def _zone_store():
     store = ZoneStore()

@@ -219,6 +219,24 @@ class TestSQLiteBackend:
         conn.close()
         assert count == 1
 
+    def test_writes_commit_in_batches(self, tmp_path):
+        # Another connection sees nothing until commit_every mutations
+        # have accumulated, then the whole batch at once.
+        path = tmp_path / "grey.db"
+        backend = SQLiteBackend(path, commit_every=2)
+        reader = sqlite3.connect(str(path))
+
+        def committed():
+            query = "SELECT COUNT(*) FROM greylisting_tracking"
+            return reader.execute(query).fetchone()[0]
+
+        backend.put(entry(0))
+        assert committed() == 0
+        backend.put(entry(1))
+        assert committed() == 2
+        reader.close()
+        backend.close()
+
     def test_commit_every_validated(self):
         with pytest.raises(ValueError):
             SQLiteBackend(commit_every=0)

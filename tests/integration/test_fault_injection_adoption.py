@@ -23,7 +23,6 @@ from repro.scan.population import (
     SyntheticInternet,
 )
 from repro.scan.scanner import DNSScanner, SMTPScanner
-from repro.sim.rng import RandomStream
 
 NUM_DOMAINS = 2000
 SEED = 3
@@ -39,10 +38,7 @@ def _scan_pair_with_faults():
     )
     internet = SyntheticInternet(config, seed=SEED)
     plan = FaultPlan(FaultConfig.uniform(FAULT_RATE, seed=SEED))
-    rng = RandomStream(SEED, "fault-integration")
-    dns_scanner = DNSScanner(
-        internet, glue_elision_rate=0.0, rng=rng, faults=plan
-    )
+    dns_scanner = DNSScanner(internet, glue_elision_rate=0.0, faults=plan)
     smtp_scanner = SMTPScanner(internet, faults=plan)
     dns_a, dns_b = dns_scanner.scan(0), dns_scanner.scan(1)
     smtp_a, smtp_b = smtp_scanner.scan(0), smtp_scanner.scan(1)
@@ -197,16 +193,18 @@ def _result_digest(result):
 
 
 class TestPinnedFaultedResults:
-    # Recorded before the network-level fault hooks were deleted; a change
-    # to any fault draw, its key or the two-scan verdicts moves them.
+    # Recorded when fault and glue-elision draws became keyed hashes
+    # (repro.sim.rng.keyed_words); both engines give the same digest.  A
+    # change to any fault or elision draw, its key or the two-scan
+    # verdicts moves them.
     @pytest.mark.parametrize("engine", ["object", "columnar"])
     @pytest.mark.parametrize(
         "fault_rate, seed, digest",
         [
-            (0.05, 7, "633b68656800a66993e58c0676b19396ee0850062dfcd3ba592f56266ac6801f"),
-            (0.05, 23, "5c7c7b76074561691df19a8ea3c582a741d2b33f96c8996dbd01338cd51a8b64"),
-            (0.3, 7, "073ef9d50fbfc5437b8331c13e1178de21dd754e11128a3fc87c301410653818"),
-            (0.3, 23, "2795b53c97e5b9bcd479236e9ed7fcb493350222a8e34cea56e05448ee0f0571"),
+            (0.05, 7, "9df0a354eff086611fe672fe1f96176688422b566769211ff0bd996f6e8c268b"),
+            (0.05, 23, "cdd5da4afab49967f95c21d780d2242a8b7f6a1ee5e12d54dd56c6c94722c54e"),
+            (0.3, 7, "af639f48832451be09d288271893dd9e3dd7ac11c4becba62f6116979fd8912a"),
+            (0.3, 23, "c9e9003f804851e5ba0fe9b0fe0228040802b1c848708cca89d45d7ff9a5861f"),
         ],
     )
     def test_faulted_figure2_pinned(self, fault_rate, seed, digest, engine):
@@ -215,5 +213,25 @@ class TestPinnedFaultedResults:
             seed=seed,
             fault_rate=fault_rate,
             engine=engine,
+        )
+        assert _result_digest(result) == digest
+
+
+class TestPinnedFaultFreeResults:
+    # Recorded with the keyed glue-elision draws at the default 10 % rate;
+    # both engines give the same digest.  Elision moves only the repaired
+    # count, so a change to the elision draws, the population or the
+    # two-scan verdicts moves them.
+    @pytest.mark.parametrize("engine", ["object", "columnar"])
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            (7, "599582924a510826b6c07acee0baa088a21711635232144d93c87cb8efd5026d"),
+            (23, "bfc47288901eba339c80cc8a9017e311d3530668a308e7ba362976439ac47ba5"),
+        ],
+    )
+    def test_figure2_pinned(self, seed, digest, engine):
+        result = run_adoption_experiment(
+            num_domains=NUM_DOMAINS, seed=seed, engine=engine
         )
         assert _result_digest(result) == digest

@@ -150,23 +150,48 @@ class TestGlueElision:
     @pytest.mark.parametrize("scan_index", [0, 1])
     def test_elided_glue_matches_scanner(self, scan_index):
         # The shared per-domain draw contract against the object scanner:
-        # every exchange the capture left without an address but that has
-        # an A record lost its glue to elision.
+        # the capture drops exactly the glue records the helper names, in
+        # record order among the glue-carrying ones.
         config = PopulationConfig(**POOLED)
         internet = SyntheticInternet.shard(config, 42, [0])
-        root = RandomStream(42, "adoption-scan")
-        scanner = DNSScanner(internet, glue_elision_rate=0.5, rng=root)
+        scanner = DNSScanner(internet, glue_elision_rate=0.5, seed=42)
         capture = {o.domain: o for o in scanner.iter_observations(scan_index)}
         elided_total = 0
         for truth in internet.domains:
-            carrying = sum(1 for _, _, addr in truth.mx_hosts if addr is not None)
-            elided = elided_glue(root, scan_index, truth.name, carrying, 0.5)
-            captured = sum(
-                1 for record in capture[truth.name].mx if record.address is not None
-            )
-            assert captured == carrying - elided, truth.name
-            elided_total += elided
+            glued = [host for host, _, addr in truth.mx_hosts if addr is not None]
+            if not glued:
+                continue
+            dropped = elided_glue(42, truth.name, {scan_index: len(glued)}, 0.5)
+            expected = {
+                host for host, lost in zip(glued, dropped[scan_index]) if lost
+            }
+            lost = {
+                record.exchange
+                for record in capture[truth.name].mx
+                if record.address is None and record.exchange in glued
+            }
+            assert lost == expected, truth.name
+            elided_total += len(expected)
         assert elided_total > 0
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5])
+    def test_elision_rate_calibrated(self, rate):
+        # 24,000 glue-carrying records (3,000 domains, four records in
+        # each of two captures): the share elided lies within four
+        # binomial standard deviations of the rate.
+        records = elided = 0
+        for i in range(3000):
+            dropped = elided_glue(5, f"dom{i:07d}.example", {0: 4, 1: 4}, rate)
+            for capture in dropped.values():
+                records += len(capture)
+                elided += sum(capture)
+        sd = (records * rate * (1 - rate)) ** 0.5
+        assert abs(elided - records * rate) <= 4 * sd
+
+    @pytest.mark.parametrize("carrying", [{0: 5}, {1: 5}, {2: 1}, {-1: 1}])
+    def test_draws_cover_two_captures_of_four_records(self, carrying):
+        with pytest.raises(ValueError):
+            elided_glue(5, "dom0000000.example", carrying, 0.1)
 
 
 class TestDeploymentStreaming:

@@ -23,7 +23,6 @@ from repro.scan.population import (
     SyntheticInternet,
 )
 from repro.scan.scanner import DNSScanner, SMTPScanner
-from repro.sim.rng import RandomStream
 
 
 def addr(text):
@@ -225,8 +224,7 @@ class TestScannersEndToEnd:
             num_domains=1500, transient_outage_rate=0.01
         )
         internet = SyntheticInternet(config, seed=11)
-        rng = RandomStream(11, "scan-test")
-        dns_scanner = DNSScanner(internet, glue_elision_rate=0.2, rng=rng)
+        dns_scanner = DNSScanner(internet, glue_elision_rate=0.2, seed=11)
         dns_a = dns_scanner.scan(0)
         dns_b = dns_scanner.scan(1)
         dns_scanner.parallel_resolve(dns_a)
@@ -244,13 +242,11 @@ class TestScannersEndToEnd:
         internet = SyntheticInternet(
             PopulationConfig(num_domains=300), seed=11
         )
-        scanner = DNSScanner(
-            internet, glue_elision_rate=0.5, rng=RandomStream(1)
-        )
+        scanner = DNSScanner(internet, glue_elision_rate=0.5, seed=1)
         dataset = scanner.scan(0)
         assert any(not r.resolved for o in dataset for r in o.mx)
 
-    def test_elision_requires_rng(self):
+    def test_elision_requires_seed(self):
         internet = SyntheticInternet(PopulationConfig(num_domains=300), seed=11)
         with pytest.raises(ValueError):
             DNSScanner(internet, glue_elision_rate=0.5)
@@ -258,7 +254,7 @@ class TestScannersEndToEnd:
     def test_elision_rate_bounds(self):
         internet = SyntheticInternet(PopulationConfig(num_domains=300), seed=11)
         with pytest.raises(ValueError):
-            DNSScanner(internet, glue_elision_rate=1.5, rng=RandomStream(1))
+            DNSScanner(internet, glue_elision_rate=1.5, seed=1)
 
     def test_parallel_resolve_repairs_elided_glue(self, world):
         _, dns_a, dns_b, *_ = world

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.model import FaultConfig, FaultPlan
 from repro.scan.detect import NolistingDetector
 from repro.scan.population import PopulationConfig, SyntheticInternet
 from repro.scan.scanner import DNSScanner, SMTPScanner
@@ -12,15 +13,12 @@ from repro.scan.serialize import (
     load_dns_scan,
     load_smtp_scan,
 )
-from repro.sim.rng import RandomStream
 
 
 @pytest.fixture(scope="module")
 def captures():
     internet = SyntheticInternet(PopulationConfig(num_domains=400), seed=19)
-    scanner = DNSScanner(
-        internet, glue_elision_rate=0.2, rng=RandomStream(19, "ser")
-    )
+    scanner = DNSScanner(internet, glue_elision_rate=0.2, seed=19)
     dns = scanner.scan(1)
     smtp = SMTPScanner(internet).scan(1)
     return internet, dns, smtp
@@ -136,7 +134,7 @@ class TestOfflinePipeline:
         internet = SyntheticInternet(
             PopulationConfig(num_domains=600), seed=23
         )
-        scanner = DNSScanner(internet, glue_elision_rate=0.0, rng=None)
+        scanner = DNSScanner(internet, glue_elision_rate=0.0)
         smtp_scanner = SMTPScanner(internet)
         dns_a, dns_b = scanner.scan(0), scanner.scan(1)
         smtp_a, smtp_b = smtp_scanner.scan(0), smtp_scanner.scan(1)
@@ -150,3 +148,34 @@ class TestOfflinePipeline:
         ).summarize()
         assert offline.counts == live.counts
         assert offline.total_domains == live.total_domains
+
+    def test_faulted_scans_keep_transient_failures(self):
+        # A timed-out or SERVFAILed query must reload as a transient
+        # failure, not as an authoritative "no MX", or the two-scan
+        # protocol stops falling back on the other scan.
+        internet = SyntheticInternet(PopulationConfig(num_domains=600), seed=29)
+        plan = FaultPlan(FaultConfig.uniform(0.2, seed=29))
+        scanner = DNSScanner(internet, glue_elision_rate=0.0, faults=plan)
+        smtp_scanner = SMTPScanner(internet, faults=plan)
+        captures = [scanner.scan(0), scanner.scan(1)]
+        smtp = [smtp_scanner.scan(0), smtp_scanner.scan(1)]
+        assert all(any(o.timeout for o in dns) for dns in captures)
+        restored = [load_dns_scan(dump_dns_scan(dns)) for dns in captures]
+
+        def flags(observation):
+            return (
+                observation.nxdomain,
+                observation.servfail,
+                observation.timeout,
+                [(r.preference, r.exchange, r.address) for r in observation.mx],
+            )
+
+        for live, reloaded in zip(captures, restored):
+            assert {d: flags(o) for d, o in reloaded.observations.items()} == {
+                d: flags(o) for d, o in live.observations.items()
+            }
+        assert NolistingDetector(
+            restored[0], smtp[0], restored[1], smtp[1]
+        ).classify_all() == NolistingDetector(
+            captures[0], smtp[0], captures[1], smtp[1]
+        ).classify_all()

@@ -1,8 +1,8 @@
-"""Unit tests for the splittable random streams."""
+"""Unit tests for the splittable random streams and the keyed draws."""
 
 import pytest
 
-from repro.sim.rng import RandomStream
+from repro.sim.rng import RandomStream, keyed_words
 
 
 class TestDeterminism:
@@ -116,3 +116,49 @@ class TestDraws:
             rng.weighted_index([0.0, 0.0])
         with pytest.raises(ValueError):
             rng.weighted_index([1.0, -1.0])
+
+
+class TestKeyedWords:
+    @pytest.mark.parametrize(
+        "seed, label, words",
+        [
+            (
+                0,
+                "elision:dom0000000.example",
+                (
+                    9124816037920425200, 16811517041135181216,
+                    12620984125870284293, 3519532002653468249,
+                    17745636519936782913, 1542675923929715066,
+                    4285949103113215326, 8580716015640220648,
+                ),
+            ),
+            (
+                42,
+                "faults:host:1:10.0.0.7",
+                (
+                    16179825997338976930, 15075661975273328714,
+                    9133718794999960719, 10922350535383883570,
+                    14310081488907554283, 9561459186534352470,
+                    1046521678999171649, 4517658163507388763,
+                ),
+            ),
+            (
+                -5,
+                "faults:dns:0:dom0000003.example",
+                (
+                    9864873794645805313, 13911355167710713704,
+                    1407341497617013540, 15319101808802778469,
+                    13983606172358957927, 16423310370605040666,
+                    6632935572125020348, 1094521281836458766,
+                ),
+            ),
+        ],
+    )
+    def test_words_pinned(self, seed, label, words):
+        # The words of BLAKE2b-512 over "seed:label", little-endian;
+        # changing the derivation would silently change every keyed draw.
+        assert keyed_words(seed, label) == words
+
+    def test_seed_and_label_both_key_the_draw(self):
+        assert keyed_words(1, "x") != keyed_words(2, "x")
+        assert keyed_words(1, "x") != keyed_words(1, "y")

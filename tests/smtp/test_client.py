@@ -197,3 +197,24 @@ class TestRejections:
             ("data", False, 554)
         ]
         assert server.stats.messages_accepted == 0
+
+    def test_deferral_at_data_defers(self, world):
+        internet, zones, pool, _, _ = world
+
+        class DeferContent(ConnectionPolicy):
+            def on_message(self, client, envelope, message):
+                return PolicyDecision.reject(
+                    replies.Reply(451, "4.7.1 content check unavailable")
+                )
+
+        server = SMTPServer(
+            hostname="smtp.foo.net", clock=Clock(), policy=DeferContent()
+        )
+        setup_single_mx(internet, zones, pool, "foo.net", server.session_factory)
+        client = make_client(internet, zones)
+        result = client.send(make_message(), "user@foo.net")
+        assert result.outcome is AttemptOutcome.DEFERRED
+        assert result.reply.code == 451
+        assert [(r.stage, r.accepted, r.reply_code) for r in server.log] == [
+            ("data", False, 451)
+        ]

@@ -182,6 +182,25 @@ class TestDataPhase:
         assert [r.reply_code for r in server.log] == [replies.CODE_MAILBOX_BUSY] * 2
         assert server.stats.messages_accepted == 0
 
+    def test_deferral_of_every_recipient_is_the_answer(self):
+        deferral = Reply(replies.CODE_LOCAL_ERROR, "4.7.1 try again later")
+        server = make_server(policy=RecordingPolicy(refuse=TWO_RECIPIENTS, reply=deferral))
+        message = Message(sender="alice@sender.example", recipients=TWO_RECIPIENTS)
+        assert open_transaction(server, message).data(message) == deferral
+        assert server.stats.messages_accepted == 0
+
+    def test_any_permanent_refusal_fails_the_transaction(self):
+        class DeferThenReject(ConnectionPolicy):
+            def on_message(self, client, envelope, message):
+                if envelope.recipient == TWO_RECIPIENTS[0]:
+                    return PolicyDecision.reject(Reply(replies.CODE_MAILBOX_BUSY, "later"))
+                return PolicyDecision.reject(Reply(replies.CODE_MAILBOX_UNAVAILABLE, "no"))
+
+        server = make_server(policy=DeferThenReject())
+        message = Message(sender="alice@sender.example", recipients=TWO_RECIPIENTS)
+        reply = open_transaction(server, message).data(message)
+        assert reply.code == replies.CODE_TRANSACTION_FAILED
+
     def test_data_ends_the_transaction(self):
         server = make_server()
         message = Message(sender="alice@sender.example", recipients=TWO_RECIPIENTS)
