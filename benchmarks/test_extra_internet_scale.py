@@ -5,8 +5,7 @@ Composes the paper's two measurement halves — who deploys the techniques
 wave over a mixed-deployment internet, and checks the measured block rate
 against the analytic prediction.
 
-On the streaming columnar engine the sweep runs at a 10,000,000-domain
-internet; the per-object engine, its oracle, tops out around 60.  A
+On the columnar engine the sweep runs at a 10,000,000-domain internet; the per-object engine, its oracle, tops out around 60.  A
 separate test pins the columnar speedup over the object engine; the
 columnar throughput floor and memory budget are gated in
 ``test_perf_columnar.py``.
@@ -26,9 +25,9 @@ from _util import emit, traced_peak_mb
 
 NUM_DOMAINS = 10_000_000
 SWEEP_RATES = [(0.0, 0.0), (0.2, 0.05), (0.5, 0.1), (0.8, 0.2)]
-# Heap footprint is measured at a smaller N; the columnar path streams
-# the deployment column in fixed-size chunks, so peak memory is
-# independent of NUM_DOMAINS — which the memory-budget gate asserts.
+# Heap footprint is measured at a smaller N; the columnar path rolls only
+# the targeted domains, so peak memory is independent of NUM_DOMAINS —
+# which the memory-budget gate asserts.
 MEMORY_PROBE_DOMAINS = 1_000_000
 
 

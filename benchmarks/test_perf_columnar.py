@@ -1,4 +1,4 @@
-"""Microbenchmarks of the streaming columnar engine.
+"""Microbenchmarks of the columnar engine.
 
 Two hard gates ride the smoke-bench set:
 
@@ -7,10 +7,10 @@ Two hard gates ride the smoke-bench set:
   is what makes the 10,000,000-domain sweep in
   ``test_extra_internet_scale.py`` a seconds-scale run.
 * **Memory budget** — peak Python-heap allocation of the same run must
-  stay under a fixed cap.  The deployment rolls are streamed in
-  fixed-size chunks and only the targeted ones are binned, so the peak
-  is set by the chunk size and the spam wave, not by the domain count;
-  measured ~6 MiB at both 1M and 4M domains, gated at 24 MiB.
+  stay under a fixed cap.  Only the domains the spam wave targets are
+  rolled, each from a keyed hash of its index, so the peak is set by the
+  wave, not by the domain count; measured 0.03 MiB at 1M domains, gated
+  at 24 MiB.
 """
 
 from repro.core.adoption import run_adoption_experiment

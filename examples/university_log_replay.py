@@ -10,6 +10,7 @@ runs off the log artefact alone.
 Run:  python examples/university_log_replay.py [logfile]
 """
 
+import os
 import sys
 import tempfile
 
@@ -20,8 +21,14 @@ from repro.maillog.university import DeploymentConfig, UniversityDeployment
 
 
 def main() -> None:
-    log_path = sys.argv[1] if len(sys.argv) > 1 else None
+    if len(sys.argv) > 1:
+        replay(sys.argv[1])
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-greylist-") as tmp:
+        replay(os.path.join(tmp, "greylist.log"))
 
+
+def replay(log_path: str) -> None:
     config = DeploymentConfig(
         threshold=300.0, duration_days=120.0, num_messages=2000
     )
@@ -31,16 +38,8 @@ def main() -> None:
     result = UniversityDeployment(config, seed=5).run()
 
     # Dump the anonymized log (timestamps only, hashed keys).
-    if log_path is None:
-        handle = tempfile.NamedTemporaryFile(
-            mode="w", suffix=".greylist.log", delete=False
-        )
-        log_path = handle.name
+    with open(log_path, "w") as handle:
         handle.write(dump_logs(result.logs))
-        handle.close()
-    else:
-        with open(log_path, "w") as handle:
-            handle.write(dump_logs(result.logs))
     print(f"anonymized log written to {log_path}")
 
     # The analysis below uses ONLY the log file.

@@ -38,4 +38,4 @@ Quick start::
     print(table2_text(matrix))
 """
 
-__version__ = "1.2.0"
+__version__ = "1.3.0"

@@ -233,7 +233,6 @@ class SpamBot:
                 task.recipient,
                 self.helo_name,
             )
-            connection.close()
             break
         else:
             # Every selected target refused the connection.

@@ -183,13 +183,8 @@ def _merge_adoption_shards(
         servers_covered=servers,
         addresses_covered=addresses,
     )
-    rank_of = plan.rank_of()
     crosscheck = crosscheck_from_ranks(
-        [
-            rank_of[name]
-            for name in nolisting_domains
-            if rank_of.get(name)
-        ]
+        [plan.rank(plan.index_of(name)) for name in nolisting_domains]
     )
     return AdoptionExperimentResult(
         summary=summary,

@@ -106,7 +106,6 @@ def run_figure1(domain: str = "foo.net") -> Figure1Trace:
             delivered = True
         if not reply.is_positive and not line.startswith("QUIT"):
             break
-    connection.close()
     return Figure1Trace(steps=steps, delivered=delivered)
 
 

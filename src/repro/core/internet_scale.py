@@ -30,7 +30,7 @@ from ..net.address import AddressPool, IPv4Network
 from ..net.network import VirtualInternet
 from ..sim.clock import Clock
 from ..sim.events import EventScheduler
-from ..sim.rng import RandomStream
+from ..sim.rng import RandomStream, keyed_words
 from ..smtp.message import Message
 from ..smtp.server import SMTPServer
 
@@ -94,6 +94,28 @@ def _check_rates(greylisting_rate: float, nolisting_rate: float) -> None:
         raise ValueError("deployment rates must sum to at most 1")
 
 
+#: Deployment kinds a receiver domain can be in (disjoint in this model).
+_PLAIN, _NOLISTED, _GREYLISTED = "plain", "nolisted", "greylisted"
+
+
+def _deployment(
+    seed: int, index: int, greylisting_rate: float, nolisting_rate: float
+) -> str:
+    """Receiver domain ``index``'s deployment kind, from one keyed roll.
+
+    The roll is word 0 of ``keyed_words(seed, "deploy:<index>")`` read as
+    the uniform ``(w >> 11) / 2**53``.  It depends on nothing but the seed
+    and the index: not on ``num_domains``, the engine or the order in
+    which domains are rolled.
+    """
+    roll = (keyed_words(seed, f"deploy:{index}")[0] >> 11) / 2**53
+    if roll < nolisting_rate:
+        return _NOLISTED
+    if roll < nolisting_rate + greylisting_rate:
+        return _GREYLISTED
+    return _PLAIN
+
+
 def run_internet_scale(
     num_domains: int = 60,
     greylisting_rate: float = 0.3,
@@ -103,21 +125,19 @@ def run_internet_scale(
     seed: int = 61,
     horizon: float = 400000.0,
     engine: str = "columnar",
-    chunk_domains: int = 100_000,
 ) -> InternetScaleResult:
     """Run one spam wave through a mixed-deployment internet.
 
     ``engine="columnar"``, the default, collapses the wave into (family x
     phase) classes, drives one *real* session per class and run (see
     :mod:`repro.core.playbooks`) and replays only the per-message
-    retry-delay draws.  It *streams* the receiver internet's
-    deployment rolls in chunks of ``chunk_domains`` (see
-    :func:`repro.scan.columnar.stream_deployment_rolls`) and bins only the
-    targeted ones — peak memory is one chunk plus the wave, independent
-    of ``num_domains``, which is what lifts the sweep to 10M domains.
+    retry-delay draws.  Each domain's deployment is keyed by its index
+    (:func:`_deployment`), so it rolls only the domains the wave targets:
+    its cost and memory are set by ``messages``, not ``num_domains``,
+    which is what lifts the sweep to internet scale.
     ``engine="object"`` is the oracle: it simulates every DNS
     lookup, connection and SMTP dialogue on the event scheduler, and
-    produces the identical result, and ignores ``chunk_domains``.
+    produces the identical result.
 
     Both deployment rates must lie in [0, 1] and sum to at most 1.
     """
@@ -134,7 +154,6 @@ def run_internet_scale(
             greylist_delay=greylist_delay,
             seed=seed,
             horizon=horizon,
-            chunk_domains=chunk_domains,
         )
     rng = RandomStream(seed, "internet-scale")
     scheduler = EventScheduler(Clock())
@@ -145,21 +164,15 @@ def run_internet_scale(
     bot_pool = AddressPool(IPv4Network.parse("198.51.100.0/24"))
 
     # --- receiver domains with a randomized deployment mix ----------------
-    deploy_rng = rng.split("deployments")
     domains: List[str] = []
     for index in range(num_domains):
         domain = f"site{index:04d}.example"
         domains.append(domain)
-        roll = deploy_rng.random()
-        if roll < nolisting_rate:
-            policy = None
-            builder = setup_nolisting
-        elif roll < nolisting_rate + greylisting_rate:
+        deployment = _deployment(seed, index, greylisting_rate, nolisting_rate)
+        policy = None
+        if deployment == _GREYLISTED:
             policy = GreylistPolicy(clock=scheduler.clock, delay=greylist_delay)
-            builder = setup_single_mx
-        else:
-            policy = None
-            builder = setup_single_mx
+        builder = setup_nolisting if deployment == _NOLISTED else setup_single_mx
         server = SMTPServer(
             hostname=f"smtp.{domain}",
             clock=scheduler.clock,
@@ -242,21 +255,17 @@ def _assemble_result(
     )
 
 
-#: Deployment kinds a receiver domain can be in (disjoint in this model).
-_PLAIN, _NOLISTED, _GREYLISTED = "plain", "nolisted", "greylisted"
-
-
 def _replay_wave(
     rng: RandomStream, messages: int, num_domains: int
 ) -> List[tuple]:
     """Replay the wave's family-mix and target draws verbatim.
 
     Returns ``(message index, family, target domain index)`` triples.  The
-    mix and target streams are independent splits, so draining them here —
-    before any deployment work — consumes exactly the draws the object
-    path's per-message loop consumes.  ``choice()`` draws depend only on
-    the sequence length, so picking from a ``range`` replays the object
-    path's pick out of the name list exactly.
+    mix and target streams are independent splits, so draining them here
+    consumes exactly the draws the object path's per-message loop
+    consumes.  ``choice()`` draws depend only on the sequence length, so
+    picking from a ``range`` replays the object path's pick out of the
+    name list exactly.
     """
     weights = [family.botnet_spam_share for family in FAMILIES]
     mix_rng = rng.split("mix")
@@ -296,8 +305,7 @@ def _resolve_wave(
     per message (unique senders), and no other state couples messages, so
     outcomes depend only on (family, deployment kind, retry-draw stream) —
     which is exactly what is replayed.  ``deployment_of`` maps a target
-    domain index to its deployment kind, backed by the streamed chunks'
-    targeted entries only.
+    domain index to its deployment kind.
 
     Each (HELO name, phase) class drives one real session, memoized for
     this run only: with four phases per family, a run drives at most
@@ -371,45 +379,22 @@ def _run_internet_scale_columnar(
     greylist_delay: float,
     seed: int,
     horizon: float,
-    chunk_domains: int = 100_000,
 ) -> InternetScaleResult:
-    """The streaming engine behind ``engine="columnar"``.
+    """The engine behind ``engine="columnar"``.
 
     The object path's draws, replayed, give its results without its
-    simulation.  The wave is replayed first (its streams are independent
-    of the deployment stream), which pins down the handful of *targeted*
-    domain indices; the deployment rolls are then streamed through in
-    ``chunk_domains`` chunks (:func:`repro.scan.columnar.
-    stream_deployment_rolls`, bulk draws) and only the targeted rolls are
-    binned, with the object path's two comparisons.  Peak memory is
-    O(chunk + messages), independent of ``num_domains`` — the property
-    the memory-budget benchmark pins.
+    simulation.  The wave is replayed first, which names the targeted
+    domain indices; only those are rolled (:func:`_deployment`), once per
+    message, so the cost is O(messages) whatever ``num_domains`` is.
     """
-    from ..scan.columnar import stream_deployment_rolls
-
     rng = RandomStream(seed, "internet-scale")
     wave = _replay_wave(rng, messages, num_domains)
-    targeted = sorted({target for _, _, target in wave})
 
-    deployment: Dict[int, str] = {}
-    cursor = 0
-    for start, rolls in stream_deployment_rolls(
-        rng.split("deployments"), num_domains, chunk_domains
-    ):
-        end = start + len(rolls)
-        while cursor < len(targeted) and targeted[cursor] < end:
-            index = targeted[cursor]
-            roll = rolls[index - start]
-            if roll < nolisting_rate:
-                deployment[index] = _NOLISTED
-            elif roll < nolisting_rate + greylisting_rate:
-                deployment[index] = _GREYLISTED
-            else:
-                deployment[index] = _PLAIN
-            cursor += 1
+    def deployment_of(index: int) -> str:
+        return _deployment(seed, index, greylisting_rate, nolisting_rate)
 
     per_family_sent, per_family_delivered = _resolve_wave(
-        wave, deployment.__getitem__, rng, greylist_delay, horizon
+        wave, deployment_of, rng, greylist_delay, horizon
     )
     return _assemble_result(
         num_domains,
@@ -434,11 +419,11 @@ def sweep_deployment_rates(
     Each (greylisting, nolisting) grid point is an independent simulation,
     so the sweep fans them over ``workers`` processes; ``cache`` memoizes
     completed points across invocations.  ``engine="columnar"``, the
-    default, streams the deployment column in fixed-size chunks, which is
-    what pushes ``num_domains`` to internet scale (10M+) under a fixed
-    memory budget; ``engine="object"`` runs every point on the oracle,
-    with identical results.  Every grid point's rates are validated before
-    any point runs.
+    default, rolls only the domains each point's wave targets, so a point
+    costs the same at 60 domains and at internet scale (135M);
+    ``engine="object"`` runs every point on the oracle, with identical
+    results.  Every grid point's rates are validated before any point
+    runs.
     """
     from ..runner.pool import run_tasks
     from ..runner.shards import internet_scale_task

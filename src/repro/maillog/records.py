@@ -11,6 +11,7 @@ authors' did.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
@@ -80,10 +81,26 @@ def parse_logs(text: str) -> List[GreylistedMessageLog]:
             raise ValueError(
                 f"unknown status {status!r} on log line {line_number}"
             )
+        times: List[float] = []
+        previous = 0.0
+        for stamp in stamps:
+            try:
+                when = float(stamp)
+            except ValueError:
+                when = math.nan  # unparseable: fails the check below
+            # One comparison rejects NaN, infinities, negative stamps and
+            # stamps earlier than the one before.
+            if not previous <= when < math.inf:
+                raise ValueError(
+                    f"bad timestamp {stamp!r} on log line {line_number}: "
+                    "stamps must be finite, non-negative and in order"
+                )
+            times.append(when)
+            previous = when
         logs.append(
             GreylistedMessageLog(
                 message_key=key,
-                attempt_times=[float(s) for s in stamps],
+                attempt_times=times,
                 delivered=(status == "delivered"),
             )
         )

@@ -36,7 +36,7 @@ class Connection:
     synchronously: a session takes no simulated time.
     """
 
-    __slots__ = ("local_address", "remote_address", "port", "session", "_open")
+    __slots__ = ("local_address", "remote_address", "port", "session")
 
     def __init__(
         self,
@@ -49,16 +49,11 @@ class Connection:
         self.remote_address = remote_address
         self.port = port
         self.session = session
-        self._open = True
-
-    def close(self) -> None:
-        self._open = False
 
     def __repr__(self) -> str:
-        state = "open" if self._open else "closed"
         return (
             f"Connection({self.local_address} -> {self.remote_address}:"
-            f"{self.port}, {state})"
+            f"{self.port})"
         )
 
 

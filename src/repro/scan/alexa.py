@@ -10,88 +10,89 @@ ranks and answers the cross-check queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
-from .population import DomainCategory
+from .population import CATEGORY_CODE, DomainCategory
 
 #: The paper's observation: ranks at which nolisting adopters were found.
 PAPER_NOLISTING_RANKS: Sequence[int] = (13, 214, 402, 731, 904)
 
 
 def plant_ranks(
-    domains: Sequence, ranks: Sequence[int] = PAPER_NOLISTING_RANKS
-) -> List[str]:
+    categories: bytes,
+    shuffled: Sequence[int],
+    ranks: Sequence[int] = PAPER_NOLISTING_RANKS,
+) -> Tuple[List[int], Dict[int, int]]:
     """Force ``len(ranks)`` nolisting domains to hold the given Alexa ranks.
 
-    Swaps ranks between the chosen nolisting domains and whichever domains
-    currently hold the target ranks, keeping the rank assignment a
-    permutation.  Returns the planted domain names.
-
-    Works on any domain records with name/category/alexa_rank: the
-    full-population :class:`DomainTruth` objects and the cheap
-    :class:`~repro.scan.population.PlannedDomain` plan the parallel
-    runner's coordinator plants *before* sharding.  The swap outcome
-    depends only on (order, categories, ranks), so both assign identical
-    ranks.
+    ``categories`` is a plan's category-code column and ``shuffled`` its
+    rank column, a permutation of ``1..n``.  Swaps ranks between the first
+    nolisting domains and whichever domains hold the target ranks, keeping
+    the ranks a permutation.  Returns the planted indices and ``{index:
+    rank}`` for every domain whose rank moved; the columns stay as they
+    are.
     """
-    nolisted = [d for d in domains if d.category is DomainCategory.NOLISTING]
-    if len(nolisted) < len(ranks):
+    nolisting = CATEGORY_CODE[DomainCategory.NOLISTING]
+    adopters = categories.count(nolisting)
+    if adopters < len(ranks):
         raise ValueError(
-            f"population has only {len(nolisted)} nolisting domains, "
+            f"population has only {adopters} nolisting domains, "
             f"cannot plant {len(ranks)}"
         )
-    num_domains = len(domains)
-    rank_holder: Dict[int, object] = {
-        truth.alexa_rank: truth for truth in domains
-    }
+    num_domains = len(shuffled)
     for rank in ranks:
-        if rank not in rank_holder:
+        if not 1 <= rank <= num_domains:
             raise ValueError(
                 f"no domain holds rank {rank}: cannot plant outside the "
                 f"population's {num_domains} ranks"
             )
+
+    # Only two stretches of the ranking can move: the popular band, and
+    # the bottom, where eviction sends adopters.  Eviction walks up from
+    # the last rank, spending one rank per adopter it moves and skipping
+    # one per adopter it meets, so it stays within the last ``adopters``.
+    popular_band = max(ranks) + 100
+    bottom = max(popular_band, num_domains - adopters)
+    holder = {
+        rank: index
+        for index, rank in enumerate(shuffled)
+        if rank <= popular_band or rank > bottom
+    }
+    moved: Dict[int, int] = {}
+
+    def swap(a: int, b: int) -> None:
+        rank_a = moved.get(a, shuffled[a])
+        rank_b = moved.get(b, shuffled[b])
+        moved[a], moved[b] = rank_b, rank_a
+        holder[rank_a], holder[rank_b] = b, a
 
     # First evict accidental adopters from the popular band: in a population
     # of this size the rank space is small relative to the real internet's,
     # so the uniform shuffle seeds the top-1000 with far more nolisting
     # domains than the 0.52 % base rate would on 135 M domains.  Swap them
     # out so the popular band holds exactly the planted structure.
-    popular_band = max(ranks) + 100
+    accidental = sorted(
+        index
+        for rank, index in holder.items()
+        if rank <= popular_band and categories[index] == nolisting
+    )
     swap_rank = num_domains
-    for truth in nolisted:
-        if truth.alexa_rank is None or truth.alexa_rank > popular_band:
-            continue
-        while swap_rank > popular_band:
-            candidate = rank_holder.get(swap_rank)
-            if (
-                candidate is not None
-                and candidate.category is not DomainCategory.NOLISTING
-            ):
-                break
+    for index in accidental:
+        while swap_rank > popular_band and categories[holder[swap_rank]] == nolisting:
             swap_rank -= 1
-        else:  # pragma: no cover - population would have to be tiny
+        if swap_rank <= popular_band:  # no rank below the band is left
             break
-        candidate = rank_holder[swap_rank]
-        truth.alexa_rank, candidate.alexa_rank = (
-            candidate.alexa_rank,
-            truth.alexa_rank,
-        )
-        rank_holder[truth.alexa_rank] = truth
-        rank_holder[candidate.alexa_rank] = candidate
+        swap(index, holder[swap_rank])
         swap_rank -= 1
 
-    planted: List[str] = []
-    for truth, rank in zip(nolisted, ranks):
-        other = rank_holder[rank]
-        if other is truth:
-            planted.append(truth.name)
-            continue
-        old_rank = truth.alexa_rank
-        truth.alexa_rank, other.alexa_rank = rank, old_rank
-        rank_holder[rank] = truth
-        rank_holder[old_rank] = other
-        planted.append(truth.name)
-    return planted
+    planted: List[int] = []
+    index = -1
+    for rank in ranks:
+        index = categories.find(nolisting, index + 1)
+        if holder[rank] != index:
+            swap(index, holder[rank])
+        planted.append(index)
+    return planted, moved
 
 
 @dataclass

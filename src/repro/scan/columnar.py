@@ -13,14 +13,14 @@ Each column is a stdlib :mod:`array` buffer of fixed-width integers.
 
 Determinism contract
 --------------------
-Every generation draw comes from the same Mersenne Twister streams the
-per-object path advances (:meth:`~repro.sim.rng.RandomStream.random_block`
-bulk-draws the identical sequence), and the glue-elision count reads the
-object scanner's keyed draws (:func:`repro.scan.batch.elided_glue`).
-What the fast engine saves is work *after* the draws: it counts each
-chunk's distinct outcome keys and runs the real classifiers once per
-key, which is what keeps it bit-for-bit identical to the object oracle
-at any N.
+Every generation draw is made here, in :func:`build_columnar_chunk`, and
+the object oracle materializes its world from the same cells
+(:class:`~repro.scan.population.SyntheticInternet`); the glue-elision
+count reads the object scanner's keyed draws
+(:func:`repro.scan.batch.elided_glue`).  What the fast engine saves is
+work *after* the draws: it counts each chunk's distinct outcome keys and
+runs the real classifiers once per key, which is what keeps it
+bit-for-bit identical to the object oracle at any N.
 
 >>> CATEGORY_TOPOLOGIES[TOPO_NOLISTING].value
 'nolisting'
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..net.address import IPv4Network
 from ..sim.rng import RandomStream
@@ -426,23 +426,3 @@ def _members_of(
         for i, key in enumerate(keys)
         if key in wanted_keys
     ]
-
-
-# ----------------------------------------------------------------------
-# Streaming deployment rolls (internet-scale experiment)
-# ----------------------------------------------------------------------
-def stream_deployment_rolls(
-    deploy_rng: RandomStream, num_domains: int, chunk_domains: int
-) -> Iterator[Tuple[int, List[float]]]:
-    """Stream the receiver internet's deployment rolls in bounded chunks.
-
-    Draws continue ``deploy_rng``'s single sequential stream exactly as the
-    object path's per-domain ``random()`` calls do (``random_block`` is
-    draw-for-draw identical).  Yields ``(start_index, rolls)``; the caller
-    bins only the rolls it reads, so peak memory is one chunk regardless
-    of ``num_domains``.
-    """
-    if chunk_domains < 1:
-        raise ValueError("chunk_domains must be positive")
-    for start in range(0, num_domains, chunk_domains):
-        yield start, deploy_rng.random_block(min(chunk_domains, num_domains - start))

@@ -284,20 +284,6 @@ def population_from_params(params: Dict[str, object]) -> PopulationConfig:
     )
 
 
-@dataclass
-class PlannedDomain:
-    """The cheap part of one domain's ground truth: name, category, rank.
-
-    Everything a coordinator needs to shard, plant popular adopters and
-    merge results — without paying for zones, addresses or outage draws.
-    """
-
-    index: int
-    name: str
-    category: DomainCategory
-    alexa_rank: int
-
-
 def _category_counts(
     num_domains: int, mix: Tuple[Tuple[str, float], ...]
 ) -> Tuple[int, ...]:
@@ -351,17 +337,15 @@ class PopulationPlan:
     derive the same plan from ``(config, seed)``, so chunk ``k`` means the
     same domains everywhere.
 
-    The plan's authoritative storage is *columnar*: a ``bytes`` column of
-    category codes, a read-only ``memoryview`` of ranks and a tuple of
-    per-category counts.  They come from :func:`_plan_columns`, a
-    one-entry, process-local memo keyed on ``(seed, num_domains, mix)``,
-    so every plan of one population in a process shares them; they are
-    read-only, so no plan can change another's.  :class:`PlannedDomain`
-    objects are materialized lazily (and at most once) per plan when
-    somebody asks for :attr:`domains` — planting re-ranks those objects
-    only; the batched engines and worker-side generators read
-    :meth:`chunk_rows` instead and never pay for the object layer.  The
-    name->rank map is cached and dropped by :meth:`plant`.
+    The plan's storage is *columnar*: a ``bytes`` column of category
+    codes, a read-only ``memoryview`` of ranks and a tuple of per-category
+    counts.  They come from :func:`_plan_columns`, a one-entry,
+    process-local memo keyed on ``(seed, num_domains, mix)``, so every
+    plan of one population in a process shares them; they are read-only,
+    so no plan can change another's.  :meth:`plant` moves a handful of
+    ranks into this plan's own ``{index: rank}`` override, which
+    :meth:`rank` and :meth:`chunk_rows` read through; no other rank
+    storage exists.
     """
 
     def __init__(self, config: PopulationConfig, seed: int) -> None:
@@ -371,55 +355,44 @@ class PopulationPlan:
         self._codes, self._ranks, self._counts = _plan_columns(
             seed, config.num_domains, mix
         )
-        self._domains: Optional[List[PlannedDomain]] = None
-        self._rank_cache: Optional[Dict[str, int]] = None
+        self._planted: Dict[int, int] = {}
 
     @staticmethod
     def name_of(index: int) -> str:
         """The (purely positional) name of domain ``index``."""
         return f"dom{index:07d}.example"
 
-    @property
-    def domains(self) -> List[PlannedDomain]:
-        """The object view of the plan, materialized on first access."""
-        if self._domains is None:
-            ranks = self._ranks
-            self._domains = [
-                PlannedDomain(
-                    index=index,
-                    name=self.name_of(index),
-                    category=CATEGORY_ORDER[code],
-                    alexa_rank=ranks[index],
-                )
-                for index, code in enumerate(self._codes)
-            ]
-        return self._domains
+    @staticmethod
+    def index_of(name: str) -> int:
+        """The index :meth:`name_of` encodes in ``name``."""
+        return int(name.removeprefix("dom").removesuffix(".example"))
 
     @property
     def num_chunks(self) -> int:
         return self.config.num_chunks
 
+    def rank(self, index: int) -> int:
+        """Domain ``index``'s Alexa rank, after any planting."""
+        return self._planted.get(index, self._ranks[index])
+
     def chunk_rows(self, chunk_index: int) -> List[Tuple[int, int, int]]:
         """Chunk contents as cheap ``(index, category code, rank)`` rows.
 
-        Reads straight from the columnar arrays, so a worker generating one
-        shard never materializes the full object plan, and formats no
-        names (:meth:`name_of` derives one from the index).  Falls back to
-        the object view when it exists, because planting mutates object
-        ranks.
+        Reads straight from the columns and the planting override, so a
+        worker generating one shard builds nothing population-sized, and
+        formats no names (:meth:`name_of` derives one from the index).
         """
         self._check_chunk(chunk_index)
         size = self.config.chunk_size
         start = chunk_index * size
         stop = min(start + size, self.config.num_domains)
-        if self._domains is not None:
-            return [
-                (d.index, CATEGORY_CODE[d.category], d.alexa_rank)
-                for d in self._domains[start:stop]
-            ]
-        return list(
+        rows = list(
             zip(range(start, stop), self._codes[start:stop], self._ranks[start:stop])
         )
+        for index, rank in self._planted.items():
+            if start <= index < stop:
+                rows[index - start] = (index, self._codes[index], rank)
+        return rows
 
     def _check_chunk(self, chunk_index: int) -> None:
         if not 0 <= chunk_index < self.num_chunks:
@@ -438,41 +411,16 @@ class PopulationPlan:
         """Category cardinality without materializing any objects."""
         return self._counts[CATEGORY_CODE[category]]
 
-    def rank_of(self) -> Dict[str, int]:
-        """Domain name -> current Alexa rank (reflects any planting).
+    def plant(self, ranks: Sequence[int]) -> List[int]:
+        """Plant nolisting adopters at ``ranks``; returns their indices.
 
-        Cached after the first call; :meth:`plant` (or an explicit
-        :meth:`invalidate_rank_cache`) drops the cache when ranks move.
-        Treat the returned mapping as read-only.
-        """
-        if self._rank_cache is None:
-            if self._domains is None:
-                self._rank_cache = {
-                    self.name_of(i): rank
-                    for i, rank in enumerate(self._ranks)
-                }
-            else:
-                self._rank_cache = {
-                    d.name: d.alexa_rank for d in self._domains
-                }
-        return self._rank_cache
-
-    def plant(self, ranks: Sequence[int]) -> List[str]:
-        """Plant nolisting adopters at ``ranks`` and invalidate rank caches.
-
-        The one sanctioned way to re-rank a plan: callers that reach for
-        :func:`repro.scan.alexa.plant_ranks` directly bypass the cache
-        invalidation and will read stale :meth:`rank_of` answers.
+        Re-plants from the shuffled ranks, replacing any earlier planting
+        of this plan (see :func:`repro.scan.alexa.plant_ranks`).
         """
         from .alexa import plant_ranks  # deferred: alexa imports this module
 
-        planted = plant_ranks(self.domains, ranks)
-        self.invalidate_rank_cache()
+        planted, self._planted = plant_ranks(self._codes, self._ranks, ranks)
         return planted
-
-    def invalidate_rank_cache(self) -> None:
-        """Forget the memoized name->rank map after external rank edits."""
-        self._rank_cache = None
 
 
 class SyntheticInternet:

@@ -7,14 +7,15 @@ stream, regardless of what other components do — adding a new component to an
 experiment never perturbs the randomness seen by existing ones.
 
 A decision about one entity that needs only a few uniforms — whether a
-capture drops a domain's glue, whether a host is down during a scan —
-does not build a stream at all.  :func:`keyed_words` hashes the entity's
-``(seed, label)`` into eight 64-bit words, a counter-based draw in the
-sense of Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3"
-(SC 2011): no generator is seeded and no state is kept, so query order,
-chunking, engine and worker count cannot change a draw.
+capture drops a domain's glue, whether a host is down during a scan,
+which defence a receiver domain deploys — does not build a stream at
+all.  :func:`keyed_words` hashes the entity's ``(seed, label)`` into
+eight 64-bit words, a counter-based draw in the sense of Salmon et al.,
+"Parallel Random Numbers: As Easy as 1, 2, 3" (SC 2011): no generator is
+seeded and no state is kept, so query order, chunking, engine and worker
+count cannot change a draw.
 :class:`RandomStream` stays for sequential draws: the population
-generator, bots, message specs and deployment rolls.
+generator, bots and message specs.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from typing import List, Sequence, Tuple, TypeVar
+from typing import Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -82,20 +83,6 @@ class RandomStream:
     # ------------------------------------------------------------------
     def random(self) -> float:
         return self._rng.random()
-
-    def random_block(self, n: int) -> List[float]:
-        """Draw ``n`` uniforms in bulk — bit-identical to ``n`` :meth:`random` calls.
-
-        The columnar engines consume per-entity uniform draws by the
-        hundred-thousand; a tight comprehension over the bound C method is
-        several times faster than ``n`` Python-level :meth:`random` calls
-        while advancing the underlying Mersenne Twister state identically,
-        which is what keeps columnar and per-object runs bit-for-bit equal.
-        """
-        if n < 0:
-            raise ValueError("block size must be >= 0")
-        draw = self._rng.random
-        return [draw() for _ in range(n)]
 
     def uniform(self, low: float, high: float) -> float:
         return self._rng.uniform(low, high)

@@ -126,7 +126,6 @@ class SMTPClient:
             except (ConnectionRefused, HostUnreachable):
                 continue
             result = self._dialogue(connection.session, message, recipient)
-            connection.close()
             result.exchanger = exchanger
             return result
         return AttemptResult(outcome=AttemptOutcome.NO_ROUTE)

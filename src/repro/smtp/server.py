@@ -37,10 +37,18 @@ class SessionState(enum.Enum):
 
 @dataclass
 class PolicyDecision:
-    """Outcome of a policy hook: accept, or reject with a specific reply."""
+    """Outcome of a policy hook: accept, or reject with the reply to send.
+
+    A rejection without a reply is refused here, so the session never has
+    to invent one.
+    """
 
     accept: bool
     reply: Optional[Reply] = None
+
+    def __post_init__(self) -> None:
+        if not self.accept and self.reply is None:
+            raise ValueError("a policy rejection must name its reply")
 
     @classmethod
     def ok(cls) -> "PolicyDecision":
@@ -236,9 +244,8 @@ class SMTPSession:
         if decision.accept:
             self.banner = replies.ready(server.hostname)
         else:
-            self.banner = decision.reply or Reply(
-                replies.CODE_SERVICE_UNAVAILABLE, "Service not available"
-            )
+            assert decision.reply is not None
+            self.banner = decision.reply
             self.state = SessionState.CLOSED
 
     # ------------------------------------------------------------------
@@ -255,7 +262,8 @@ class SMTPSession:
             return replies.bad_sequence("connection closed")
         decision = self.server.policy.on_helo(self.client, name)
         if not decision.accept:
-            return decision.reply or Reply(replies.CODE_SERVICE_UNAVAILABLE)
+            assert decision.reply is not None
+            return decision.reply
         self.helo_name = name
         self.state = SessionState.GREETED
         greeting = f"{self.server.hostname} Hello {name}"
@@ -278,7 +286,8 @@ class SMTPSession:
             return Reply(replies.CODE_PARAM_SYNTAX_ERROR, "bad sender address")
         decision = self.server.policy.on_mail_from(self.client, sender)
         if not decision.accept:
-            return decision.reply or Reply(replies.CODE_MAILBOX_BUSY)
+            assert decision.reply is not None
+            return decision.reply
         self.sender = sender
         self.recipients = []
         self.state = SessionState.MAIL
@@ -305,7 +314,8 @@ class SMTPSession:
             self.client, self.sender, recipient
         )
         if not decision.accept:
-            reply = decision.reply or Reply(replies.CODE_MAILBOX_BUSY)
+            reply = decision.reply
+            assert reply is not None
             self.server.record(
                 self.client, self.sender, recipient, False, reply.code, "policy"
             )
@@ -321,7 +331,7 @@ class SMTPSession:
             return replies.bad_sequence("RCPT TO")
         assert self.sender is not None
         accepted_any = False
-        refusals: List[Optional[Reply]] = []
+        refusals: List[Reply] = []
         for recipient in self.recipients:
             envelope = Envelope(
                 sender=self.sender,
@@ -332,10 +342,10 @@ class SMTPSession:
             decision = self.server.policy.on_message(
                 self.client, envelope, message
             )
-            code = replies.CODE_OK if decision.accept else (
-                decision.reply.code if decision.reply else replies.CODE_MAILBOX_BUSY
-            )
+            code = replies.CODE_OK
             if not decision.accept:
+                assert decision.reply is not None
+                code = decision.reply.code
                 refusals.append(decision.reply)
             self.server.record(
                 self.client,
@@ -361,13 +371,8 @@ class SMTPSession:
             return replies.ok("2.0.0 message accepted for delivery")
         # Every recipient was refused.  If every refusal was a 4xx reply,
         # the policy only deferred: answer with the first, so the client
-        # retries instead of bouncing.  A refusal that names no reply
-        # leaves nothing to answer with, so it keeps the 554.
-        deferrals = [
-            reply
-            for reply in refusals
-            if reply is not None and reply.is_transient_failure
-        ]
+        # retries instead of bouncing.
+        deferrals = [reply for reply in refusals if reply.is_transient_failure]
         if len(deferrals) == len(refusals):
             return deferrals[0]
         return Reply(replies.CODE_TRANSACTION_FAILED, "transaction failed")

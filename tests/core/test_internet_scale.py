@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import internet_scale
 from repro.core.internet_scale import (
     run_internet_scale,
     sweep_deployment_rates,
@@ -99,3 +100,50 @@ class TestInternetScale:
         monkeypatch.setattr(pool, "run_tasks", no_tasks)
         with pytest.raises(ValueError, match="num_domains"):
             sweep_deployment_rates(num_domains=0)
+
+
+class TestKeyedDeployments:
+    @pytest.fixture
+    def rolled(self, monkeypatch):
+        """Record ``(index, deployment)`` for every roll either engine makes."""
+        calls = []
+        real = internet_scale._deployment
+
+        def recording(seed, index, greylisting_rate, nolisting_rate):
+            deployment = real(seed, index, greylisting_rate, nolisting_rate)
+            calls.append((index, deployment))
+            return deployment
+
+        monkeypatch.setattr(internet_scale, "_deployment", recording)
+        return calls
+
+    @pytest.mark.parametrize("num_domains", [60, 10_000_000])
+    def test_columnar_rolls_at_most_one_domain_per_message(self, rolled, num_domains):
+        result = run_internet_scale(num_domains=num_domains, messages=120)
+        assert result.spam_sent == 120
+        assert 0 < len(rolled) <= 120
+
+    def test_deployment_does_not_depend_on_num_domains(self, rolled):
+        kwargs = dict(greylisting_rate=0.4, nolisting_rate=0.2, messages=1, seed=8)
+        run_internet_scale(num_domains=40, engine="object", **kwargs)
+        small = dict(rolled)
+        del rolled[:]
+        run_internet_scale(num_domains=90, engine="object", **kwargs)
+        large = dict(rolled)
+        assert sorted(small) == list(range(40))
+        assert sorted(large) == list(range(90))
+        assert all(large[index] == small[index] for index in small)
+        assert len(set(small.values())) == 3
+
+    def test_bin_shares_follow_the_rates(self):
+        grey, nolist, n = 0.2, 0.05, 20_000
+        deployments = [
+            internet_scale._deployment(61, index, grey, nolist) for index in range(n)
+        ]
+        for kind, rate in (
+            (internet_scale._NOLISTED, nolist),
+            (internet_scale._GREYLISTED, grey),
+            (internet_scale._PLAIN, 1.0 - grey - nolist),
+        ):
+            sd = (n * rate * (1 - rate)) ** 0.5
+            assert abs(deployments.count(kind) - n * rate) <= 4 * sd, kind

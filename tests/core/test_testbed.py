@@ -11,7 +11,9 @@ from repro.greylist.policy import GreylistPolicy
 from repro.net.address import IPv4Address
 from repro.net.host import SMTP_PORT
 from repro.sim.clock import Clock
+from repro.smtp import replies
 from repro.smtp.message import Message
+from repro.smtp.replies import Reply
 from repro.smtp.server import ConnectionPolicy, PolicyDecision
 
 CLIENT = IPv4Address.parse("198.51.100.7")
@@ -101,7 +103,7 @@ class TestExemptingPolicy:
     def test_other_hooks_delegate(self):
         class Rejecting(ConnectionPolicy):
             def on_helo(self, client, helo_name):
-                return PolicyDecision.reject(None)
+                return PolicyDecision.reject(Reply(replies.CODE_SERVICE_UNAVAILABLE, "no"))
 
         policy = ExemptingPolicy(Rejecting(), exempt=set())
         assert not policy.on_helo(CLIENT, "x").accept

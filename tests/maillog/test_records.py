@@ -86,6 +86,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_logs("aaaa maybe 0.0")
 
+    @pytest.mark.parametrize(
+        "stamps",
+        ["0 inf", "5 nan", "-5 3", "x", "400 0"],
+        ids=["infinite", "nan", "negative", "unparseable", "out-of-order"],
+    )
+    def test_bad_stamp_rejected_by_line_number(self, stamps):
+        text = f"aaaa delivered 0 400\nbbbb delivered {stamps}\n"
+        with pytest.raises(ValueError, match="line 2"):
+            parse_logs(text)
+
     def test_delivery_delays_extraction(self):
         delays = delivery_delays(self._sample_logs())
         assert delays == [400.5]

@@ -1,9 +1,7 @@
 """Unit tests for the columnar pipeline (:mod:`repro.scan.columnar`).
 
 The columns are a lossless re-encoding of the generator's ground truth:
-every cell must agree with what :class:`SyntheticInternet` actually built,
-and the streamed deployment rolls must replay the object path's draws
-exactly.
+every cell must agree with what :class:`SyntheticInternet` actually built.
 """
 
 import pytest
@@ -19,7 +17,6 @@ from repro.scan.columnar import (
     chunk_records,
     columnar_adoption_shard,
     pool_apex_of,
-    stream_deployment_rolls,
 )
 from repro.scan.population import (
     CATEGORY_ORDER,
@@ -31,7 +28,6 @@ from repro.scan.population import (
 )
 from repro.scan.profiles import PROFILE_CODE, PROFILES, profile_config
 from repro.scan.scanner import DNSScanner
-from repro.sim.rng import RandomStream
 
 #: A config that exercises every topology branch: self-hosted multi-MX,
 #: both pool layouts, transient and persistent outages, both
@@ -192,27 +188,6 @@ class TestGlueElision:
     def test_draws_cover_two_captures_of_four_records(self, carrying):
         with pytest.raises(ValueError):
             elided_glue(5, "dom0000000.example", carrying, 0.1)
-
-
-class TestDeploymentStreaming:
-    @pytest.mark.parametrize("chunk_domains", [1, 7, 100, 10_000])
-    def test_matches_object_replay(self, chunk_domains):
-        # The object path's per-domain draw loop (internet_scale.py).
-        rng = RandomStream(61, "internet-scale").split("deployments")
-        expected = [rng.random() for _ in range(500)]
-        rng = RandomStream(61, "internet-scale").split("deployments")
-        streamed = []
-        starts = []
-        for start, rolls in stream_deployment_rolls(rng, 500, chunk_domains):
-            starts.append(start)
-            streamed.extend(rolls)
-        assert streamed == expected
-        assert starts == list(range(0, 500, chunk_domains))
-
-    def test_rejects_bad_chunk_size(self):
-        rng = RandomStream(3, "x")
-        with pytest.raises(ValueError):
-            list(stream_deployment_rolls(rng, 10, 0))
 
 
 class TestProfiles:

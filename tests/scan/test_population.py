@@ -7,7 +7,7 @@ import pytest
 from repro.dns.mxutil import implicit_mx, resolve_exchangers
 from repro.dns.resolver import StubResolver
 from repro.net.address import IPv4Network
-from repro.scan.alexa import plant_ranks
+from repro.scan.alexa import PAPER_NOLISTING_RANKS
 from repro.scan.population import (
     FIGURE2_MIX,
     POOL_HOSTS,
@@ -189,20 +189,12 @@ class TestPlanChunks:
         columnar = [row for k in range(plan.num_chunks) for row in plan.chunk_rows(k)]
         assert [row[0] for row in columnar] == list(range(300))
         assert len(plan.chunk_rows(2)) == 300 - 2 * 128
-        # Materializing the object view changes nothing ...
-        assert plan.domains
-        assert [
-            row for k in range(plan.num_chunks) for row in plan.chunk_rows(k)
-        ] == columnar
-        # ... until planting re-ranks domains, which the rows then report.
+        # Planting re-ranks domains, which the rows then report.
         planted = set(plan.plant([1, 2]))
         after = [row for k in range(plan.num_chunks) for row in plan.chunk_rows(k)]
         assert after != columnar
-        rank_of = plan.rank_of()
-        assert [row[2] for row in after] == [
-            rank_of[PopulationPlan.name_of(row[0])] for row in after
-        ]
-        assert {rank_of[name] for name in planted} == {1, 2}
+        assert [row[2] for row in after] == [plan.rank(row[0]) for row in after]
+        assert {plan.rank(index) for index in planted} == {1, 2}
 
 
 class TestGroundTruthStructure:
@@ -431,7 +423,10 @@ def _shards(config, seed):
 
 def _planted(config, seed):
     internet = SyntheticInternet(config, seed)
-    plant_ranks(internet.domains)
+    plan = PopulationPlan(config, seed)
+    plan.plant(PAPER_NOLISTING_RANKS)
+    for index, truth in enumerate(internet.domains):
+        truth.alexa_rank = plan.rank(index)
     return [internet]
 
 

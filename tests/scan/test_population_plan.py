@@ -6,10 +6,13 @@ shuffles once however many shards it has.  These tests pin that count,
 the memo's key, and that planting never leaks into the shared columns.
 """
 
+import tracemalloc
+
 import pytest
 
 from repro.core.adoption import run_adoption_experiment
 from repro.scan import population
+from repro.scan.alexa import PAPER_NOLISTING_RANKS
 from repro.scan.population import (
     DomainCategory,
     PopulationConfig,
@@ -147,13 +150,36 @@ def test_memoized_columns_are_read_only():
         plan._counts[0] = 1
 
 
+def ranks(plan):
+    return [plan.rank(index) for index in range(plan.config.num_domains)]
+
+
 def test_planting_one_plan_leaves_another_unplanted():
     config = PopulationConfig(num_domains=3000)
     planted = PopulationPlan(config, seed=42)
     fresh = PopulationPlan(config, seed=42)
-    before = dict(fresh.rank_of())
-    names = planted.plant((13, 214, 402, 731, 904))
-    assert {planted.rank_of()[n] for n in names} == {13, 214, 402, 731, 904}
-    assert planted.rank_of() != before
-    assert PopulationPlan(config, seed=42).rank_of() == before
-    assert fresh.rank_of() == before
+    before = ranks(fresh)
+    indices = planted.plant((13, 214, 402, 731, 904))
+    assert {planted.rank(i) for i in indices} == {13, 214, 402, 731, 904}
+    assert ranks(planted) != before
+    assert ranks(PopulationPlan(config, seed=42)) == before
+    assert ranks(fresh) == before
+
+
+def test_planting_holds_no_per_domain_state():
+    # Planting reads the two stretches of the ranking it can move and keeps
+    # only the moved ranks: no object or dict entry per domain.
+    plan = PopulationPlan(PopulationConfig(num_domains=100_000), seed=42)
+    tracemalloc.start()
+    try:
+        planted = plan.plant(PAPER_NOLISTING_RANKS)
+        assert sorted(plan.rank(i) for i in planted) == sorted(PAPER_NOLISTING_RANKS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_index_of_inverts_name_of():
+    for index in (0, 7, 9_999_999, 10_000_000, 134_999_999):
+        assert PopulationPlan.index_of(PopulationPlan.name_of(index)) == index

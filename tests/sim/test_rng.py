@@ -58,18 +58,6 @@ class TestDraws:
             value = rng.uniform(2.0, 3.0)
             assert 2.0 <= value <= 3.0
 
-    def test_random_block_matches_single_draws(self):
-        a = RandomStream(9)
-        b = RandomStream(9)
-        assert a.random_block(50) == [b.random() for _ in range(50)]
-        assert a.random() == b.random()
-
-    def test_random_block_sizes(self):
-        rng = RandomStream(9)
-        assert rng.random_block(0) == []
-        with pytest.raises(ValueError):
-            rng.random_block(-1)
-
     def test_integer_draw_bounds(self):
         rng = RandomStream(10)
         assert {rng.randint(1, 3) for _ in range(200)} == {1, 2, 3}

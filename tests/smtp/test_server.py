@@ -102,7 +102,7 @@ class TestHappyPath:
 class RecordingPolicy(ConnectionPolicy):
     """Records the envelopes DATA hands over; refuses ``refuse`` recipients."""
 
-    def __init__(self, refuse=(), reply=None):
+    def __init__(self, refuse=(), reply=Reply(replies.CODE_TRANSACTION_FAILED, "refused")):
         self.envelopes = []
         self.refuse = set(refuse)
         self.reply = reply
@@ -173,14 +173,6 @@ class TestDataPhase:
         ]
         assert server.stats.envelopes_accepted == 1
         assert server.stats.envelopes_rejected == 1
-
-    def test_refusal_without_reply_is_logged_as_deferral(self):
-        server = make_server(policy=RecordingPolicy(refuse=TWO_RECIPIENTS))
-        message = Message(sender="alice@sender.example", recipients=TWO_RECIPIENTS)
-        reply = open_transaction(server, message).data(message)
-        assert reply.code == replies.CODE_TRANSACTION_FAILED
-        assert [r.reply_code for r in server.log] == [replies.CODE_MAILBOX_BUSY] * 2
-        assert server.stats.messages_accepted == 0
 
     def test_deferral_of_every_recipient_is_the_answer(self):
         deferral = Reply(replies.CODE_LOCAL_ERROR, "4.7.1 try again later")
@@ -351,14 +343,11 @@ class TestPolicyHooks:
         assert session.banner.code == replies.CODE_SERVICE_UNAVAILABLE
         assert session.state is SessionState.CLOSED
 
-    def test_connect_rejection_without_reply_is_421(self):
-        class Refuse(ConnectionPolicy):
-            def on_connect(self, client):
-                return PolicyDecision(accept=False)
-
-        session = make_server(policy=Refuse()).session_factory(CLIENT)
-        assert session.banner.code == replies.CODE_SERVICE_UNAVAILABLE
-        assert session.ehlo("c").code == replies.CODE_BAD_SEQUENCE
+    def test_rejection_without_reply_is_refused(self):
+        # The session answers a rejection with its reply; one without a
+        # reply would leave the session to invent one.
+        with pytest.raises(ValueError, match="reply"):
+            PolicyDecision(accept=False)
 
     def test_helo_rejection_leaves_the_session_ungreeted(self):
         class RefuseHelo(ConnectionPolicy):
@@ -375,12 +364,11 @@ class TestPolicyHooks:
     def test_mail_from_rejection_opens_no_transaction(self):
         class RefuseSender(ConnectionPolicy):
             def on_mail_from(self, client, sender):
-                return PolicyDecision(accept=False)
+                return PolicyDecision.reject(Reply(replies.CODE_MAILBOX_BUSY, "later"))
 
         server = make_server(policy=RefuseSender())
         session = server.session_factory(CLIENT)
         session.ehlo("c")
-        # No reply given: the session defers, as greylisting would.
         assert session.mail_from("a@b.net").code == replies.CODE_MAILBOX_BUSY
         assert session.state is SessionState.GREETED
         assert session.sender is None
