@@ -3,7 +3,7 @@
 PYTHON ?= python
 
 .PHONY: install test lint lint-baseline graph-report bench bench-smoke bench-json \
-	profile scorecard examples all clean
+	bench-pairs profile scorecard examples all clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -51,6 +51,20 @@ bench-smoke:
 	$(PYTHON) -m pytest $(SMOKE_BENCHES) --benchmark-only --benchmark-disable-gc \
 		--benchmark-json=bench-smoke.json
 	$(PYTHON) scripts/check_bench_regression.py BENCH_0.json bench-smoke.json
+
+# Alternating parent/change runs of one perfbench workload, with a
+# verdict per end-to-end metric (scripts/bench_pairs.py says the rule):
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=sim-greylist SEEDS=201-210 CLAIM=p50_ms
+PARENT ?= HEAD
+WORKLOAD ?= sim-greylist
+PAIRS ?= 10
+BENCH_SECONDS ?= 20
+SEEDS ?= 1-10
+CLAIM ?=
+bench-pairs:
+	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seconds $(BENCH_SECONDS) --seeds $(SEEDS) \
+		$(foreach metric,$(CLAIM),--claim $(metric))
 
 # Benches with the reproduced tables/figures printed.
 bench-show:

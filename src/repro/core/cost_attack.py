@@ -86,7 +86,9 @@ def run_cost_attack(
     benign_rng = rng.split("benign-times")
 
     # Rotating-sender spam: fresh sender (and often a fresh bot IP) per
-    # message, fire-and-forget — pure database pollution.
+    # message, fire-and-forget — pure database pollution.  Every address
+    # here is built canonical (lower-case domain, no whitespace), as the
+    # policy requires of its callers.
     total_spam = int(spam_per_day * duration_days)
     bot_addresses = spam_pool.allocate_many(max(1, total_spam // 50))
     for index in range(total_spam):

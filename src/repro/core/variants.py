@@ -54,7 +54,9 @@ def _measure_rotating_spam(
 
     Modelled at the policy level: attempts every ``threshold`` seconds
     (so a stable key would pass on attempt 2), each with a fresh sender.
-    Returns (delivered, attempts, db_entries).
+    Returns (delivered, attempts, db_entries).  Here and in
+    :func:`_measure_farm_delay` the addresses are built canonical
+    (lower-case domains, no whitespace), as the policy requires.
     """
     clock = Clock()
     policy = GreylistPolicy(clock=clock, delay=threshold, key_strategy=strategy)

@@ -23,8 +23,9 @@ identical :class:`~repro.greylist.policy.GreylistEvent` streams, store
 sizes and expiry counters for identical input streams.  The rules that
 make this hold:
 
-1. The expiry predicate is :func:`entry_is_expired` and nothing else.
-   The SQLite backend may use its index to *pre-filter candidates*
+1. The expiry predicate is :func:`~repro.greylist.store.entry_is_expired`
+   (over :func:`~repro.greylist.store.timestamps_expired`) and nothing
+   else.  The SQLite backend may use its index to *pre-filter candidates*
    (with a slack margin), but the final decision is always the exact
    float comparison this function performs — SQL inequalities on
    ``REAL`` columns are never trusted to reproduce Python float
@@ -45,7 +46,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..net.address import IPv4Address
-from .store import TripletEntry
+from .store import TripletEntry, entry_is_expired, timestamps_expired
 from .triplet import Triplet
 
 #: Backend names :func:`create_backend` understands (CLI choices).
@@ -66,36 +67,6 @@ def cannot_open(path: Union[str, Path, None], why: object) -> StoreError:
     being the exception its opening raised or a description."""
     reason = getattr(why, "strerror", None) or why
     return StoreError(f"cannot open triplet store {path}: {reason}")
-
-
-def timestamps_expired(
-    passed: bool,
-    last_seen: float,
-    now: float,
-    retry_window: float,
-    whitelist_lifetime: float,
-) -> bool:
-    """The one true expiry predicate on raw fields.
-
-    Split out from :func:`entry_is_expired` so backends that already hold
-    ``(passed, last_seen)`` as scalars (the SQLite expiry path) can apply
-    the *identical* float comparison without materializing an entry.
-    """
-    if passed:
-        return now - last_seen > whitelist_lifetime
-    return now - last_seen > retry_window
-
-
-def entry_is_expired(
-    entry: TripletEntry,
-    now: float,
-    retry_window: float,
-    whitelist_lifetime: float,
-) -> bool:
-    """The one true expiry predicate (see the determinism contract)."""
-    return timestamps_expired(
-        entry.passed, entry.last_seen, now, retry_window, whitelist_lifetime
-    )
 
 
 class TripletBackend(ABC):
@@ -170,10 +141,10 @@ class TripletBackend(ABC):
         * an absent key creates a fresh entry (``attempts=1``);
         * a live entry gets ``attempts += 1`` and ``last_seen = now``.
 
-        Single-process backends inherit this default; backends shared
-        across processes (shm) override it to run the whole compound
-        under one lock, so concurrent workers never lose an attempt or
-        double-count an expiry.
+        SQLite inherits this default.  The memory backend overrides it
+        to answer with one dict probe, and shm overrides it to run the
+        whole compound under one lock, so concurrent workers never lose
+        an attempt or double-count an expiry.
         """
         expired: Optional[str] = None
         entry = self.get(triplet)
@@ -229,6 +200,37 @@ class MemoryBackend(TripletBackend):
 
     def delete(self, triplet: Triplet) -> bool:
         return self._entries.pop(triplet, None) is not None
+
+    def record_attempt(
+        self,
+        triplet: Triplet,
+        now: float,
+        retry_window: float,
+        whitelist_lifetime: float,
+    ) -> Tuple[TripletEntry, Optional[str]]:
+        """The inherited compound, with one dict probe for a live entry.
+
+        A live entry is updated in place: the inherited ``put`` would
+        reassign an existing key, which keeps its dict position, so
+        skipping it changes no ``scan()`` order.  A new triplet is
+        inserted at the end; an expired one is deleted and re-inserted
+        at the end, as the inherited delete + put does.
+        """
+        entries = self._entries
+        entry = entries.get(triplet)
+        if entry is None:
+            entry = entries[triplet] = TripletEntry(triplet, now, now)
+            return entry, None
+        if not timestamps_expired(
+            entry.passed, entry.last_seen, now, retry_window,
+            whitelist_lifetime,
+        ):
+            entry.attempts += 1
+            entry.last_seen = now
+            return entry, None
+        del entries[triplet]
+        fresh = entries[triplet] = TripletEntry(triplet, now, now)
+        return fresh, "confirmed" if entry.passed else "unconfirmed"
 
     def scan(self) -> Iterator[TripletEntry]:
         return iter(list(self._entries.values()))

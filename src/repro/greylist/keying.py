@@ -13,7 +13,9 @@ greylisting"; deployments differ mainly in *what they key on*:
 
 Each strategy is a pure function from the observed (client, sender,
 recipient) to the stored key; the policy engine is otherwise identical,
-which is exactly why the variants are comparable.
+which is exactly why the variants are comparable.  The observed addresses
+are canonical (validated where they entered the program), so every key is
+built without validating them again.
 """
 
 from __future__ import annotations
@@ -22,10 +24,13 @@ import enum
 
 from ..net.address import IPv4Address
 from ..smtp.message import domain_of
-from .triplet import Triplet
+from .triplet import Triplet, _trusted_triplet
 
 #: Sentinel localpart used when a strategy erases the sender or recipient.
 _WILDCARD = "any"
+
+#: The erased sender and recipient of ``CLIENT_ONLY`` (canonical already).
+_ANY_ADDRESS = f"{_WILDCARD}@{_WILDCARD}.invalid"
 
 
 class KeyStrategy(enum.Enum):
@@ -43,16 +48,20 @@ def derive_key(
     sender: str,
     recipient: str,
 ) -> Triplet:
-    """Map an observation to its database key under ``strategy``."""
+    """Map an observation to its database key under ``strategy``.
+
+    ``sender`` and ``recipient`` must be canonical: exactly what
+    :func:`~repro.smtp.message.validate_address` returns for them.
+    """
     if strategy is KeyStrategy.FULL_TRIPLET:
-        return Triplet(client, sender, recipient)
+        return _trusted_triplet(client, sender, recipient)
     if strategy is KeyStrategy.CLIENT_NET_TRIPLET:
-        return Triplet(client, sender, recipient).network_key()
+        return _trusted_triplet(client, sender, recipient).network_key()
     if strategy is KeyStrategy.SENDER_DOMAIN:
-        return Triplet(
+        # A canonical sender's domain is lower-case, so this is canonical.
+        return _trusted_triplet(
             client, f"{_WILDCARD}@{domain_of(sender)}", recipient
         )
     if strategy is KeyStrategy.CLIENT_ONLY:
-        return Triplet(client, f"{_WILDCARD}@{_WILDCARD}.invalid",
-                       f"{_WILDCARD}@{_WILDCARD}.invalid")
+        return _trusted_triplet(client, _ANY_ADDRESS, _ANY_ADDRESS)
     raise ValueError(f"unknown key strategy {strategy!r}")

@@ -13,7 +13,8 @@ paper's testbed used:
 The policy plugs into :class:`repro.smtp.server.SMTPServer` via the
 ``on_rcpt_to`` hook and records one :class:`GreylistEvent` per decision —
 the anonymized attempt log of the university dataset is exactly a dump of
-those events.
+those events.  It takes canonical addresses: each caller validates them
+where they enter the program, once.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ from .store import TripletStore
 from .triplet import Triplet
 from .whitelist import Whitelist
 
+_ACCEPT = PolicyDecision.ok()
+
 #: Default Postgrey delay (seconds) — also the paper's university threshold.
 DEFAULT_DELAY = 300.0
 
@@ -46,7 +49,7 @@ class GreylistAction(enum.Enum):
     PASSED_KNOWN = "passed-known"        # triplet already confirmed
 
 
-@dataclass
+@dataclass(slots=True)
 class GreylistEvent:
     """One policy decision, as logged."""
 
@@ -105,6 +108,11 @@ class GreylistPolicy(ConnectionPolicy):
         self.whitelist = whitelist if whitelist is not None else Whitelist()
         self.key_strategy = key_strategy
         self.events: List[GreylistEvent] = []
+        # The delay is fixed per policy (``fingerprint`` treats it as a
+        # constant), so every first sighting gets this one deferral.
+        self._first_deferral = PolicyDecision.reject(
+            replies.greylisted(self.delay)
+        )
 
     def fingerprint(self) -> tuple:
         """Decision-function identity, part of the serving decision-cache key.
@@ -117,67 +125,66 @@ class GreylistPolicy(ConnectionPolicy):
         return ("greylist", self.delay, self.key_strategy.value)
 
     # ------------------------------------------------------------------
-    # Key normalization
-    # ------------------------------------------------------------------
-    def _key(self, client: IPv4Address, sender: str, recipient: str) -> Triplet:
-        return derive_key(self.key_strategy, client, sender, recipient)
-
-    # ------------------------------------------------------------------
     # SMTP policy hook
     # ------------------------------------------------------------------
     def on_rcpt_to(
         self, client: IPv4Address, sender: str, recipient: str
     ) -> PolicyDecision:
-        triplet = self._key(client, sender, recipient)
+        """Decide one RCPT and log it.
+
+        ``sender`` and ``recipient`` must be canonical: exactly what
+        :func:`~repro.smtp.message.validate_address` returns for them.
+        The SMTP session, the serving plugin and the deployment generator
+        validate them where they enter the program; the decision builds
+        its key without validating them again.
+        """
+        triplet = derive_key(self.key_strategy, client, sender, recipient)
         now = self.clock.now
 
-        if self.whitelist.matches(client, sender):
-            self._log(triplet, GreylistAction.WHITELISTED, 0, 0.0)
-            return PolicyDecision.ok()
+        whitelist = self.whitelist
+        if not whitelist.empty and whitelist.matches(client, sender):
+            self._log(now, triplet, GreylistAction.WHITELISTED, 0, 0.0)
+            return _ACCEPT
 
         entry = self.store.observe(triplet)
+        attempts = entry.attempts
         age = now - entry.first_seen
 
         if entry.passed:
-            self._log(triplet, GreylistAction.PASSED_KNOWN, entry.attempts, age)
-            return PolicyDecision.ok()
+            self._log(now, triplet, GreylistAction.PASSED_KNOWN, attempts, age)
+            return _ACCEPT
 
-        if entry.attempts == 1:
+        if attempts == 1:
             # Brand-new triplet: defer unconditionally (even with delay=0 a
             # second attempt is required — Postgrey semantics).
-            self._log(triplet, GreylistAction.GREYLISTED_NEW, entry.attempts, age)
-            return PolicyDecision.reject(replies.greylisted(self.delay))
+            self._log(now, triplet, GreylistAction.GREYLISTED_NEW, attempts, age)
+            return self._first_deferral
 
         if age < self.delay:
             self._log(
-                triplet, GreylistAction.GREYLISTED_EARLY, entry.attempts, age
+                now, triplet, GreylistAction.GREYLISTED_EARLY, attempts, age
             )
             return PolicyDecision.reject(
                 replies.greylisted(self.delay - age)
             )
 
         self.store.mark_passed(triplet)
-        self._log(triplet, GreylistAction.PASSED, entry.attempts, age)
-        return PolicyDecision.ok()
+        self._log(now, triplet, GreylistAction.PASSED, attempts, age)
+        return _ACCEPT
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _log(
         self,
+        now: float,
         triplet: Triplet,
         action: GreylistAction,
         attempt_number: int,
         age: float,
     ) -> None:
         self.events.append(
-            GreylistEvent(
-                timestamp=self.clock.now,
-                triplet=triplet,
-                action=action,
-                attempt_number=attempt_number,
-                triplet_age=age,
-            )
+            GreylistEvent(now, triplet, action, attempt_number, age)
         )
 
     # ------------------------------------------------------------------

@@ -93,8 +93,8 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ..net.address import IPv4Address
-from .backends import TripletBackend, cannot_open, timestamps_expired
-from .store import TripletEntry
+from .backends import TripletBackend, cannot_open
+from .store import TripletEntry, timestamps_expired
 from .triplet import Triplet
 
 #: Slots probed past the home bucket before an insert spills.

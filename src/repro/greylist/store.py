@@ -43,6 +43,38 @@ class TripletEntry:
     passed_at: Optional[float] = None
 
 
+def timestamps_expired(
+    passed: bool,
+    last_seen: float,
+    now: float,
+    retry_window: float,
+    whitelist_lifetime: float,
+) -> bool:
+    """The one true expiry predicate on raw fields.
+
+    Split out from :func:`entry_is_expired` so backends that already hold
+    ``(passed, last_seen)`` as scalars (the SQLite and shm expiry paths)
+    can apply the *identical* float comparison without materializing an
+    entry.
+    """
+    if passed:
+        return now - last_seen > whitelist_lifetime
+    return now - last_seen > retry_window
+
+
+def entry_is_expired(
+    entry: TripletEntry,
+    now: float,
+    retry_window: float,
+    whitelist_lifetime: float,
+) -> bool:
+    """The one true expiry predicate (see the determinism contract in
+    :mod:`repro.greylist.backends`)."""
+    return timestamps_expired(
+        entry.passed, entry.last_seen, now, retry_window, whitelist_lifetime
+    )
+
+
 class TripletStore:
     """Triplet database bound to the simulation clock.
 
@@ -144,8 +176,6 @@ class TripletStore:
         self.backend.put(entry)
 
     def _is_expired(self, entry: TripletEntry) -> bool:
-        from .backends import entry_is_expired
-
         return entry_is_expired(
             entry, self.clock.now, self.retry_window, self.whitelist_lifetime
         )

@@ -17,21 +17,28 @@ from ..smtp.message import domain_of
 
 
 class Whitelist:
-    """A frozen set of sender domains consulted before greylisting applies."""
+    """A frozen set of sender domains consulted before greylisting applies.
 
-    __slots__ = ("_sender_domains",)
+    ``empty`` says whether any domain is listed: the policy probes only a
+    non-empty whitelist, since an empty one matches nothing.
+    """
+
+    __slots__ = ("_sender_domains", "empty")
 
     def __init__(self, sender_domains: Iterable[str] = ()) -> None:
         self._sender_domains: FrozenSet[str] = frozenset(
             domain.strip().lower().rstrip(".") for domain in sender_domains
         )
+        self.empty = not self._sender_domains
 
     def matches(self, client: IPv4Address, sender: str) -> bool:
         """Whether ``sender``'s domain is listed (``client`` is not consulted)."""
-        # Stored domains are lowercased; the probe must be too, or
-        # ``User@Gmail.com`` misses a ``gmail.com`` entry (domains are
-        # case-insensitive per RFC 1035, and senders arrive raw here —
-        # before triplet canonicalization).
+        # Stored domains are lowercased and stripped of a trailing root
+        # dot.  The greylist policy passes canonical senders, whose domain
+        # is lowercased already but may end in that dot; the probe is
+        # lowercased anyway, so a direct caller's raw ``User@Gmail.com``
+        # still matches ``gmail.com`` (domains are case-insensitive per
+        # RFC 1035).
         return domain_of(sender).lower().rstrip(".") in self._sender_domains
 
     def __repr__(self) -> str:

@@ -22,6 +22,21 @@ def anonymize(sender: str, recipient: str, client: str, salt: str = "") -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
+def _first_bad_stamp(times: Iterable[float]) -> Optional[int]:
+    """Index of the first stamp that breaks the log's rule, or ``None``.
+
+    Stamps must be finite, non-negative and non-decreasing.  One
+    comparison per stamp rejects NaN, infinities, negative stamps and
+    stamps earlier than the one before.
+    """
+    previous = 0.0
+    for index, when in enumerate(times):
+        if not previous <= when < math.inf:
+            return index
+        previous = when
+    return None
+
+
 @dataclass
 class GreylistedMessageLog:
     """All attempt timestamps for one greylisted message."""
@@ -33,8 +48,10 @@ class GreylistedMessageLog:
     sender_kind: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if sorted(self.attempt_times) != self.attempt_times:
-            raise ValueError("attempt times must be non-decreasing")
+        if _first_bad_stamp(self.attempt_times) is not None:
+            raise ValueError(
+                "attempt times must be finite, non-negative and in order"
+            )
 
     @property
     def attempts(self) -> int:
@@ -66,6 +83,13 @@ def dump_logs(logs: Iterable[GreylistedMessageLog]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _parse_stamp(stamp: str) -> float:
+    try:
+        return float(stamp)
+    except ValueError:
+        return math.nan  # unparseable: fails _first_bad_stamp
+
+
 def parse_logs(text: str) -> List[GreylistedMessageLog]:
     """Parse the :func:`dump_logs` format back into records."""
     logs: List[GreylistedMessageLog] = []
@@ -81,22 +105,13 @@ def parse_logs(text: str) -> List[GreylistedMessageLog]:
             raise ValueError(
                 f"unknown status {status!r} on log line {line_number}"
             )
-        times: List[float] = []
-        previous = 0.0
-        for stamp in stamps:
-            try:
-                when = float(stamp)
-            except ValueError:
-                when = math.nan  # unparseable: fails the check below
-            # One comparison rejects NaN, infinities, negative stamps and
-            # stamps earlier than the one before.
-            if not previous <= when < math.inf:
-                raise ValueError(
-                    f"bad timestamp {stamp!r} on log line {line_number}: "
-                    "stamps must be finite, non-negative and in order"
-                )
-            times.append(when)
-            previous = when
+        times = [_parse_stamp(stamp) for stamp in stamps]
+        bad = _first_bad_stamp(times)
+        if bad is not None:
+            raise ValueError(
+                f"bad timestamp {stamps[bad]!r} on log line {line_number}: "
+                "stamps must be finite, non-negative and in order"
+            )
         logs.append(
             GreylistedMessageLog(
                 message_key=key,

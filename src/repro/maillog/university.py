@@ -28,6 +28,7 @@ from ..net.address import AddressPool, IPv4Network
 from ..sim.clock import Clock
 from ..sim.events import EventScheduler
 from ..sim.rng import RandomStream
+from ..smtp.message import validate_address
 from ..webmail.provider import ProviderSpec
 from ..webmail.providers import PROVIDER_BY_NAME
 from .records import GreylistedMessageLog, anonymize
@@ -207,8 +208,10 @@ class UniversityDeployment:
                 sender_domain = kind.split(":", 1)[1]
             else:
                 sender_domain = f"{kind.split(':')[-1].replace('_', '')}.example"
-            sender = f"user{index}@{sender_domain}"
-            recipient = f"staff{index % 97}@cs.unimi.example"
+            # Validated once here: every retry passes the same canonical
+            # pair to the policy, which does not validate again.
+            sender = validate_address(f"user{index}@{sender_domain}")
+            recipient = validate_address(f"staff{index % 97}@cs.unimi.example")
             log = GreylistedMessageLog(
                 message_key=anonymize(sender, recipient, str(addresses[0])),
                 sender_kind=kind,

@@ -15,10 +15,12 @@ streams and triplet-store state).
 Hot-path caching: whitelist verdicts are *stable for the lifetime of a
 serving process* (a whitelist never changes once a policy holds it),
 so :class:`DecisionCache` memoizes them in an LRU keyed by the owning
-policy's fingerprint plus the (client, sender) pair.  Greylisting
-decisions are deliberately never cached — they depend on triplet state
-and virtual time — and a cached whitelist verdict still logs its
-``GreylistEvent``, so caching is invisible in the event stream.
+policy's fingerprint plus the (client, sender) pair.  The policy never
+probes an empty whitelist, so a daemon with none makes no cache lookups
+at all.  Greylisting decisions are deliberately never cached — they
+depend on triplet state and virtual time — and a cached whitelist
+verdict still logs its ``GreylistEvent``, so caching is invisible in the
+event stream.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from ..greylist.policy import GreylistPolicy
 from ..greylist.whitelist import Whitelist
 from ..net.address import IPv4Address
 from ..sim.clock import Clock
+from ..smtp.message import validate_address
 from .protocol import (
     ACTION_DEFER_IF_PERMIT,
     ACTION_DUNNO,
@@ -90,10 +93,10 @@ MISS = object()
 class CachedWhitelist:
     """Memoizing façade over a :class:`Whitelist`.
 
-    Same ``matches`` interface the greylist policy calls, but the
-    (client, sender) verdict is served from the :class:`DecisionCache`
-    after the first lookup.  A whitelist is frozen once built, so a
-    cached verdict never goes stale.
+    Same ``empty`` and ``matches`` interface the greylist policy reads,
+    but the (client, sender) verdict is served from the
+    :class:`DecisionCache` after the first lookup.  A whitelist is frozen
+    once built, so a cached verdict never goes stale.
     """
 
     __slots__ = ("inner", "cache", "_fingerprint")
@@ -107,6 +110,12 @@ class CachedWhitelist:
         self.inner = inner
         self.cache = cache
         self._fingerprint = ("whitelist",) + fingerprint
+
+    @property
+    def empty(self) -> bool:
+        """Whether the wrapped whitelist lists nothing (then the policy
+        never asks, and the cache sees no lookup)."""
+        return self.inner.empty
 
     def matches(self, client: IPv4Address, sender: str) -> bool:
         key = self._fingerprint + (client.value, sender)
@@ -173,7 +182,8 @@ class GreylistingPlugin(PolicyPlugin):
     Requests missing the triplet (no client/sender/recipient, or a
     non-RCPT protocol state we were not asked about) fail open with
     ``DUNNO`` — a policy daemon must degrade to "no opinion", never
-    block mail on its own malfunction.
+    block mail on its own malfunction.  This is where served envelope
+    addresses enter the program, so they are validated here, once.
     """
 
     name = "greylisting"
@@ -195,15 +205,18 @@ class GreylistingPlugin(PolicyPlugin):
 
     def check(self, request: PolicyRequest) -> str:
         client = _parse_client(request)
-        sender = request.sender
-        recipient = request.recipient
-        if client is None or not sender or not recipient:
+        if client is None:
             self.ignored += 1
             return ACTION_DUNNO
         try:
-            decision = self.policy.on_rcpt_to(client, sender, recipient)
+            decision = self.policy.on_rcpt_to(
+                client,
+                validate_address(request.sender),
+                validate_address(request.recipient),
+            )
         except ValueError:
-            # Unparseable envelope address: no opinion (see class doc).
+            # A missing or unparseable envelope address, or one a durable
+            # backend cannot encode: no opinion (see class doc).
             self.ignored += 1
             return ACTION_DUNNO
         if decision.accept:
@@ -226,6 +239,14 @@ class ThrottlePlugin(PolicyPlugin):
     client address within ``period`` seconds defers the excess with a
     4.7.1 reply.  Time comes from the shared serving clock, so replayed
     traffic throttles identically to live traffic.
+
+    A client whose newest request is a period old has a window that
+    decides nothing: its next request would empty it first.  Such windows
+    are dropped in a sweep that runs, at most once a period, when a new
+    client arrives, so one-shot clients (the paper's bots) leave no
+    state behind.  Sweeps are a period apart, so a window outlives one
+    only if a request touched it since the sweep before: each request
+    pays for at most one visit, and each window for one deletion.
     """
 
     name = "throttle"
@@ -245,6 +266,7 @@ class ThrottlePlugin(PolicyPlugin):
         self.period = float(period)
         self.throttled = 0
         self._windows: Dict[int, Deque[float]] = {}
+        self._next_sweep = clock.now + self.period
 
     def fingerprint(self) -> Tuple[Hashable, ...]:
         return (self.name, self.max_messages, self.period)
@@ -254,11 +276,14 @@ class ThrottlePlugin(PolicyPlugin):
         if client is None:
             return ACTION_DUNNO
         now = self.clock.now
+        horizon = now - self.period
         window = self._windows.get(client.value)
         if window is None:
+            if now >= self._next_sweep:
+                self._drop_idle_windows(horizon)
+                self._next_sweep = now + self.period
             window = deque()
             self._windows[client.value] = window
-        horizon = now - self.period
         while window and window[0] <= horizon:
             window.popleft()
         if len(window) >= self.max_messages:
@@ -270,6 +295,18 @@ class ThrottlePlugin(PolicyPlugin):
             )
         window.append(now)
         return ACTION_DUNNO
+
+    def _drop_idle_windows(self, horizon: float) -> None:
+        """Forget every client whose newest request is at or before
+        ``horizon``.  Windows are never empty between requests: each
+        request either appends or is throttled by a full window."""
+        windows = self._windows
+        idle = [
+            client for client, window in windows.items()
+            if window[-1] <= horizon
+        ]
+        for client in idle:
+            del windows[client]
 
 
 class PluginChain:

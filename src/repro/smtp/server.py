@@ -35,12 +35,14 @@ class SessionState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class PolicyDecision:
     """Outcome of a policy hook: accept, or reject with the reply to send.
 
     A rejection without a reply is refused here, so the session never has
-    to invent one.
+    to invent one.  Decisions are immutable, so one may be shared: every
+    accept is the same object, and a policy may build a fixed rejection
+    once.
     """
 
     accept: bool
@@ -50,13 +52,16 @@ class PolicyDecision:
         if not self.accept and self.reply is None:
             raise ValueError("a policy rejection must name its reply")
 
-    @classmethod
-    def ok(cls) -> "PolicyDecision":
-        return cls(accept=True)
+    @staticmethod
+    def ok() -> "PolicyDecision":
+        return _ACCEPT
 
     @classmethod
     def reject(cls, reply: Reply) -> "PolicyDecision":
         return cls(accept=False, reply=reply)
+
+
+_ACCEPT = PolicyDecision(accept=True)
 
 
 class ConnectionPolicy:

@@ -44,9 +44,15 @@ class TestMessageLog:
         )
         assert log.delivery_delay is None
 
-    def test_rejects_unsorted_times(self):
+    @pytest.mark.parametrize(
+        "times",
+        [[5.0, 1.0], [5.0, float("nan")], [0.0, float("inf")], [-3.0, 2.0]],
+        ids=["out-of-order", "nan", "infinite", "negative"],
+    )
+    def test_rejects_unsorted_times(self, times):
+        # The rule parse_logs applies: finite, non-negative, in order.
         with pytest.raises(ValueError):
-            GreylistedMessageLog(message_key="k", attempt_times=[5.0, 1.0])
+            GreylistedMessageLog(message_key="k", attempt_times=times)
 
 
 class TestSerialization:

@@ -140,10 +140,12 @@ class TestGreylistingPlugin:
         assert plugin.check(rcpt_request(client="")) == ACTION_DUNNO
         assert plugin.ignored == 1
 
-    def test_unparseable_sender_fails_open(self):
-        _, _, plugin = self.make()
-        assert plugin.check(rcpt_request(sender="no-at-sign")) == ACTION_DUNNO
+    @pytest.mark.parametrize("field", ["sender", "recipient"])
+    def test_unparseable_sender_fails_open(self, field):
+        _, policy, plugin = self.make()
+        assert plugin.check(rcpt_request(**{field: "no-at-sign"})) == ACTION_DUNNO
         assert plugin.ignored == 1
+        assert policy.events == []
 
     @pytest.mark.parametrize("missing", ["sender", "recipient"])
     def test_missing_envelope_address_fails_open(self, missing):
@@ -163,6 +165,19 @@ class TestGreylistingPlugin:
         assert policy.whitelist.matches(
             IPv4Address.parse("10.1.2.3"), "spam@bot.example"
         ) is False
+
+    def test_no_whitelist_makes_no_cache_lookups(self):
+        # The policy probes only a non-empty whitelist, so a daemon that
+        # configures none never touches the cache.
+        cache = DecisionCache()
+        clock, policy, plugin = self.make(cache=cache)
+        chain = PluginChain([plugin])
+        for _ in range(2):
+            for index in range(20):
+                chain.decide(rcpt_request(client=f"10.0.0.{index}"))
+            clock.advance_by(301.0)
+        assert len(policy.events) == 40
+        assert cache.hits == cache.misses == len(cache) == 0
 
     def test_whitelisted_sender_is_dunno_and_cached(self):
         clock = Clock()
@@ -215,6 +230,29 @@ class TestThrottlePlugin:
         for _ in range(3):
             assert plugin.check(rcpt_request(client="unknown")) == ACTION_DUNNO
         assert plugin.throttled == 0
+
+    def test_one_shot_clients_leave_only_live_windows(self):
+        clock = Clock()
+        plugin = ThrottlePlugin(clock, max_messages=2, period=60.0)
+        for index in range(10_000):
+            plugin.check(
+                rcpt_request(client=f"10.0.{index // 256}.{index % 256}")
+            )
+        clock.advance_by(30.0)
+        plugin.check(rcpt_request(client="192.0.2.1"))
+        plugin.check(rcpt_request(client="192.0.2.1"))
+        clock.advance_by(31.0)
+        # A period after the one-shot clients, a new client sweeps them.
+        plugin.check(rcpt_request(client="192.0.2.2"))
+        assert sorted(plugin._windows) == [
+            IPv4Address.parse("192.0.2.1").value,
+            IPv4Address.parse("192.0.2.2").value,
+        ]
+        # The live window kept its stamps: the third request within the
+        # period is still throttled.
+        assert plugin.check(rcpt_request(client="192.0.2.1")).startswith(
+            "DEFER_IF_PERMIT 450"
+        )
 
     def test_deferral_names_the_limit(self):
         plugin = ThrottlePlugin(Clock(), max_messages=1, period=90.0)
