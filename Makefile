@@ -57,14 +57,11 @@ bench-smoke:
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=sim-greylist SEEDS=201-210 CLAIM=p50_ms
 PARENT ?= HEAD
 WORKLOAD ?= sim-greylist
-PAIRS ?= 10
-BENCH_SECONDS ?= 20
 SEEDS ?= 1-10
 CLAIM ?=
 bench-pairs:
 	$(PYTHON) scripts/bench_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-		--pairs $(PAIRS) --seconds $(BENCH_SECONDS) --seeds $(SEEDS) \
-		$(foreach metric,$(CLAIM),--claim $(metric))
+		--seeds $(SEEDS) $(foreach metric,$(CLAIM),--claim $(metric))
 
 # Benches with the reproduced tables/figures printed.
 bench-show:

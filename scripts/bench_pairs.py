@@ -4,23 +4,26 @@
 Usage::
 
     python3 scripts/bench_pairs.py --parent HEAD~1 --workload sim-greylist \\
-        --pairs 10 --seconds 20 --seeds 201-210 --claim p50_ms
+        --seeds 201-210 --claim p50_ms
 
-The parent side runs ``perfbench/run.py`` in a temporary checkout of
-``--parent`` (``git archive`` into a temporary directory, removed on
-exit, so the repository's own metadata is never touched); the change
-side runs it in this working tree.  Pair ``i`` runs both sides at the
+There is one pair per seed of ``--seeds``.  The parent side runs in a
+temporary checkout of ``--parent`` (``git archive`` into a temporary
+directory, removed on exit, so the repository's own metadata is never
+touched); the change side runs in this working tree.  Each side runs
+through its own checkout's ``perfbench/spread.run_once``, for
+``BENCHMARK.json``'s ``run_seconds``.  Pair ``i`` runs both sides at the
 ``i``-th seed, and the side that runs first alternates from pair to
-pair.  Nothing is written under ``perfbench/``.
+pair.  No file under ``perfbench/`` is edited.
 
 For every end-to-end metric in ``BENCHMARK.json`` it prints both sides'
-median and quartiles, the change's wins and ties, the parent's
-interquartile range (IQR) and a verdict:
+median and quartiles (``statistics.quantiles(values, n=4)``, as
+``perfbench/stats.quartile_spread`` takes them), the change's wins and
+ties, the parent's interquartile range (IQR) and a verdict:
 
-* a metric named by ``--claim`` is a ``gain`` when the change wins at
-  least nine tenths of the pairs (ties count for neither side) and its
-  median beats the parent's by more than the parent's IQR, and
-  ``not met`` otherwise;
+* a metric named by ``--claim`` is a ``gain`` when there are at least
+  ten pairs, the change wins at least nine tenths of them (ties count
+  for neither side) and its median beats the parent's by more than the
+  parent's IQR, and ``not met`` otherwise;
 * any other metric is a ``regression`` when the change's median is worse
   than the parent's by more than the metric's bound, ``unresolved`` when
   either side's IQR is wider than the bound (unless every change run
@@ -33,15 +36,20 @@ regressed; 0 otherwise.  Stdlib only.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
 import tempfile
+from types import ModuleType
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Fewest pairs a claimed gain may rest on.
+MIN_CLAIM_PAIRS = 10
 
 
 class Comparison(NamedTuple):
@@ -57,12 +65,12 @@ class Comparison(NamedTuple):
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
-    """``(q1, median, q3)``, linearly interpolated between samples."""
+    """``(q1, median, q3)`` by ``statistics.quantiles``' default method."""
     if not values:
         raise ValueError("no samples")
     if len(values) == 1:
         return (values[0], values[0], values[0])
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, median, q3 = statistics.quantiles(values, n=4)
     return (q1, median, q3)
 
 
@@ -91,7 +99,11 @@ def compare(
     parent_iqr = p_q3 - p_q1
     gain = sign * (p_median - c_median)  # > 0: the change is better
     if claimed:
-        met = wins * 10 >= 9 * len(parent) and gain > parent_iqr
+        met = (
+            len(parent) >= MIN_CLAIM_PAIRS
+            and wins * 10 >= 9 * len(parent)
+            and gain > parent_iqr
+        )
         verdict = "gain" if met else "not met"
     else:
         allowed = bound * abs(p_median)
@@ -111,36 +123,18 @@ def compare(
     )
 
 
-def parse_seeds(text: str) -> List[int]:
-    """``"A-B"`` (inclusive) or a single ``"A"``."""
-    first, sep, last = text.partition("-")
-    try:
-        low = int(first)
-        high = int(last) if sep else low
-    except ValueError:
-        raise ValueError(f"seeds must be A-B, not {text!r}") from None
-    if high < low:
-        raise ValueError(f"empty seed range {text!r}")
-    return list(range(low, high + 1))
+def load_spread(root: str, name: str) -> ModuleType:
+    """Checkout ``root``'s ``perfbench/spread.py``; its ``run_once`` runs there.
 
-
-def run_side(root: str, workload: str, seed: int, seconds: float) -> Dict:
-    """One ``perfbench/run.py`` run in checkout ``root``; its JSON line."""
-    completed = subprocess.run(
-        [
-            sys.executable, os.path.join(root, "perfbench", "run.py"),
-            "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0",
-        ],
-        cwd=root, capture_output=True, text=True, check=False,
+    ``spread.py`` imports its sibling ``stats``, so the caller puts a
+    ``perfbench`` directory on ``sys.path`` first.
+    """
+    spec = importlib.util.spec_from_file_location(
+        name, os.path.join(root, "perfbench", "spread.py")
     )
-    lines = completed.stdout.strip().splitlines()
-    if completed.returncode != 0 or not lines:
-        raise RuntimeError(
-            f"perfbench failed in {root} (exit {completed.returncode}):\n"
-            + completed.stderr[-2000:]
-        )
-    return json.loads(lines[-1])
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def checkout(rev: str, into: str) -> None:
@@ -185,12 +179,15 @@ def report(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    spread = load_spread(ROOT, "change_spread")
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--parent", required=True, help="git revision to compare against")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--seeds", required=True, help="A-B, one seed per pair")
+    parser.add_argument(
+        "--seeds", required=True, type=spread.seeds_arg,
+        help="A-B (inclusive): one pair per seed",
+    )
     parser.add_argument(
         "--claim", action="append", default=[],
         help="an end-to-end metric this change claims to improve (repeatable)",
@@ -206,22 +203,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     unknown = [name for name in args.claim if name not in metrics]
     if unknown:
         parser.error(f"--claim names no end-to-end metric: {', '.join(unknown)}")
-    try:
-        seeds = parse_seeds(args.seeds)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.pairs < 1 or len(seeds) < args.pairs:
-        parser.error(f"--seeds {args.seeds} gives fewer than --pairs {args.pairs} seeds")
-    seeds = seeds[: args.pairs]
+    seeds: List[int] = args.seeds
+    if not seeds:
+        parser.error("--seeds names no seed")
+    seconds = benchmark["run_seconds"]
 
     runs: Dict[str, List[Dict]] = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as parent_root:
         checkout(args.parent, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        runners = {
+            "parent": load_spread(parent_root, "parent_spread"),
+            "change": spread,
+        }
         for index, seed in enumerate(seeds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_side(roots[side], args.workload, seed, args.seconds)
+                result = runners[side].run_once(args.workload, seed, seconds)
                 runs[side].append(result)
                 print(
                     f"pair {index + 1}/{len(seeds)} seed {seed} {side}: "
@@ -249,7 +246,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         for name, metric in metrics.items()
     }
     print(
-        f"{args.workload}: {len(seeds)} pairs of {args.seconds:g} s, seeds "
+        f"{args.workload}: {len(seeds)} pairs of {seconds:g} s, seeds "
         f"{seeds[0]}-{seeds[-1]}, parent {args.parent} vs the working tree"
     )
     for line in report(comparisons, {n: m["unit"] for n, m in metrics.items()}):

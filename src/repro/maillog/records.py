@@ -105,20 +105,22 @@ def parse_logs(text: str) -> List[GreylistedMessageLog]:
             raise ValueError(
                 f"unknown status {status!r} on log line {line_number}"
             )
-        times = [_parse_stamp(stamp) for stamp in stamps]
-        bad = _first_bad_stamp(times)
-        if bad is not None:
+        try:
+            log = GreylistedMessageLog(
+                message_key=key,
+                attempt_times=[float(stamp) for stamp in stamps],
+                delivered=(status == "delivered"),
+            )
+        except ValueError:
+            # A stamp did not parse or the record refused one: find it
+            # only to name it, so a good line pays one pass.
+            bad = _first_bad_stamp(_parse_stamp(stamp) for stamp in stamps)
+            assert bad is not None
             raise ValueError(
                 f"bad timestamp {stamps[bad]!r} on log line {line_number}: "
                 "stamps must be finite, non-negative and in order"
-            )
-        logs.append(
-            GreylistedMessageLog(
-                message_key=key,
-                attempt_times=times,
-                delivered=(status == "delivered"),
-            )
-        )
+            ) from None
+        logs.append(log)
     return logs
 
 

@@ -1,8 +1,9 @@
 """The verdict rule of scripts/bench_pairs.py, on hand-made numbers.
 
-A claimed gain needs at least nine wins in ten pairs (ties count for
-neither side) and a median gap wider than the parent's interquartile
-range.  Any other metric is a regression past its bound, unresolved
+A claimed gain needs at least ten pairs, nine wins in every ten (ties
+count for neither side) and a median gap wider than the parent's
+interquartile range, with quartiles taken as perfbench's spread tool
+takes them.  Any other metric is a regression past its bound, unresolved
 where either side spreads wider than the bound, and ok otherwise.
 """
 
@@ -27,7 +28,7 @@ def bench_pairs():
         del sys.modules["bench_pairs"]
 
 
-#: Ten parent runs: median 100.5, quartiles 99.25 and 101.75 (IQR 2.5).
+#: Ten parent runs: median 100.5, quartiles 99.0 and 102.0 (IQR 3.0).
 PARENT = [98.0, 99.0, 99.0, 100.0, 100.0, 101.0, 101.0, 102.0, 102.0, 103.0]
 
 
@@ -36,8 +37,8 @@ class TestClaimedGain:
         change = [value - 10.0 for value in PARENT]
         result = bench_pairs.compare(PARENT, change, "lower", 0.25, True)
         assert (result.wins, result.ties, result.pairs) == (10, 0, 10)
-        assert result.parent == (99.25, 100.5, 101.75)
-        assert result.parent_iqr == 2.5
+        assert result.parent == (99.0, 100.5, 102.0)
+        assert result.parent_iqr == 3.0
         assert result.verdict == "gain"
 
     def test_nine_wins_and_a_tie_is_enough(self, bench_pairs):
@@ -51,6 +52,15 @@ class TestClaimedGain:
         change = [value - 10.0 for value in PARENT[:8]] + PARENT[8:]
         result = bench_pairs.compare(PARENT, change, "lower", 0.25, True)
         assert (result.wins, result.ties) == (8, 2)
+        assert result.verdict == "not met"
+
+    @pytest.mark.parametrize("pairs", [1, 9])
+    def test_fewer_than_ten_pairs_is_not_enough(self, bench_pairs, pairs):
+        # Every pair won by a gap far past the parent's IQR.
+        parent = PARENT[:pairs]
+        change = [value - 10.0 for value in parent]
+        result = bench_pairs.compare(parent, change, "lower", 0.25, True)
+        assert result.wins == pairs
         assert result.verdict == "not met"
 
     def test_every_pair_won_by_less_than_the_iqr(self, bench_pairs):
@@ -82,12 +92,12 @@ class TestOtherMetrics:
         assert rates.verdict == "regression"
 
     def test_spread_wider_than_the_bound_is_unresolved(self, bench_pairs):
-        # Same median, but each side's IQR (85 to 115) is 30 % of it.
+        # Same median, but each side's IQR (80 to 120) is 40 % of it.
         parent = [60.0, 80.0, 80.0, 100.0, 100.0, 100.0, 100.0, 120.0, 120.0, 140.0]
         change = list(reversed(parent))
         result = bench_pairs.compare(parent, change, "lower", 0.25, False)
         assert (result.wins, result.ties) == (3, 4)
-        assert result.parent_iqr == 30.0
+        assert result.parent_iqr == 40.0
         assert result.verdict == "unresolved"
 
     def test_wide_spread_with_every_change_run_better_is_ok(self, bench_pairs):
@@ -102,13 +112,3 @@ class TestOtherMetrics:
         with pytest.raises(ValueError):
             bench_pairs.compare([1.0], [1.0], "faster", 0.25, False)
 
-
-class TestSeeds:
-    def test_inclusive_range(self, bench_pairs):
-        assert bench_pairs.parse_seeds("201-203") == [201, 202, 203]
-        assert bench_pairs.parse_seeds("7") == [7]
-
-    @pytest.mark.parametrize("text", ["5-3", "a-b", ""])
-    def test_bad_ranges_are_refused(self, bench_pairs, text):
-        with pytest.raises(ValueError):
-            bench_pairs.parse_seeds(text)
